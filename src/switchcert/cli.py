@@ -12,7 +12,8 @@ INI scenario file; the commented reference files under ``scenarios/``
 document the schema.  Scientific outcomes are data, not process
 failures: ``run`` exits 0 even when the verdict is negative.  Exit code
 2 marks an unreadable or schema-invalid input (nothing is written), 3 a
-simulation blow-up.
+simulation failure: blow-up, a chattering feedback rule or a failed
+stepper.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .scenarios import (
 )
 from .signals import AdtClass, SignalFormatError, load_signal, save_signal, validate_adt
 from .stability import fit_uniform_envelope, guas_report, simulate_batch
-from .systems import FiniteEscapeError, write_trajectory_csv
+from .systems import ChatteringError, FiniteEscapeError, StiffnessError, write_trajectory_csv
 
 
 class SchemaError(ValueError):
@@ -55,6 +56,13 @@ _TOL_FLOAT_KEYS = {
     "monotonicity_tol", "attraction_eps", "attraction_radius", "probe_delta",
 }
 _TOL_INT_KEYS = {"max_switches"}
+# ranges outside which a run would crash or be meaningless
+_TOL_RANGES = {
+    "rtol": (lambda v: v > 0, "positive"),
+    "atol": (lambda v: v > 0, "positive"),
+    "cluster_tol": (lambda v: v > 0, "positive"),
+    "tail_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
 
 
 def _locate(text: str, token: str) -> int:
@@ -149,6 +157,10 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
                 int_opts[key] = _parse_int(path, text, key, tol[key])
             else:
                 value = _parse_float(path, text, key, tol[key])
+                if key in _TOL_RANGES:
+                    in_range, expected = _TOL_RANGES[key]
+                    if not in_range(value):
+                        _fail_schema(path, text, key, f"{key} must be {expected}, got {tol[key]!r}")
                 if key in {"rtol", "atol", "event_tol", "max_dx", "bound"}:
                     opt_kwargs[key] = value
                 else:
@@ -230,11 +242,7 @@ def _write_batch_artifacts(scenario: Scenario, batch, out: Path, with_estimates:
 
 def cmd_run(args) -> int:
     scenario, out = _resolve_scenario(args)
-    try:
-        batch = simulate_batch(scenario)
-    except FiniteEscapeError as exc:
-        print(f"simulation blow-up: {exc}", file=sys.stderr)
-        return 3
+    batch = simulate_batch(scenario)
     out.mkdir(parents=True, exist_ok=True)
     files = _write_batch_artifacts(scenario, batch, out, with_estimates=True)
 
@@ -261,11 +269,7 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, out = _resolve_scenario(args)
-    try:
-        batch = simulate_batch(scenario)
-    except FiniteEscapeError as exc:
-        print(f"simulation blow-up: {exc}", file=sys.stderr)
-        return 3
+    batch = simulate_batch(scenario)
     out.mkdir(parents=True, exist_ok=True)
     files = _write_batch_artifacts(scenario, batch, out, with_estimates=False)
     print(f"{len(batch)} trajectories written to {out} ({len(files)} files)")
@@ -274,11 +278,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_omega(args) -> int:
     scenario, out = _resolve_scenario(args)
-    try:
-        batch = simulate_batch(scenario)
-    except FiniteEscapeError as exc:
-        print(f"simulation blow-up: {exc}", file=sys.stderr)
-        return 3
+    batch = simulate_batch(scenario)
     out.mkdir(parents=True, exist_ok=True)
     for k, traj in enumerate(batch.trajectories):
         est = omega_limit(traj, scenario.checks.tail_fraction, scenario.checks.cluster_tol)
@@ -356,6 +356,12 @@ def main(argv=None) -> int:
     except SignalFormatError as exc:
         print(f"signal error: {exc}", file=sys.stderr)
         return 2
+    except FiniteEscapeError as exc:
+        print(f"simulation blow-up: {exc}", file=sys.stderr)
+        return 3
+    except (ChatteringError, StiffnessError) as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,6 +21,27 @@ from .reports import CheckReport, fmt17
 from .systems import Trajectory
 
 
+# Relative band around tol in which a vectorised distance is not trusted:
+# there the decision is made by the scalar test itself.  Row-wise and
+# scalar norms differ by a few ulps, far inside this band.
+_TIE_SLACK = 1e-9
+
+
+def _within(x: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows b of ``block`` with ``np.linalg.norm(b - x) <= tol``.
+
+    A row-wise norm decides the rows outside a narrow band around tol;
+    the rows inside it are decided by that scalar test, so every decision
+    equals it bit for bit.
+    """
+    diff = block - x
+    dist = np.linalg.norm(diff, axis=1)
+    mask = dist < tol * (1.0 - _TIE_SLACK)
+    for k in np.flatnonzero(~mask & (dist <= tol * (1.0 + _TIE_SLACK))):
+        mask[k] = np.linalg.norm(diff[k]) <= tol
+    return mask
+
+
 def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy metric clustering in input order.
 
@@ -30,36 +51,58 @@ def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     centroids; clusters whose centroids end up within tol of each other
     are merged until all representatives are pairwise more than tol
     apart.  Returns (representatives, member counts).
+
+    The seeds are swept one at a time rather than the points.  Seeds are
+    created in point order, so the next seed is always the first point no
+    earlier seed reached, and every earlier point already has its
+    cluster; one vectorised test then takes all later unassigned points
+    within tol of the new seed, which is exactly the set that would pick
+    it as their first seed within tol.  Member sums are accumulated left
+    to right (``np.cumsum``), the order of a running ``+=``.
+
+    Merging takes the lexicographically first pair (i, j), i < j, of
+    representatives within tol and moves j into i by the count-weighted
+    centroid, until no pair is left.  A row pointer i finds the same
+    pairs without rescanning: rows before i have no partner, and a merge
+    into i changes only i, so the next pair is (a, i) for the first row
+    a < i that the new centroid reaches (merged the same way, the
+    pointer moving to a), else the first partner right of i.
+
+    Work is O(k) vectorised distance calls in the seed phase and
+    O(k + merges) in the merge phase, for k clusters, each O(N d) or
+    O(k d); memory is O(N d).  Distances decided near tol use the scalar
+    test (see ``_within``), so the output is the same, bit for bit, as a
+    point-by-point loop with a full rescan after every merge.
     """
-    seeds: list[np.ndarray] = []
-    sums: list[np.ndarray] = []
+    unassigned = np.arange(len(points))
+    centroids: list[np.ndarray] = []
     counts: list[int] = []
-    for x in points:
-        for i, s in enumerate(seeds):
-            if np.linalg.norm(x - s) <= tol:
-                sums[i] += x
-                counts[i] += 1
+    while unassigned.size:
+        rest = unassigned[1:]
+        near = _within(points[unassigned[0]], points[rest], tol)
+        members = np.concatenate((unassigned[:1], rest[near]))
+        centroids.append(np.cumsum(points[members], axis=0)[-1] / members.size)
+        counts.append(int(members.size))
+        unassigned = rest[~near]
+    reps = np.array(centroids)
+    i = 0
+    while i < len(counts):
+        partners = np.flatnonzero(_within(reps[i], reps[i + 1:], tol))
+        if partners.size == 0:
+            i += 1
+            continue
+        j = i + 1 + int(partners[0])
+        while True:
+            total = counts[i] + counts[j]
+            reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
+            counts[i] = total
+            reps = np.delete(reps, j, axis=0)
+            del counts[j]
+            earlier = np.flatnonzero(_within(reps[i], reps[:i], tol))
+            if earlier.size == 0:
                 break
-        else:
-            seeds.append(np.array(x))
-            sums.append(np.array(x))
-            counts.append(1)
-    reps = [s / c for s, c in zip(sums, counts)]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if np.linalg.norm(reps[i] - reps[j]) <= tol:
-                    total = counts[i] + counts[j]
-                    reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
-                    counts[i] = total
-                    del reps[j], counts[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return np.array(reps), np.array(counts)
+            i, j = int(earlier[0]), i
+    return reps, np.array(counts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,14 +34,5 @@ class CheckReport:
     witness: Any = None
     details: Mapping[str, Any] = field(default_factory=dict)
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        parts = [f"{self.name}: {status}"]
-        if self.worst is not None:
-            parts.append(f"worst={fmt17(self.worst)}")
-        if self.witness is not None and not self.passed:
-            parts.append(f"witness={self.witness!r}")
-        return "  ".join(parts)
-
     def __bool__(self) -> bool:
         return self.passed

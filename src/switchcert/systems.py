@@ -264,11 +264,6 @@ def _check_bounds(t: float, x: np.ndarray, opts: IntegratorOptions) -> None:
         raise FiniteEscapeError(t, np.array(x), opts.bound)
 
 
-class _NonFiniteField(Exception):
-    def __init__(self, t: float):
-        self.t = t
-
-
 def _run_mode(
     f: VectorField,
     t0: float,
@@ -289,7 +284,9 @@ def _run_mode(
     def rhs(t, y):
         out = np.asarray(f(y), dtype=float)
         if not np.all(np.isfinite(out)):
-            raise _NonFiniteField(t)
+            # raised from the field itself so that the solver's constructor,
+            # which evaluates it at the start state, is covered too
+            raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
         return out
 
     solver = opts.solver_class()(
@@ -298,10 +295,7 @@ def _run_mode(
     )
     t_prev, x_prev = t0, np.asarray(x0, dtype=float)
     while solver.status == "running":
-        try:
-            message = solver.step()
-        except _NonFiniteField as exc:
-            raise StiffnessError(f"vector field returned non-finite values at t ~ {exc.t:.6g}")
+        message = solver.step()
         if solver.status == "failed":
             raise StiffnessError(f"stepper failed at t ~ {solver.t:.6g}: {message}")
         stats.record_step(solver.y, opts)

@@ -204,6 +204,75 @@ def test_run_blow_up_exit_3(tmp_path, capsys):
         scenarios._BUILTINS.pop("escaper", None)
 
 
+def test_run_chattering_exit_3(tmp_path, capsys):
+    scn = write(tmp_path, """
+[scenario]
+system = example1
+horizon = 15.0
+
+[tolerances]
+max_switches = 2
+""")
+    out = tmp_path / "chatter_out"
+    assert main(["run", scn, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "simulation failed" in err and "chatter" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_run_stiffness_exit_3(tmp_path, capsys):
+    from switchcert.lyapunov import LyapunovCandidate
+    from switchcert.scenarios import FeedbackSource, Scenario, register_scenario
+    from switchcert.signals import ModeSet
+    from switchcert.systems import Covering, FeedbackRule, SwitchedSystem
+
+    def build(**overrides):
+        m = ModeSet(1)
+        sys_ = SwitchedSystem(1, {1: lambda x: np.full_like(x, np.nan)}, m, Covering.trivial(m))
+        return Scenario(
+            name="nan_field",
+            system=sys_,
+            V=LyapunovCandidate(value=lambda x, g: float(np.dot(x, x))),
+            W=None,
+            source=FeedbackSource(FeedbackRule(lambda x: 1, {1: lambda x: -1.0})),
+            initial_states=np.array([[1.0]]),
+            horizon=2.0,
+        )
+
+    register_scenario("nan_field", build)
+    try:
+        assert main(["run", "nan_field", "--out", str(tmp_path / "nan")]) == 3
+        err = capsys.readouterr().err
+        assert "simulation failed" in err and len(err.strip().splitlines()) == 1
+    finally:
+        from switchcert import scenarios
+
+        scenarios._BUILTINS.pop("nan_field", None)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tail_fraction", "2"),
+    ("cluster_tol", "0"),
+    ("rtol", "-1"),
+    ("atol", "0"),
+])
+def test_run_tolerance_out_of_range_exit_2(tmp_path, capsys, key, value):
+    scn = write(tmp_path, f"""
+[scenario]
+system = two_centers
+horizon = 5.0
+
+[tolerances]
+{key} = {value}
+""")
+    out = tmp_path / "bad_tol_out"
+    assert main(["run", scn, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and f"{key} must be" in err and ":7:" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_writes_trajectories(small_scenario):
     path, tmp = small_scenario
     out = tmp / "sim_out"

@@ -1,9 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchcert.invariance import (
+    _greedy_clusters,
     check_same_mode_constancy,
     hausdorff_distance,
     lasalle_certify,
@@ -15,6 +19,128 @@ from switchcert.signals import INFINITY, SwitchingSignal
 from switchcert.systems import IntegratorOptions, integrate
 
 TOL = 1e-2
+
+
+# -- clustering oracle ---------------------------------------------------------
+
+
+def _reference_greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy metric clustering in input order.
+
+    Each point joins the first existing cluster whose seed lies within
+    tol, otherwise seeds a new cluster (ties in seeding are broken by
+    input order, i.e. earliest sample time).  Representatives are member
+    centroids; clusters whose centroids end up within tol of each other
+    are merged until all representatives are pairwise more than tol
+    apart.  Returns (representatives, member counts).
+    """
+    seeds: list[np.ndarray] = []
+    sums: list[np.ndarray] = []
+    counts: list[int] = []
+    for x in points:
+        for i, s in enumerate(seeds):
+            if np.linalg.norm(x - s) <= tol:
+                sums[i] += x
+                counts[i] += 1
+                break
+        else:
+            seeds.append(np.array(x))
+            sums.append(np.array(x))
+            counts.append(1)
+    reps = [s / c for s, c in zip(sums, counts)]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                if np.linalg.norm(reps[i] - reps[j]) <= tol:
+                    total = counts[i] + counts[j]
+                    reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
+                    counts[i] = total
+                    del reps[j], counts[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return np.array(reps), np.array(counts)
+
+
+@st.composite
+def clouds(draw):
+    """Point clouds at the scale of tol: random, with duplicates, on a
+    lattice of spacing exactly tol (every neighbour pair a boundary tie),
+    or in dense blobs."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 300))
+    tol = draw(st.sampled_from([1e-2, 0.1, 0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "duplicates", "lattice", "blobs"]))
+    if kind == "lattice":
+        side = math.ceil(n ** (1.0 / dim))
+        grid = np.array(list(itertools.product(range(side), repeat=dim)), dtype=float)
+        points = tol * rng.permutation(grid)[:n]
+    elif kind == "blobs":  # dense blobs make merges pull centroids back
+        centers = rng.uniform(-10 * tol, 10 * tol, (draw(st.integers(1, 8)), dim))
+        sigma = tol * draw(st.floats(0.3, 2.0))
+        points = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, sigma, (n, dim))
+    else:
+        spread = tol * draw(st.floats(0.2, 3.0)) * n ** (1.0 / dim)
+        points = rng.uniform(-spread, spread, (n, dim))
+        if kind == "duplicates":
+            points = points[rng.integers(0, max(1, n // 4), n)]
+    offset = draw(st.sampled_from([0.0, 1.0, -37.5]))
+    return points + offset, tol
+
+
+def _assert_matches_reference(points, tol):
+    reps, counts = _greedy_clusters(points, tol)
+    want_reps, want_counts = _reference_greedy_clusters(points, tol)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(counts, want_counts)
+    assert reps.dtype == want_reps.dtype and counts.dtype == want_counts.dtype
+    assert counts.sum() == len(points)
+    # postcondition: representatives pairwise more than tol apart, pairs
+    # near tol decided by the scalar norm
+    d = np.linalg.norm(reps[:, None, :] - reps[None, :, :], axis=2)
+    for a, b in zip(*np.nonzero(np.triu(d <= tol * (1 + 1e-9), 1))):
+        assert np.linalg.norm(reps[a] - reps[b]) > tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds())
+def test_greedy_clusters_matches_reference(cloud):
+    _assert_matches_reference(*cloud)
+
+
+def test_greedy_clusters_single_and_repeated_point():
+    _assert_matches_reference(np.array([[0.3, -1.2]]), TOL)
+    _assert_matches_reference(np.full((50, 3), 2.5), TOL)
+
+
+def test_greedy_clusters_ties_follow_scalar_norm():
+    # a row-wise norm can differ from the scalar one in the last bit; with
+    # tol set to either value, the scalar norm must decide
+    rng = np.random.default_rng(3)
+    steps = rng.normal(size=(2000, 2))
+    rows = np.linalg.norm(steps, axis=1)
+    odd = [k for k in range(len(steps)) if np.linalg.norm(steps[k]) != rows[k]]
+    for k in odd[:20]:
+        points = np.array([[0.0, 0.0], steps[k]])
+        for tol in (rows[k], np.linalg.norm(steps[k])):
+            _assert_matches_reference(points, tol)
+
+
+def test_greedy_clusters_merge_reaches_back():
+    # seeds 2 and 3 merge, and their centroid (-1.1, -1/3) lands within
+    # tol of representative 0, which must then absorb it in its own place
+    points = np.array([[-0.2, 0.1], [3.0, 3.0], [-1.0, -0.9], [-1.2, 0.3], [0.2, 1.1],
+                       [-1.1, -0.4]])
+    _assert_matches_reference(points, 1.0)
+    assert _greedy_clusters(points, 1.0)[1].tolist() == [4, 1, 1]
+
+
+def test_greedy_clusters_matches_reference_on_circle(center_orbit):
+    _assert_matches_reference(center_orbit.states[center_orbit.times >= 50.0], TOL)
 
 
 # -- omega limit --------------------------------------------------------------
