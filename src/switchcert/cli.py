@@ -9,11 +9,13 @@ Subcommands::
 
 SCENARIO is either a built-in id (see ``scenarios/``) or the path of an
 INI scenario file; the commented reference files under ``scenarios/``
-document the schema.  Scientific outcomes are data, not process
-failures: ``run`` exits 0 even when the verdict is negative.  Exit code
-2 marks an unreadable or schema-invalid input (nothing is written), 3 a
-simulation failure: blow-up, a chattering feedback rule or a failed
-stepper.
+document the schema.  ``simulate`` and ``omega`` are selections of the
+artifacts ``run`` writes, computed the same way, and every subcommand
+computes all of its artifacts before it creates the output directory.
+Scientific outcomes are data, not process failures: ``run`` exits 0
+even when the verdict is negative.  Exit code 2 marks an unreadable or
+invalid input (nothing is written), 3 a simulation failure: blow-up, a
+chattering feedback rule or a failed stepper.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import configparser
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .invariance import omega_limit, omega_sharp, project_states
-from .lyapunov import check_class_k_bounds, check_strict_decrease
+from .lyapunov import check_strict_decrease
 from .scenarios import (
     FeedbackSource,
     FileSource,
@@ -39,7 +43,7 @@ from .scenarios import (
     scenario_names,
 )
 from .signals import AdtClass, SignalFormatError, load_signal, save_signal, validate_adt
-from .stability import fit_uniform_envelope, guas_report, simulate_batch
+from .stability import guas_report, simulate_batch
 from .systems import ChatteringError, FiniteEscapeError, StiffnessError, write_trajectory_csv
 
 
@@ -50,18 +54,11 @@ class SchemaError(ValueError):
 _SCENARIO_KEYS = {"system", "horizon", "output", "seed"}
 _IC_KEYS = {"radii", "angles", "points"}
 _SIGNAL_KEYS = {"source", "tau_d", "n0", "count", "paths"}
-_TOL_FLOAT_KEYS = {
-    "rtol", "atol", "event_tol", "max_dx", "bound",
+# IntegratorOptions and CheckSettings fields; their ranges are checked there
+_TOL_KEYS = {
+    "rtol", "atol", "event_tol", "max_dx", "bound", "max_switches",
     "cluster_tol", "lasalle_tol", "tail_fraction", "compliance_tol",
     "monotonicity_tol", "attraction_eps", "attraction_radius", "probe_delta",
-}
-_TOL_INT_KEYS = {"max_switches"}
-# ranges outside which a run would crash or be meaningless
-_TOL_RANGES = {
-    "rtol": (lambda v: v > 0, "positive"),
-    "atol": (lambda v: v > 0, "positive"),
-    "cluster_tol": (lambda v: v > 0, "positive"),
-    "tail_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
 }
 
 
@@ -89,7 +86,7 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
         raise SchemaError(str(exc))
 
     known = {"scenario": _SCENARIO_KEYS, "initial_conditions": _IC_KEYS,
-             "signal": _SIGNAL_KEYS, "tolerances": _TOL_FLOAT_KEYS | _TOL_INT_KEYS}
+             "signal": _SIGNAL_KEYS, "tolerances": _TOL_KEYS}
     for section in parser.sections():
         if section not in known:
             _fail_schema(path, text, section, f"unknown section [{section}]")
@@ -151,24 +148,16 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
 
     if "tolerances" in parser:
         tol = parser["tolerances"]
-        int_opts, opt_kwargs, chk_kwargs = {}, {}, {}
+        settings = {"integrator": scenario.integrator, "checks": scenario.checks}
         for key in tol:
-            if key in _TOL_INT_KEYS:
-                int_opts[key] = _parse_int(path, text, key, tol[key])
-            else:
-                value = _parse_float(path, text, key, tol[key])
-                if key in _TOL_RANGES:
-                    in_range, expected = _TOL_RANGES[key]
-                    if not in_range(value):
-                        _fail_schema(path, text, key, f"{key} must be {expected}, got {tol[key]!r}")
-                if key in {"rtol", "atol", "event_tol", "max_dx", "bound"}:
-                    opt_kwargs[key] = value
-                else:
-                    chk_kwargs[key] = value
-        if opt_kwargs or int_opts:
-            overrides["integrator"] = replace(scenario.integrator, **opt_kwargs, **int_opts)
-        if chk_kwargs:
-            overrides["checks"] = replace(scenario.checks, **chk_kwargs)
+            parse = _parse_int if key == "max_switches" else _parse_float
+            value = parse(path, text, key, tol[key])
+            target = "integrator" if hasattr(scenario.integrator, key) else "checks"
+            try:
+                settings[target] = replace(settings[target], **{key: value})
+            except ValueError as exc:
+                _fail_schema(path, text, key, str(exc))
+        overrides.update(settings)
 
     try:
         scenario = replace(scenario, **overrides) if overrides else scenario
@@ -216,52 +205,60 @@ def _resolve_scenario(args) -> tuple[Scenario, Path]:
             src.adt, seeds=tuple(args.seed + i for i in range(len(src.seeds)))
         )
     if overrides:
-        scenario = replace(scenario, **overrides)
+        try:
+            scenario = replace(scenario, **overrides)
+        except ValueError as exc:
+            raise SchemaError(f"--horizon: {exc}") from None
     out_dir = Path(args.out) if args.out else Path(out or f"artifacts_{scenario.name}")
     return scenario, out_dir
 
 
-def _write_batch_artifacts(scenario: Scenario, batch, out: Path, with_estimates: bool) -> list[str]:
-    files: list[str] = []
+# artifact file name -> writer taking the file's path
+Artifacts = dict[str, Callable[[Path], None]]
+
+
+def _trajectory_artifacts(scenario: Scenario, batch) -> Artifacts:
+    files: Artifacts = {}
     for k, traj in enumerate(batch.trajectories):
-        tname = f"trajectory_{k:03d}.csv"
-        write_trajectory_csv(traj, out / tname, V=scenario.V)
-        files.append(tname)
-        sname = f"signal_{k:03d}.txt"
-        save_signal(traj.signal, scenario.system.modes, out / sname)
-        files.append(sname)
-        if with_estimates:
-            est = omega_limit(traj, scenario.checks.tail_fraction, scenario.checks.cluster_tol)
-            est.to_csv(out / f"omega_{k:03d}.csv")
-            files.append(f"omega_{k:03d}.csv")
-            sharp = omega_sharp(traj, scenario.checks.tail_fraction, scenario.checks.cluster_tol)
-            sharp.to_csv(out / f"omega_sharp_{k:03d}.csv")
-            files.append(f"omega_sharp_{k:03d}.csv")
+        files[f"trajectory_{k:03d}.csv"] = partial(write_trajectory_csv, traj, V=scenario.V)
+        files[f"signal_{k:03d}.txt"] = partial(save_signal, traj.signal, scenario.system.modes)
     return files
+
+
+def _omega_artifacts(scenario: Scenario, batch) -> tuple[list, Artifacts]:
+    """Omega and omega-sharp estimates of every trajectory, and their files."""
+    checks = scenario.checks
+    estimates, files = [], {}
+    for k, traj in enumerate(batch.trajectories):
+        est = omega_limit(traj, checks.tail_fraction, checks.cluster_tol)
+        sharp = omega_sharp(traj, checks.tail_fraction, checks.cluster_tol)
+        estimates.append((est, sharp))
+        files[f"omega_{k:03d}.csv"] = est.to_csv
+        files[f"omega_sharp_{k:03d}.csv"] = sharp.to_csv
+    return estimates, files
+
+
+def _write(out: Path, files: Artifacts) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
 
 
 def cmd_run(args) -> int:
     scenario, out = _resolve_scenario(args)
     batch = simulate_batch(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    files = _write_batch_artifacts(scenario, batch, out, with_estimates=True)
-
-    classk = check_class_k_bounds(scenario.V, scenario.system, scenario.region)
-    classk.to_csv(out / "classk_envelope.csv")
-    files.append("classk_envelope.csv")
-    strict = check_strict_decrease(scenario.V, scenario.system, scenario.region)
-    strict.to_csv(out / "strict_decrease.csv")
-    files.append("strict_decrease.csv")
-    envelope = fit_uniform_envelope(batch, n_bins=scenario.checks.n_radius_bins,
-                                    bin_slack=scenario.checks.bin_slack)
-    envelope.to_csv(out / "uniform_envelope.csv")
-    files.append("uniform_envelope.csv")
-
+    files = _trajectory_artifacts(scenario, batch)
+    files.update(_omega_artifacts(scenario, batch)[1])
     report = guas_report(scenario, batch)
-    body = report.to_text()
-    body += "\nartifacts:\n" + "".join(f"  {f}\n" for f in sorted(files))
-    (out / "guas_report.txt").write_text(body)
-    (out / "guas_report.kv").write_text("\n".join(report.to_records()) + "\n")
+    strict = check_strict_decrease(scenario.V, scenario.system, scenario.region)
+    files["classk_envelope.csv"] = report.classk.to_csv
+    files["strict_decrease.csv"] = strict.to_csv
+    files["uniform_envelope.csv"] = report.uniform.to_csv
+    body = report.to_text() + "\nartifacts:\n" + "".join(f"  {f}\n" for f in sorted(files))
+    records = "\n".join(report.to_records()) + "\n"
+    files["guas_report.txt"] = lambda path: path.write_text(body)
+    files["guas_report.kv"] = lambda path: path.write_text(records)
+    _write(out, files)
     print(body, end="")
     print(f"report written to {out}/guas_report.txt")
     return 0
@@ -270,8 +267,8 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, out = _resolve_scenario(args)
     batch = simulate_batch(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    files = _write_batch_artifacts(scenario, batch, out, with_estimates=False)
+    files = _trajectory_artifacts(scenario, batch)
+    _write(out, files)
     print(f"{len(batch)} trajectories written to {out} ({len(files)} files)")
     return 0
 
@@ -279,18 +276,14 @@ def cmd_simulate(args) -> int:
 def cmd_omega(args) -> int:
     scenario, out = _resolve_scenario(args)
     batch = simulate_batch(scenario)
-    out.mkdir(parents=True, exist_ok=True)
-    for k, traj in enumerate(batch.trajectories):
-        est = omega_limit(traj, scenario.checks.tail_fraction, scenario.checks.cluster_tol)
-        est.to_csv(out / f"omega_{k:03d}.csv")
-        sharp = omega_sharp(traj, scenario.checks.tail_fraction, scenario.checks.cluster_tol)
-        sharp.to_csv(out / f"omega_sharp_{k:03d}.csv")
-        proj = project_states(sharp)
-        print(
-            f"trajectory {k:03d}: {est.points.shape[0]} limit points, "
-            f"{sharp.modes.size} state-mode pairs, {proj.shape[0]} projected states"
-        )
-    print(f"estimates written to {out}")
+    estimates, files = _omega_artifacts(scenario, batch)
+    lines = [
+        f"trajectory {k:03d}: {est.points.shape[0]} limit points, "
+        f"{sharp.modes.size} state-mode pairs, {project_states(sharp).shape[0]} projected states"
+        for k, (est, sharp) in enumerate(estimates)
+    ]
+    _write(out, files)
+    print("\n".join(lines + [f"estimates written to {out}"]))
     return 0
 
 
@@ -302,7 +295,7 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdict = validate_adt(signal, adt)
-    if verdict.valid:
+    if verdict.passed:
         print(f"valid: {signal.n_switches} switches within "
               f"class(tau_d={adt.tau_d:g}, n0={adt.n0})")
         return 0

@@ -343,31 +343,19 @@ def check_strict_decrease(
 # -- along-trajectory checks --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReturnMonotonicityReport:
-    """Two related monotonicity checks along one trajectory.
-
-    ``across_switches`` compares, for every ordered pair of switch times
-    with equal modes, the value at the later switch against the value at
-    the end of the earlier same-mode interval.  ``across_samples`` is
-    the stronger all-sample-pairs check: V may never rise (beyond tol)
-    between same-mode samples.  The second implies the first.
-    """
-
-    across_switches: CheckReport
-    across_samples: CheckReport
-
-    @property
-    def passed(self) -> bool:
-        return self.across_switches.passed and self.across_samples.passed
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def check_return_monotonicity(
     V: LyapunovCandidate, traj: Trajectory, tol: float = 1e-9
-) -> ReturnMonotonicityReport:
+) -> CheckReport:
+    """Two related monotonicity checks along one trajectory, as one report.
+
+    ``details["across_switches"]`` compares, for every ordered pair of
+    switch times with equal modes, the value at the later switch against
+    the value at the end of the earlier same-mode interval.
+    ``details["across_samples"]`` is the stronger all-sample-pairs check:
+    V may never rise (beyond tol) between same-mode samples.  The second
+    implies the first.  ``worst`` is the larger rise of the two, and the
+    witness that of the sub-check which found it.
+    """
     sig = traj.signal
     edge_times = np.concatenate([[0.0], sig.switch_times])
 
@@ -413,7 +401,10 @@ def check_return_monotonicity(
     rep_b = CheckReport("same-mode-sample-monotonicity", worst_b <= tol,
                         worst=worst_b, witness=None if worst_b <= tol else witness_b,
                         details={"n_samples": int(traj.times.size), "tol": tol})
-    return ReturnMonotonicityReport(rep_a, rep_b)
+    top = rep_a if worst_a >= worst_b else rep_b
+    return CheckReport("return-monotonicity", rep_a.passed and rep_b.passed, worst=top.worst,
+                       witness=top.witness,
+                       details={"across_switches": rep_a, "across_samples": rep_b})
 
 
 # -- distinguishability probe --------------------------------------------------
@@ -484,7 +475,6 @@ __all__ = [
     "LyapunovCandidate",
     "OutputFamily",
     "ProbeReport",
-    "ReturnMonotonicityReport",
     "SampleRegion",
     "StrictDecreaseReport",
     "check_class_k_bounds",

@@ -1,10 +1,12 @@
-"""Shared report types and serialization conventions.
+"""Shared report type, range checks and serialization conventions.
 
 Every verifier in this package returns a report object rather than a bare
 boolean, so that the worst observed value and a concrete witness survive
-into logs, aggregate verdicts and exported artifacts.  All floating-point
-values written to disk use 17 significant digits, which round-trips IEEE
-doubles exactly.
+into logs, aggregate verdicts and exported artifacts.  A check that is a
+verdict and nothing more returns :class:`CheckReport`; only checks that
+also carry an exported table or a fit have a report class of their own.
+All floating-point values written to disk use 17 significant digits,
+which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,20 @@ from typing import Any, Mapping
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (exact double round-trip)."""
     return format(float(x), ".17g")
+
+
+def require_ranges(settings: Any, positive: tuple[str, ...] = (),
+                   nonnegative: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the first field of ``settings`` out of range.
+
+    NaN is out of every range; a field set to None is unset and skipped.
+    """
+    for names, in_range, expected in ((positive, lambda v: v > 0, "positive"),
+                                      (nonnegative, lambda v: v >= 0, "nonnegative")):
+        for name in names:
+            value = getattr(settings, name)
+            if value is not None and not in_range(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

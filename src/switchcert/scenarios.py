@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .lyapunov import LyapunovCandidate, OutputFamily, SampleRegion
+from .reports import require_ranges
 from .signals import AdtClass, ModeSet
 from .systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
 
@@ -69,10 +70,8 @@ def half_plane_covering() -> Covering:
 
 def half_plane_rule() -> FeedbackRule:
     """Mode 1 strictly left of the x2 axis, mode 2 on and right of it."""
-    return FeedbackRule(
-        mode_of=lambda x: 1 if x[0] < 0.0 else 2,
-        boundaries={1: lambda x: float(x[0]), 2: lambda x: float(-x[0])},
-    )
+    return FeedbackRule(mode_of=lambda x: 1 if x[0] < 0.0 else 2,
+                        boundaries=half_plane_covering().boundaries)
 
 
 def squared_norm_candidate() -> LyapunovCandidate:
@@ -142,7 +141,11 @@ SignalSource = FeedbackSource | GeneratedSource | FileSource
 
 @dataclass(frozen=True)
 class CheckSettings:
-    """Tolerances and window parameters for the certification checks."""
+    """Tolerances and window parameters for the certification checks.
+
+    The fields an INI ``[tolerances]`` section can set are range-checked
+    here, so files and scenarios built in Python share one check.
+    """
 
     equilibrium_tol: float = 1e-9
     compliance_tol: float = 1e-6
@@ -157,9 +160,15 @@ class CheckSettings:
     probe_delta: float = 0.1
     probe_threshold: float | None = None
     kl_floor: float = 1e-9
-    n_restarts: int = 21
     n_radius_bins: int = 20
     bin_slack: float = 3.0
+
+    def __post_init__(self) -> None:
+        require_ranges(self, positive=("cluster_tol", "attraction_eps", "attraction_radius",
+                                       "probe_delta"),
+                       nonnegative=("compliance_tol", "lasalle_tol", "monotonicity_tol"))
+        if not 0.0 < self.tail_fraction < 1.0:
+            raise ValueError(f"tail_fraction must be in (0, 1), got {self.tail_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +190,8 @@ class Scenario:
             raise ValueError("initial_states must be a nonempty (k, n) grid")
         ics.setflags(write=False)
         object.__setattr__(self, "initial_states", ics)
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
 
 
 def polar_grid(radii, n_angles: int, phase: float = math.pi / 8.0) -> np.ndarray:

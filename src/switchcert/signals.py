@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reports import fmt17
+from .reports import CheckReport, fmt17
 
 INFINITY = math.inf
 
@@ -227,18 +227,6 @@ class SwitchingSignal:
 # -- average dwell-time validation --------------------------------------
 
 
-@dataclass(frozen=True)
-class AdtValidation:
-    """Result of :func:`validate_adt`; the witness interval, when present,
-    is a tuple (a, b, count, bound) with count > bound."""
-
-    valid: bool
-    witness: tuple[float, float, int, float] | None = None
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
 def _adt_violation(times: np.ndarray, adt: AdtClass) -> tuple[int, int] | None:
     """First switch-index pair (i, j) whose enclosing interval violates
     the ADT bound, or None.  Pairs with j - i < n0 can never violate.
@@ -260,24 +248,25 @@ def _adt_violation(times: np.ndarray, adt: AdtClass) -> tuple[int, int] | None:
     return None
 
 
-def validate_adt(signal: SwitchingSignal, adt: AdtClass) -> AdtValidation:
+def validate_adt(signal: SwitchingSignal, adt: AdtClass) -> CheckReport:
     """Check that every open interval respects the ADT counting bound.
 
     Only intervals pinched onto switch-time pairs need checking (see the
-    module docstring); the returned witness widens the violating pair by
-    a small epsilon so that the reported open interval itself violates
-    the bound strictly.
+    module docstring).  A failing report's witness is a tuple (a, b,
+    count, bound) with count > bound: the violating pair widened by a
+    small epsilon, so that the open interval itself violates the bound
+    strictly.
     """
     pair = _adt_violation(signal.switch_times, adt)
     if pair is None:
-        return AdtValidation(True)
+        return CheckReport("adt-class", True)
     i, j = pair
     ti, tj = float(signal.switch_times[i]), float(signal.switch_times[j])
     count = j - i + 1
     margin = count - adt.bound(tj - ti)
     eps = min(1e-3, margin * adt.tau_d / 4.0)
     a, b = max(ti - eps, 0.0), tj + eps
-    return AdtValidation(False, (a, b, count, adt.bound(b - a)))
+    return CheckReport("adt-class", False, witness=(a, b, count, adt.bound(b - a)))
 
 
 def generate_adt(
@@ -591,7 +580,6 @@ def load_signal(path) -> tuple[SwitchingSignal, ModeSet]:
 __all__ = [
     "INFINITY",
     "AdtClass",
-    "AdtValidation",
     "ExtractionFailure",
     "ModeSet",
     "SignalFormatError",

@@ -1,19 +1,21 @@
 """Empirical stability classification over trajectory batches.
 
 Uniform stability is probed by an overshoot table: restart the clock at
-grid times, bin the restart radius, and record the largest subsequent
-norm per bin.  Asymptotic decay is probed by fitting the exponential
-envelope |x(t)| <= C |x(0)| exp(-lam t) in log space and then shifting C
-up until every sample is covered, so the fitted envelope is sound on
-the batch by construction; a failed fit (lam <= 0) falls back to a
+21 grid times spanning the first half of the horizon, bin the restart
+radius, and record the largest subsequent norm per bin.  Asymptotic
+decay is probed by fitting the exponential envelope
+|x(t)| <= C |x(0)| exp(-lam t) in log space and then shifting C up until
+every sample is covered, so the fitted envelope is sound on the batch by
+construction; a failed fit (lam <= ln(2)/horizon) falls back to a
 nonparametric decay table before non-decay is declared.
 
 ``guas_report`` composes every hypothesis check (equilibrium, covering,
 weak-Lyapunov conditions, dwell-time regularity of the realized
 signals, distinguishability probes) and every conclusion check (both
 envelopes, uniform attraction time, convergence to the origin) into one
-verdict.  The verdict is evidential: it reports what a finite batch
-showed, never a proof.
+verdict, and keeps the class-K and overshoot tables it built so that
+they are written from the same computation.  The verdict is evidential:
+it reports what a finite batch showed, never a proof.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ import numpy as np
 
 from .invariance import lasalle_certify
 from .lyapunov import (
+    EnvelopeReport,
     check_class_k_bounds,
     check_decrease_on_covering,
     check_gradient_consistency,
     check_return_monotonicity,
     distinguishability_probe,
 )
-from .reports import fmt17
-from .signals import AdtClass, generate_adt, load_signal, validate_adt
+from .reports import CheckReport, fmt17
+from .signals import AdtClass, SignalFormatError, generate_adt, load_signal, validate_adt
 from .systems import (
     Trajectory,
     check_covering_compliance,
@@ -66,7 +69,8 @@ def simulate_batch(scenario: "Scenario") -> TrajectoryBatch:
 
     Feedback sources yield one trajectory per initial condition;
     generated and file sources yield one per signal, cycling through the
-    initial-condition grid.
+    initial-condition grid.  A signal file that cannot be read or whose
+    horizon is not the scenario's raises :class:`SignalFormatError`.
     """
     from .scenarios import FeedbackSource, FileSource, GeneratedSource
 
@@ -83,9 +87,12 @@ def simulate_batch(scenario: "Scenario") -> TrajectoryBatch:
             trajs.append(integrate(sys_, ics[i % len(ics)], sig, opts))
     elif isinstance(src, FileSource):
         for i, path in enumerate(src.paths):
-            sig, _ = load_signal(path)
+            try:
+                sig, _ = load_signal(path)
+            except OSError as exc:
+                raise SignalFormatError(f"{path}: {exc.strerror}") from exc
             if sig.horizon != scenario.horizon:
-                raise ValueError(
+                raise SignalFormatError(
                     f"signal file {path} has horizon {sig.horizon}, scenario wants {scenario.horizon}"
                 )
             trajs.append(integrate(sys_, ics[i % len(ics)], sig, opts))
@@ -100,6 +107,11 @@ def simulate_batch(scenario: "Scenario") -> TrajectoryBatch:
     )
 
 
+def _restart_grid(horizon: float) -> np.ndarray:
+    """Restart times of the overshoot table and the attraction check."""
+    return np.linspace(0.0, horizon / 2.0, 21)
+
+
 # -- uniform (overshoot) envelope ------------------------------------------------
 
 
@@ -112,7 +124,6 @@ class UniformEnvelope:
     bin_edges: np.ndarray
     alpha: np.ndarray              # nan where the bin is empty
     alpha_regularized: np.ndarray
-    restart_grid: np.ndarray
     zero_radius_sup: float
     margin: float
     n_pairs: int
@@ -129,10 +140,7 @@ class UniformEnvelope:
 
 
 def fit_uniform_envelope(
-    batch: TrajectoryBatch,
-    restart_grid: np.ndarray | None = None,
-    n_bins: int = 20,
-    bin_slack: float = 3.0,
+    batch: TrajectoryBatch, n_bins: int = 20, bin_slack: float = 3.0
 ) -> UniformEnvelope:
     """Tabulate worst-case overshoot against restart radius.
 
@@ -140,9 +148,6 @@ def fit_uniform_envelope(
     ``bin_slack`` times that bin's upper edge (the sampled rendering of
     "alpha(r) -> 0 as r -> 0") and restarts at radius zero stay at zero.
     """
-    if restart_grid is None:
-        restart_grid = np.linspace(0.0, batch.horizon / 2.0, 21)
-    restart_grid = np.asarray(restart_grid, dtype=float)
     pairs_r, pairs_sup = [], []
     zero_sup = 0.0
     for traj in batch.trajectories:
@@ -150,7 +155,7 @@ def fit_uniform_envelope(
         if not np.all(np.isfinite(norms)):
             raise ValueError("batch contains an unbounded trajectory")
         suffix = np.maximum.accumulate(norms[::-1])[::-1]
-        for t0 in restart_grid:
+        for t0 in _restart_grid(batch.horizon):
             if t0 > traj.horizon:
                 continue
             k = min(traj.index_at(float(t0)), norms.size - 1)
@@ -191,7 +196,6 @@ def fit_uniform_envelope(
         bin_edges=edges,
         alpha=alpha,
         alpha_regularized=alpha_reg,
-        restart_grid=restart_grid,
         zero_radius_sup=zero_sup,
         margin=margin,
         n_pairs=len(pairs_r),
@@ -224,12 +228,7 @@ class KLEnvelope:
         return self.passed
 
 
-def fit_kl_envelope(
-    batch: TrajectoryBatch,
-    floor: float = 1e-9,
-    decay_threshold: float = 0.05,
-    rate_floor: float | None = None,
-) -> KLEnvelope:
+def fit_kl_envelope(batch: TrajectoryBatch, floor: float = 1e-9) -> KLEnvelope:
     """Least-squares exponential envelope over every batch sample.
 
     Samples below ``floor`` (and trajectories starting there) are
@@ -239,12 +238,13 @@ def fit_kl_envelope(
     construction.
 
     The fit only counts as success when the rate is significantly
-    positive: at least ``rate_floor``, default ln(2)/horizon (the
-    envelope must halve over the run).  On a norm-conserving batch the
-    raw least-squares rate is integrator noise of either sign, so a
-    plain ``lam > 0`` test would be a coin flip; the floor makes
-    non-decay deterministic.  An insignificant rate falls back to the
-    nonparametric late-window decay table before non-decay is declared.
+    positive: above ln(2)/horizon (the envelope must halve over the
+    run).  On a norm-conserving batch the raw least-squares rate is
+    integrator noise of either sign, so a plain ``lam > 0`` test would be
+    a coin flip; the floor makes non-decay deterministic.  An
+    insignificant rate falls back to the nonparametric late-window decay
+    table, which passes when every norm in the last tenth of the horizon
+    is at most 0.05 times its start norm, before non-decay is declared.
     """
     ts, ys = [], []
     for traj in batch.trajectories:
@@ -262,10 +262,7 @@ def fit_kl_envelope(
     design = np.column_stack([np.ones_like(t), -t])
     (log_c, lam), *_ = np.linalg.lstsq(design, y, rcond=None)
     lam = float(lam)
-    if rate_floor is None:
-        rate_floor = math.log(2.0) / batch.horizon
-    table_decay = None
-    if lam <= rate_floor:
+    if lam <= math.log(2.0) / batch.horizon:
         # fallback: nonparametric late-window decay ratio
         ratios = []
         for traj in batch.trajectories:
@@ -275,8 +272,7 @@ def fit_kl_envelope(
             late = traj.times >= 0.9 * traj.horizon
             ratios.append(float(traj.norms[late].max() / r0))
         table_decay = max(ratios)
-        passed = table_decay <= decay_threshold
-        return KLEnvelope(passed=passed, C=math.nan, lam=lam, worst_slack=math.nan,
+        return KLEnvelope(passed=table_decay <= 0.05, C=math.nan, lam=lam, worst_slack=math.nan,
                           degenerate=False, table_decay=table_decay,
                           n_samples=int(t.size))
     shift = float(np.max(y + lam * t))
@@ -290,64 +286,40 @@ def fit_kl_envelope(
 # -- uniform attraction time -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AttractionReport:
-    """Smallest grid time T with |x(t0)| < radius => |x(t)| < eps for t >= t0 + T."""
-
-    passed: bool
-    T_hat: float
-    radius: float
-    eps: float
-    n_restarts: int
-    witness: tuple[float, int] | None  # (restart time, trajectory index) never settling
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def check_uniform_attraction(
-    batch: TrajectoryBatch,
-    radius: float,
-    eps: float,
-    restart_grid: np.ndarray | None = None,
-    t_grid: np.ndarray | None = None,
-) -> AttractionReport:
+def check_uniform_attraction(batch: TrajectoryBatch, radius: float, eps: float) -> CheckReport:
     """Measure a batch-uniform settling time into the eps ball.
 
     For every trajectory and restart time with |x(t0)| < radius, find
-    when the suffix norm drops below eps for good; the report carries
-    the smallest grid time dominating all such delays, or fails if some
-    restart never settles within the horizon.
+    when the suffix norm drops below eps for good.  ``worst`` is T_hat,
+    the smallest of 201 grid times spanning the horizon that dominates
+    all such delays, or +inf when some restart never settles within the
+    horizon; the witness is then (restart time, trajectory index).
+    ``details["n_restarts"]`` counts the restarts that qualified.
     """
-    if restart_grid is None:
-        restart_grid = np.linspace(0.0, batch.horizon / 2.0, 21)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, batch.horizon, 201)
     needed = 0.0
-    n_restarts = 0
-    witness = None
+    details = {"radius": radius, "eps": eps, "n_restarts": 0}
     for k, traj in enumerate(batch.trajectories):
         norms = traj.norms
         suffix = np.maximum.accumulate(norms[::-1])[::-1]
         settled = suffix < eps
         first_settled = np.nonzero(settled)[0]
-        for t0 in np.asarray(restart_grid, dtype=float):
+        for t0 in _restart_grid(batch.horizon):
             if t0 > traj.horizon:
                 continue
             i0 = min(traj.index_at(float(t0)), norms.size - 1)
             if norms[i0] >= radius:
                 continue
-            n_restarts += 1
+            details["n_restarts"] += 1
             if first_settled.size == 0:
-                witness = (float(t0), k)
-                return AttractionReport(False, math.inf, radius, eps, n_restarts, witness)
+                return CheckReport("uniform-attraction", False, worst=math.inf,
+                                   witness=(float(t0), k), details=details)
             t_settle = float(traj.times[first_settled[0]])
             needed = max(needed, max(t_settle - float(t0), 0.0))
-    grid = np.asarray(t_grid, dtype=float)
+    grid = np.linspace(0.0, batch.horizon, 201)
     feasible = grid[grid >= needed]
-    if feasible.size == 0:
-        return AttractionReport(False, math.inf, radius, eps, n_restarts, None)
-    return AttractionReport(True, float(feasible.min()), radius, eps, n_restarts, None)
+    return CheckReport("uniform-attraction", feasible.size > 0,
+                       worst=float(feasible.min()) if feasible.size else math.inf,
+                       details=details)
 
 
 # -- aggregate verdict ---------------------------------------------------------------
@@ -369,7 +341,8 @@ class AggregateReport:
     ``hypotheses_ok`` states that every sampled hypothesis check passed;
     ``guas_observed`` that every convergence conclusion was observed on
     the batch.  Both are statements about the declared batch and sample
-    regions only.
+    regions only.  ``classk`` and ``uniform`` are the class-K sandwich
+    and overshoot tables behind two of the entries.
     """
 
     scenario: str
@@ -378,6 +351,8 @@ class AggregateReport:
     entries: tuple[ReportEntry, ...]
     hypotheses_ok: bool
     guas_observed: bool
+    classk: EnvelopeReport
+    uniform: UniformEnvelope
 
     def to_text(self) -> str:
         lines = [
@@ -479,8 +454,8 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
     compliant = True
     for traj in batch.trajectories:
         rep = check_covering_compliance(traj, sys_.covering, checks.compliance_tol)
-        worst_margin = max(worst_margin, rep.worst_margin)
-        compliant &= rep.compliant
+        worst_margin = max(worst_margin, rep.worst)
+        compliant &= rep.passed
     entries.append(_entry("hypothesis", "covering-compliance", compliant,
                           f"worst boundary margin {worst_margin:.3g} over batch",
                           worst=worst_margin, tol=checks.compliance_tol))
@@ -506,7 +481,7 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
     for traj in batch.trajectories:
         rep = check_return_monotonicity(V, traj, checks.monotonicity_tol)
         mono_ok &= rep.passed
-        worst_rise = max(worst_rise, rep.across_samples.worst, rep.across_switches.worst)
+        worst_rise = max(worst_rise, rep.worst)
     entries.append(_entry("hypothesis", "return-monotonicity", mono_ok,
                           f"worst same-mode rise {worst_rise:.3g}",
                           worst=worst_rise, tol=checks.monotonicity_tol))
@@ -556,9 +531,9 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
         radius = 1.01 * float(np.linalg.norm(batch.initial_states, axis=1).max())
     attraction = check_uniform_attraction(batch, radius, checks.attraction_eps)
     entries.append(_entry("conclusion", "uniform-attraction", attraction.passed,
-                          f"T_hat={attraction.T_hat:.4g} for radius {radius:g}, "
+                          f"T_hat={attraction.worst:.4g} for radius {radius:g}, "
                           f"eps {checks.attraction_eps:g}",
-                          T_hat=attraction.T_hat, radius=radius,
+                          T_hat=attraction.worst, radius=radius,
                           eps=checks.attraction_eps))
 
     origin = np.zeros((1, sys_.dimension))
@@ -583,12 +558,13 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
         entries=tuple(entries),
         hypotheses_ok=hypotheses_ok,
         guas_observed=guas_observed,
+        classk=classk,
+        uniform=uniform,
     )
 
 
 __all__ = [
     "AggregateReport",
-    "AttractionReport",
     "KLEnvelope",
     "ReportEntry",
     "TrajectoryBatch",

@@ -8,7 +8,7 @@ location (b == -1 encodes the whole space).
 
 Integration is piecewise: switch times are mandatory mesh points, each
 constancy interval is integrated with an adaptive embedded Runge-Kutta
-stepper (scipy's DOP853 by default), and accepted steps are subdivided
+stepper (scipy's DOP853), and accepted steps are subdivided
 through the dense interpolant until consecutive samples differ by at
 most ``max_dx``.  State-feedback switching locates region crossings by
 bisection on the active boundary function over the step interpolant.
@@ -27,15 +27,13 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, RK45
+from scipy.integrate import DOP853
 
-from .reports import CheckReport, fmt17
+from .reports import CheckReport, fmt17, require_ranges
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
 BoundaryFn = Callable[[np.ndarray], float]
-
-_SOLVERS = {"DOP853": DOP853, "RK45": RK45}
 
 
 class FiniteEscapeError(RuntimeError):
@@ -134,20 +132,19 @@ class FeedbackRule:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
+    """Stepper tolerances, sampling resolution and failure thresholds;
+    ``max_dx = inf`` samples the accepted steps only."""
+
     rtol: float = 1e-9
     atol: float = 1e-12
     max_dx: float = 0.05
     bound: float = 1e9
     event_tol: float = 1e-10
     max_switches: int = 100_000
-    max_step: float = math.inf
-    method: str = "DOP853"
 
-    def solver_class(self):
-        try:
-            return _SOLVERS[self.method]
-        except KeyError:
-            raise ValueError(f"unknown method {self.method!r}; options: {sorted(_SOLVERS)}")
+    def __post_init__(self) -> None:
+        require_ranges(self, positive=("rtol", "atol", "event_tol", "max_dx", "bound"),
+                       nonnegative=("max_switches",))
 
 
 @dataclass
@@ -289,10 +286,8 @@ def _run_mode(
             raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
         return out
 
-    solver = opts.solver_class()(
-        rhs, t0, np.asarray(x0, dtype=float), t_end,
-        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step,
-    )
+    solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end,
+                    rtol=opts.rtol, atol=opts.atol)
     t_prev, x_prev = t0, np.asarray(x0, dtype=float)
     while solver.status == "running":
         message = solver.step()
@@ -442,23 +437,15 @@ def check_equilibrium(system: SwitchedSystem, tol: float = 1e-9) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
-    """Per-sample covering compliance of a trajectory."""
-
-    compliant: bool
-    worst_margin: float
-    violations: tuple[tuple[float, int, float], ...]  # (t, mode, margin)
-    n_checked: int
-
-    def __bool__(self) -> bool:
-        return self.compliant
-
-
 def check_covering_compliance(
     traj: Trajectory, covering: Covering, tol: float = 1e-6
-) -> ComplianceReport:
-    """Check b_{sigma(t)}(x(t)) <= tol at every sample."""
+) -> CheckReport:
+    """Check b_{sigma(t)}(x(t)) <= tol at every sample.
+
+    ``worst`` is the largest margin; ``details["violations"]`` lists the
+    first 100 violating samples as (t, mode, margin), the first of them
+    being the witness.
+    """
     modes = traj.sample_modes
     margins = np.array([
         covering.margin(int(g), x) for g, x in zip(modes, traj.states)
@@ -467,11 +454,11 @@ def check_covering_compliance(
     violations = tuple(
         (float(traj.times[i]), int(modes[i]), float(margins[i])) for i in bad[:100]
     )
-    return ComplianceReport(
-        compliant=bad.size == 0,
-        worst_margin=float(np.max(margins)) if margins.size else -math.inf,
-        violations=violations,
-        n_checked=int(margins.size),
+    return CheckReport(
+        "covering-compliance", bad.size == 0,
+        worst=float(np.max(margins)) if margins.size else -math.inf,
+        witness=violations[0] if violations else None,
+        details={"violations": violations, "n_checked": int(margins.size)},
     )
 
 
@@ -498,7 +485,6 @@ def write_trajectory_csv(traj: Trajectory, path, V=None) -> None:
 
 __all__ = [
     "ChatteringError",
-    "ComplianceReport",
     "Covering",
     "FeedbackRule",
     "FiniteEscapeError",

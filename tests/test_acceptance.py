@@ -44,7 +44,7 @@ def test_acceptance_1_example1_guas(ex1_batch, ex1_scenario):
     worst_rise = 0.0
     for traj in ex1_batch.trajectories:
         rep = check_return_monotonicity(ex1_scenario.V, traj, tol=1e-7)
-        worst_rise = max(worst_rise, rep.across_samples.worst, rep.across_switches.worst)
+        worst_rise = max(worst_rise, rep.worst)
     ok = worst_end <= 1e-3 and worst_rise <= 1e-7
     report(1, ok, f"max |x(60)| = {worst_end:.3e} (<= 1e-3), "
                   f"max V rise = {worst_rise:.3e} (<= 1e-7), 16 trajectories")
@@ -58,7 +58,7 @@ def test_acceptance_2_example1_signal_regularity(ex1_batch):
     for traj in ex1_batch.trajectories:
         gap = traj.signal.min_switch_gap()
         gaps.append(gap)
-        all_valid &= validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).valid
+        all_valid &= validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).passed
     spread = max(gaps) / min(gaps) - 1.0
     ok = all_valid and min(gaps) > 0.0 and spread <= 0.10
     report(2, ok, f"min gap = {min(gaps):.6f}, spread = {100 * spread:.3f}% (<= 10%), "
@@ -157,7 +157,7 @@ def test_acceptance_8_signal_algebra_oracles():
         gen_class = AdtClass(float(rng.uniform(0.3, 1.5)), int(rng.integers(1, 4)))
         sig = generate_adt(i, gen_class, modes, 10.0)
         test_class = AdtClass(float(rng.uniform(0.3, 2.5)), int(rng.integers(1, 3)))
-        got = validate_adt(sig, test_class).valid
+        got = validate_adt(sig, test_class).passed
         # oracle: enumerate all switch-pair intervals widened by epsilon
         times = sig.switch_times
         expect = True
@@ -227,6 +227,6 @@ def test_acceptance_10_subsequence_extraction():
     indices, limit = extract_convergent_subsequence(family, adt, tol=0.01)
     t1_err = abs(float(limit.switch_times[0]) - 1.0)
     ok = (len(indices) >= 7 and limit.n_switches == 1 and t1_err <= 1e-3
-          and validate_adt(limit, adt).valid)
+          and validate_adt(limit, adt).passed)
     report(10, ok, f"{len(indices)} signals selected (>= 7), "
                    f"limit first switch error = {t1_err:.2e} (<= 1e-3), limit validates")

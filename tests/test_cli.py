@@ -256,6 +256,16 @@ def test_run_stiffness_exit_3(tmp_path, capsys):
     ("cluster_tol", "0"),
     ("rtol", "-1"),
     ("atol", "0"),
+    ("event_tol", "0"),
+    ("max_dx", "0"),
+    ("bound", "-1"),
+    ("attraction_eps", "0"),
+    ("attraction_radius", "-1"),
+    ("probe_delta", "0"),
+    ("lasalle_tol", "-1"),
+    ("compliance_tol", "-1"),
+    ("monotonicity_tol", "-1"),
+    ("max_switches", "-1"),
 ])
 def test_run_tolerance_out_of_range_exit_2(tmp_path, capsys, key, value):
     scn = write(tmp_path, f"""
@@ -271,6 +281,43 @@ horizon = 5.0
     err = capsys.readouterr().err
     assert "scenario error" in err and f"{key} must be" in err and ":7:" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _signal_ini(tmp_path, signal_horizon):
+    """Scenario of horizon 15 reading one signal file; None leaves the file absent."""
+    if signal_horizon is not None:
+        save_signal(SwitchingSignal(np.array([2.0]), np.array([1, 2]), signal_horizon),
+                    ModeSet(2), tmp_path / "sig.txt")
+    return write(tmp_path, """
+[scenario]
+system = example1
+horizon = 15.0
+
+[initial_conditions]
+points = 1 0
+
+[signal]
+source = file
+paths = sig.txt
+""")
+
+
+@pytest.mark.parametrize("make_args", [
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "0"], id="horizon_zero"),
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "-1"], id="horizon_negative"),
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "nan"], id="horizon_nan"),
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "inf"], id="horizon_inf"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, None)], id="signal_file_missing"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, 10.0)], id="signal_horizon_mismatch"),
+])
+def test_bad_input_exit_2(tmp_path, capsys, make_args):
+    argv = make_args(tmp_path)
+    for command in ("run", "simulate", "omega"):
+        out = tmp_path / f"{command}_out"
+        assert main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_simulate_writes_trajectories(small_scenario):
@@ -289,6 +336,44 @@ def test_omega_writes_estimates(small_scenario, capsys):
     names = sorted(p.name for p in out.iterdir())
     assert "omega_000.csv" in names and "omega_sharp_001.csv" in names
     assert "limit points" in capsys.readouterr().out
+
+
+def test_subcommands_are_selections_of_run(small_scenario):
+    path, tmp = small_scenario
+    dirs = {cmd: tmp / f"stage_{cmd}" for cmd in ("run", "simulate", "omega")}
+    for cmd, out in dirs.items():
+        assert main([cmd, path, "--out", str(out)]) == 0
+    run_files = {p.name for p in dirs["run"].iterdir()}
+    for cmd in ("simulate", "omega"):
+        files = sorted(p.name for p in dirs[cmd].iterdir())
+        assert files and set(files) <= run_files, cmd
+        for name in files:
+            assert (dirs[cmd] / name).read_bytes() == (dirs["run"] / name).read_bytes(), name
+
+
+def test_perfbench_tracer_wraps_resolve(small_scenario):
+    """Every layer the benchmark tracer wraps is bound where it is called."""
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _name, _harvest in tracing.WRAPS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+    path, tmp = small_scenario
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["run", path, "--out", str(tmp / "traced")]) == 0
+    finally:
+        tracer.uninstall()
+    called = {name for _, _, name, _, _ in tracer.spans}
+    cli_spans = {name for module, _, name, _ in tracing.WRAPS if module == "switchcert.cli"}
+    assert cli_spans <= called, cli_spans - called
+    assert tracer.counts["systems.write_trajectory_csv.bytes"] > 0
 
 
 def test_run_file_signal_source(tmp_path):

@@ -188,8 +188,8 @@ def test_return_monotonicity_constant_value(ex1_scenario, center_orbit):
 def test_return_monotonicity_reversed_fails(ex1_scenario, ex1_batch):
     reversed_traj = reverse_trajectory(ex1_batch.trajectories[0])
     rep = check_return_monotonicity(ex1_scenario.V, reversed_traj, tol=1e-7)
-    assert not rep.across_samples.passed
-    assert rep.across_samples.witness is not None
+    assert not rep.details["across_samples"].passed
+    assert rep.details["across_samples"].witness is not None
 
 
 def test_sample_check_dominates_switch_check(ex1_scenario, ex1_batch):
@@ -197,8 +197,9 @@ def test_sample_check_dominates_switch_check(ex1_scenario, ex1_batch):
     # switch-pair worst rise up to the value drop over one sampling sliver
     for traj in ex1_batch.trajectories[:4]:
         rep = check_return_monotonicity(ex1_scenario.V, traj, tol=1e-7)
-        if rep.across_samples.passed:
-            assert rep.across_switches.worst <= rep.across_samples.worst + 1e-6
+        if rep.details["across_samples"].passed:
+            assert (rep.details["across_switches"].worst
+                    <= rep.details["across_samples"].worst + 1e-6)
 
 
 # -- distinguishability probe -----------------------------------------------------------

@@ -217,14 +217,14 @@ def _exact_adt(signal, adt):
 
 def test_validate_adt_spacing_one():
     s = sig([1.0, 2.0, 3.0, 4.0], [1, 2, 1, 2, 1], 10.0)
-    assert validate_adt(s, AdtClass(1.0, 1)).valid
+    assert validate_adt(s, AdtClass(1.0, 1)).passed
     assert _brute_force_adt(s, AdtClass(1.0, 1))
 
 
 def test_validate_adt_chatter_witness():
     s = sig([1.0, 1.01], [1, 2, 1], 10.0)
     rep = validate_adt(s, AdtClass(1.0, 1))
-    assert not rep.valid
+    assert not rep.passed
     a, b, count, bound = rep.witness
     assert a == pytest.approx(0.999) and b == pytest.approx(1.011)
     assert count == 2 and count > bound
@@ -233,7 +233,7 @@ def test_validate_adt_chatter_witness():
 
 def test_validate_adt_constant_signal():
     s = SwitchingSignal.constant(1, 10.0)
-    assert validate_adt(s, AdtClass(0.001, 1)).valid
+    assert validate_adt(s, AdtClass(0.001, 1)).passed
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +243,7 @@ def test_validate_adt_matches_oracle(s, tau_d, n0):
     expect, closest = _exact_adt(s, adt)
     if closest <= 2e-12:
         return  # knife-edge: count sits on the bound within the guard band
-    assert validate_adt(s, adt).valid == expect
+    assert validate_adt(s, adt).passed == expect
 
 
 # -- generation --------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_generate_always_validates():
     adt = AdtClass(1.0, 1)
     for seed in range(20):
         s = generate_adt(seed, adt, ModeSet(2), 10.0)
-        assert validate_adt(s, adt).valid
+        assert validate_adt(s, adt).passed
         assert np.all(s.modes[1:] != s.modes[:-1])
 
 
@@ -370,8 +370,8 @@ def test_segments_cover_horizon():
 @given(signals(), st.floats(0.0, 9.0))
 def test_shift_preserves_adt_class(s, shift_by):
     adt = AdtClass(0.5, 4)
-    if validate_adt(s, adt).valid:
-        assert validate_adt(s.shift(shift_by), adt).valid
+    if validate_adt(s, adt).passed:
+        assert validate_adt(s.shift(shift_by), adt).passed
 
 
 @settings(max_examples=100)
@@ -401,7 +401,7 @@ def test_extract_shrinking_family():
     assert limit.n_switches == 1
     assert abs(limit.switch_times[0] - 1.0) <= 1e-3
     assert list(limit.modes) == [1, 2]
-    assert validate_adt(limit, adt).valid
+    assert validate_adt(limit, adt).passed
 
 
 def test_extract_interleaved_constant_families():
@@ -485,5 +485,5 @@ def test_extract_postconditions_on_generated_families(base_seed, count):
         return
     assert len(indices) >= math.ceil(math.sqrt(count))
     assert indices == sorted(indices)
-    assert validate_adt(limit, adt).valid
+    assert validate_adt(limit, adt).passed
     assert limit.horizon == 8.0

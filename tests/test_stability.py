@@ -121,25 +121,25 @@ def test_kl_envelope_degenerate_zero_batch(zero_batch):
 def test_attraction_finite_time(ex1_batch):
     rep = check_uniform_attraction(ex1_batch, radius=2.1, eps=0.1)
     assert rep.passed
-    assert 0.0 < rep.T_hat < ex1_batch.horizon
+    assert 0.0 < rep.worst < ex1_batch.horizon
 
 
 def test_attraction_fails_on_circles(two_centers_batch):
     rep = check_uniform_attraction(two_centers_batch, radius=2.0, eps=0.1)
     assert not rep.passed
-    assert math.isinf(rep.T_hat)
+    assert math.isinf(rep.worst)
 
 
 def test_attraction_zero_batch(zero_batch):
     rep = check_uniform_attraction(zero_batch, radius=1.0, eps=0.1)
     assert rep.passed
-    assert rep.T_hat == 0.0
+    assert rep.worst == 0.0
 
 
 def test_attraction_radius_filter(ex1_batch):
     narrow = check_uniform_attraction(ex1_batch, radius=1e-9, eps=0.1)
     assert narrow.passed  # no restart qualifies, nothing to violate
-    assert narrow.n_restarts == 0
+    assert narrow.details["n_restarts"] == 0
 
 
 # -- batch simulation -----------------------------------------------------------------

@@ -186,9 +186,9 @@ def test_feedback_realized_signal_has_dwell_time(ex1_batch):
     for traj in ex1_batch.trajectories:
         gap = traj.signal.min_switch_gap()
         assert gap > 0.0
-        assert validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).valid
+        assert validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).passed
         # the measured gap itself is a dwell time (boundary equality valid)
-        assert validate_adt(traj.signal, AdtClass(gap, 1)).valid
+        assert validate_adt(traj.signal, AdtClass(gap, 1)).passed
 
 
 def test_feedback_event_boundary_accuracy(ex1_batch):
@@ -239,13 +239,13 @@ def test_feedback_chattering_guard():
 def test_compliance_example_trajectory(ex1_batch):
     cov = half_plane_covering()
     for traj in ex1_batch.trajectories:
-        assert check_covering_compliance(traj, cov, tol=1e-6).compliant
+        assert check_covering_compliance(traj, cov, tol=1e-6).passed
 
 
 def test_compliance_trivial_covering(ex1_batch):
     cov = Covering.trivial(ModeSet(2))
     rep = check_covering_compliance(ex1_batch.trajectories[0], cov, tol=0.0)
-    assert rep.compliant and rep.worst_margin == -1.0
+    assert rep.passed and rep.worst == -1.0
 
 
 def test_compliance_swapped_modes_violates():
@@ -253,8 +253,8 @@ def test_compliance_swapped_modes_violates():
     traj = integrate(sys_, [1.0, 0.0], SwitchingSignal.constant(1, 1.0))
     # mode 1 active while the state sits in the open right half-plane
     rep = check_covering_compliance(traj, half_plane_covering(), tol=1e-6)
-    assert not rep.compliant
-    t, mode, margin = rep.violations[0]
+    assert not rep.passed
+    t, mode, margin = rep.details["violations"][0]
     assert mode == 1 and margin > 0.0
 
 
