@@ -24,7 +24,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -34,6 +34,7 @@ import numpy as np
 from .invariance import omega_limit, omega_sharp, project_states
 from .lyapunov import check_strict_decrease
 from .scenarios import (
+    CheckSettings,
     FeedbackSource,
     FileSource,
     GeneratedSource,
@@ -44,7 +45,13 @@ from .scenarios import (
 )
 from .signals import AdtClass, SignalFormatError, load_signal, save_signal, validate_adt
 from .stability import guas_report, simulate_batch
-from .systems import ChatteringError, FiniteEscapeError, StiffnessError, write_trajectory_csv
+from .systems import (
+    ChatteringError,
+    FiniteEscapeError,
+    IntegratorOptions,
+    StiffnessError,
+    write_trajectory_csv,
+)
 
 
 class SchemaError(ValueError):
@@ -54,12 +61,8 @@ class SchemaError(ValueError):
 _SCENARIO_KEYS = {"system", "horizon", "output", "seed"}
 _IC_KEYS = {"radii", "angles", "points"}
 _SIGNAL_KEYS = {"source", "tau_d", "n0", "count", "paths"}
-# IntegratorOptions and CheckSettings fields; their ranges are checked there
-_TOL_KEYS = {
-    "rtol", "atol", "event_tol", "max_dx", "bound", "max_switches",
-    "cluster_tol", "lasalle_tol", "tail_fraction", "compliance_tol",
-    "monotonicity_tol", "attraction_eps", "attraction_radius", "probe_delta",
-}
+# every IntegratorOptions and CheckSettings field; their ranges are checked there
+_TOL_KEYS = {f.name for cls in (IntegratorOptions, CheckSettings) for f in fields(cls)}
 
 
 def _locate(text: str, token: str) -> int:
@@ -78,12 +81,19 @@ def _fail_schema(path: str, text: str, token: str, message: str) -> None:
 
 def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
     """Parse an INI scenario file into (Scenario, output dir or None)."""
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
-        raise SchemaError(str(exc))
+        # ParsingError carries its lines in .errors, the other errors in .lineno
+        line = getattr(exc, "lineno", None) or getattr(exc, "errors", [(0,)])[0][0]
+        raise SchemaError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
 
     known = {"scenario": _SCENARIO_KEYS, "initial_conditions": _IC_KEYS,
              "signal": _SIGNAL_KEYS, "tolerances": _TOL_KEYS}
@@ -133,15 +143,21 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
             n0 = _parse_int(path, text, "n0", sig.get("n0", ""))
             count = _parse_int(path, text, "count", sig.get("count", "8"))
             base = _parse_int(path, text, "seed", sec.get("seed", "0"))
-            overrides["source"] = GeneratedSource(
-                AdtClass(tau_d, n0), seeds=tuple(range(base, base + count))
-            )
+            try:
+                overrides["source"] = GeneratedSource(
+                    AdtClass(tau_d, n0), seeds=tuple(range(base, base + count))
+                )
+            except ValueError as exc:
+                key = str(exc).split()[0]  # tau_d, n0 or seed; "seeds" is empty: count
+                _fail_schema(path, text, key if _locate(text, key) else "count", str(exc))
         elif kind == "file":
             if "paths" not in sig:
                 _fail_schema(path, text, "paths", "file source requires 'paths'")
             root = Path(path).parent
-            paths = tuple(str((root / p)) for p in sig["paths"].split())
-            overrides["source"] = FileSource(paths)
+            try:
+                overrides["source"] = FileSource(tuple(str(root / p) for p in sig["paths"].split()))
+            except ValueError as exc:
+                _fail_schema(path, text, "paths", str(exc))
         elif kind:
             _fail_schema(path, text, "source",
                          f"unknown signal source {kind!r} (feedback | generate | file)")
@@ -196,19 +212,16 @@ def _resolve_scenario(args) -> tuple[Scenario, Path]:
             f"{name}: not a readable file and not a built-in scenario "
             f"(built-ins: {', '.join(scenario_names())})"
         )
-    overrides = {}
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None and isinstance(scenario.source, GeneratedSource):
-        src = scenario.source
-        overrides["source"] = GeneratedSource(
-            src.adt, seeds=tuple(args.seed + i for i in range(len(src.seeds)))
-        )
-    if overrides:
-        try:
-            scenario = replace(scenario, **overrides)
-        except ValueError as exc:
-            raise SchemaError(f"--horizon: {exc}") from None
+    try:
+        if args.horizon is not None:
+            option = "--horizon"
+            scenario = replace(scenario, horizon=args.horizon)
+        if args.seed is not None and isinstance(scenario.source, GeneratedSource):
+            option, src = "--seed", scenario.source
+            seeds = tuple(args.seed + i for i in range(len(src.seeds)))
+            scenario = replace(scenario, source=GeneratedSource(src.adt, seeds))
+    except ValueError as exc:
+        raise SchemaError(f"{option}: {exc}") from None
     out_dir = Path(args.out) if args.out else Path(out or f"artifacts_{scenario.name}")
     return scenario, out_dir
 

@@ -56,21 +56,16 @@ class LyapunovCandidate:
     """Candidate function V(x, gamma) with gradient access.
 
     When no gradient is supplied, central finite differences with a
-    state-scaled step are used.  ``domain`` restricts where V may be
-    evaluated (None means the whole space).
+    state-scaled step are used.
     """
 
     value: Callable[[np.ndarray, int], float]
     gradient: Callable[[np.ndarray, int], np.ndarray] | None = None
-    domain: Callable[[np.ndarray], bool] | None = None
 
     def grad(self, x: np.ndarray, gamma: int) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(np.asarray(x, dtype=float), gamma), dtype=float)
         return finite_difference_gradient(self.value, x, gamma)
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        return True if self.domain is None else bool(self.domain(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -81,17 +76,6 @@ class OutputFamily:
 
     def __call__(self, gamma: int, x: np.ndarray) -> float:
         return float(self.functions[gamma](np.asarray(x, dtype=float)))
-
-    def check_nonnegative(self, points: np.ndarray, tol: float = 0.0) -> CheckReport:
-        worst = math.inf
-        witness = None
-        for g in self.functions:
-            for x in np.atleast_2d(points):
-                w = self(g, x)
-                if w < worst:
-                    worst, witness = w, (np.array(x), g)
-        return CheckReport("output-nonnegative", worst >= -tol, worst=worst,
-                           witness=None if worst >= -tol else witness)
 
 
 @dataclass(frozen=True)
@@ -190,8 +174,6 @@ def check_gradient_consistency(
     pts = region.all_points(system.dimension)
     for gamma in system.modes.labels:
         for x in pts:
-            if not V.in_domain(x):
-                continue
             g_sup = V.grad(x, gamma)
             g_fd = finite_difference_gradient(V.value, x, gamma)
             err = float(np.linalg.norm(g_sup - g_fd) / max(1.0, np.linalg.norm(g_sup)))
@@ -215,7 +197,7 @@ def check_decrease_on_covering(
     pts = region.all_points(system.dimension)
     for gamma in system.modes.labels:
         for x in pts:
-            if not V.in_domain(x) or not system.covering.contains(gamma, x):
+            if not system.covering.contains(gamma, x):
                 continue
             n_checked += 1
             ld = lie_derivative(V, system, x, gamma)
@@ -269,7 +251,7 @@ def check_class_k_bounds(
             V.value(x, gamma)
             for gamma in system.modes.labels
             for x in pts
-            if V.in_domain(x) and system.covering.contains(gamma, x)
+            if system.covering.contains(gamma, x)
         ]
         lower.append(min(vals) if vals else math.nan)
         upper.append(max(vals) if vals else math.nan)
@@ -327,7 +309,7 @@ def check_strict_decrease(
         w = -math.inf
         for gamma in system.modes.labels:
             for x in pts:
-                if not V.in_domain(x) or not system.covering.contains(gamma, x):
+                if not system.covering.contains(gamma, x):
                     continue
                 w = max(w, lie_derivative(V, system, x, gamma))
         worst.append(w)

@@ -274,12 +274,10 @@ def generate_adt(
     adt: AdtClass,
     modes: ModeSet,
     horizon: float,
-    mean_gap: float | None = None,
 ) -> SwitchingSignal:
     """Draw a pseudo-random signal guaranteed to satisfy ``adt``.
 
-    Inter-switch gaps are exponential with mean ``mean_gap`` (default
-    tau_d); any counting violations are then repaired by deleting the
+    Inter-switch gaps are exponential with mean tau_d; any counting violations are then repaired by deleting the
     middle switch of the first violating window until none remain, which
     terminates because each deletion removes one switch.  Deterministic
     for a fixed seed.
@@ -287,11 +285,10 @@ def generate_adt(
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     rng = np.random.default_rng(seed)
-    scale = adt.tau_d if mean_gap is None else float(mean_gap)
     gaps: list[float] = []
     total = 0.0
     while total <= horizon:
-        g = float(rng.exponential(scale))
+        g = float(rng.exponential(adt.tau_d))
         total += g
         gaps.append(g)
     times = np.cumsum(gaps)[:-1]  # last draw overshot the horizon

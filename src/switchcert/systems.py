@@ -60,6 +60,11 @@ class ChatteringError(RuntimeError):
         self.time = time
 
 
+def _whole_space(x: np.ndarray) -> float:
+    """Boundary function of a region that is the whole space."""
+    return -1.0
+
+
 @dataclass(frozen=True)
 class Covering:
     """Closed covering given by per-mode signed boundary functions."""
@@ -89,7 +94,7 @@ class Covering:
 
     @staticmethod
     def trivial(modes: ModeSet) -> "Covering":
-        return Covering({g: (lambda x: -1.0) for g in modes.labels})
+        return Covering({g: _whole_space for g in modes.labels})
 
 
 @dataclass(frozen=True)
@@ -158,13 +163,11 @@ class IntegratorStats:
     n_steps: int = 0
     n_rhs: int = 0
     n_events: int = 0
-    max_error_bound: float = 0.0
     error_bound_sum: float = 0.0
 
     def record_step(self, x: np.ndarray, opts: IntegratorOptions) -> None:
         scale = opts.atol + opts.rtol * float(np.linalg.norm(x, ord=np.inf))
         self.n_steps += 1
-        self.max_error_bound = max(self.max_error_bound, scale)
         self.error_bound_sum += scale
 
 

@@ -302,6 +302,48 @@ paths = sig.txt
 """)
 
 
+def _generate_ini(tmp_path, tau_d="0.5", n0="2", count="2", seed="0"):
+    """example2 under generated signals; the keys sit on lines 5 and 9-11."""
+    return write(tmp_path, f"""
+[scenario]
+system = example2
+horizon = 5.0
+seed = {seed}
+
+[signal]
+source = generate
+tau_d = {tau_d}
+n0 = {n0}
+count = {count}
+""")
+
+
+def _bytes_ini(tmp_path, data: bytes):
+    path = tmp_path / "scn.ini"
+    path.write_bytes(data)
+    return str(path)
+
+
+# bad inputs whose message must say where the fault is: a file line or an option
+_LOCATED_BAD_INPUTS = [
+    pytest.param(lambda tmp: [_generate_ini(tmp, tau_d="0")], "scn.ini:9:", id="tau_d_zero"),
+    pytest.param(lambda tmp: [_generate_ini(tmp, n0="0")], "scn.ini:10:", id="n0_zero"),
+    pytest.param(lambda tmp: [_generate_ini(tmp, seed="-3")], "scn.ini:5:", id="seed_negative"),
+    pytest.param(lambda tmp: [_generate_ini(tmp), "--seed", "-5"], "--seed:",
+                 id="seed_option_negative"),
+    pytest.param(lambda tmp: [_generate_ini(tmp, count="0")], "scn.ini:11:", id="count_zero"),
+    pytest.param(lambda tmp: [_generate_ini(tmp, count="-1")], "scn.ini:11:",
+                 id="count_negative"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
+                                         "[signal]\nsource = file\npaths =\n")],
+                 "scn.ini:5:", id="paths_empty"),
+    pytest.param(lambda tmp: [write(tmp, "system = example1 no section header\n")],
+                 "scn.ini:1:", id="no_section_header"),
+    pytest.param(lambda tmp: [_bytes_ini(tmp, b"[scenario]\nsystem = example1\n# caf\xe9\n")],
+                 "scn.ini:3:", id="not_utf8"),
+]
+
+
 @pytest.mark.parametrize("make_args", [
     pytest.param(lambda tmp: ["two_centers", "--horizon", "0"], id="horizon_zero"),
     pytest.param(lambda tmp: ["two_centers", "--horizon", "-1"], id="horizon_negative"),
@@ -309,6 +351,7 @@ paths = sig.txt
     pytest.param(lambda tmp: ["two_centers", "--horizon", "inf"], id="horizon_inf"),
     pytest.param(lambda tmp: [_signal_ini(tmp, None)], id="signal_file_missing"),
     pytest.param(lambda tmp: [_signal_ini(tmp, 10.0)], id="signal_horizon_mismatch"),
+    *[pytest.param(p.values[0], id=p.id) for p in _LOCATED_BAD_INPUTS],
 ])
 def test_bad_input_exit_2(tmp_path, capsys, make_args):
     argv = make_args(tmp_path)
@@ -318,6 +361,12 @@ def test_bad_input_exit_2(tmp_path, capsys, make_args):
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("make_args, where", _LOCATED_BAD_INPUTS)
+def test_bad_input_says_where(tmp_path, capsys, make_args, where):
+    assert main(["run", *make_args(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_simulate_writes_trajectories(small_scenario):

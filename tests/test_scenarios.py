@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,35 @@ def test_example2_identities_at_origin(ex2_scenario):
         assert np.all(ex2_scenario.system.rhs(zero, gamma) == 0.0)
         assert ex2_scenario.W(gamma, zero) == 0.0
         assert ex2_scenario.V.value(zero, gamma) == 0.0
+
+
+def _round_trip_ini(tmp_path, name, text):
+    from switchcert.cli import load_scenario_file
+
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    return load_scenario_file(str(path))[0]
+
+
+def test_scenarios_pickle_and_simulate_alike(tmp_path):
+    from switchcert.signals import ModeSet, SwitchingSignal, save_signal
+    from switchcert.stability import simulate_batch
+
+    save_signal(SwitchingSignal(np.array([1.5, 3.0]), np.array([2, 1, 2]), 5.0),
+                ModeSet(2), tmp_path / "sig.txt")
+    scenarios = [builtin_scenario(name, horizon=5.0) for name in scenario_names()] + [
+        _round_trip_ini(tmp_path, "feedback", "[scenario]\nsystem = example1\nhorizon = 5\n"
+                        "[initial_conditions]\nradii = 0.5 2\nangles = 3\n"
+                        "[signal]\nsource = feedback\n"),
+        _round_trip_ini(tmp_path, "generate", "[scenario]\nsystem = example2\nhorizon = 5\n"
+                        "seed = 4\n[signal]\nsource = generate\ntau_d = 0.7\nn0 = 2\ncount = 3\n"),
+        _round_trip_ini(tmp_path, "file", "[scenario]\nsystem = two_centers\nhorizon = 5\n"
+                        "[signal]\nsource = file\npaths = sig.txt\n"),
+    ]
+    for scenario in scenarios:
+        copy = pickle.loads(pickle.dumps(scenario))
+        expected, got = simulate_batch(scenario), simulate_batch(copy)
+        assert len(got) == len(expected) > 0, scenario.name
+        for a, b in zip(expected.trajectories, got.trajectories):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+            assert a.signal == b.signal
