@@ -79,6 +79,13 @@ def _fail_schema(path: str, text: str, token: str, message: str) -> None:
     raise SchemaError(f"{path}:{line}: {message}")
 
 
+def _required(path: str, text: str, section, key: str) -> str:
+    """Value of a required key; a missing key is reported at its section header."""
+    if key not in section:
+        _fail_schema(path, text, section.name, f"missing required key {key!r} in [{section.name}]")
+    return section[key]
+
+
 def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
     """Parse an INI scenario file into (Scenario, output dir or None)."""
     raw = Path(path).read_bytes()
@@ -87,7 +94,8 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
     except UnicodeDecodeError as exc:
         line = raw[:exc.start].count(b"\n") + 1
         raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a value such as "out%1" is taken literally
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
@@ -104,10 +112,10 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
             if key not in known[section]:
                 _fail_schema(path, text, key, f"unknown key {key!r} in [{section}]")
 
-    if "scenario" not in parser or "system" not in parser["scenario"]:
-        raise SchemaError(f"{path}:1: missing [scenario] section with a 'system' key")
+    if "scenario" not in parser:
+        raise SchemaError(f"{path}:1: missing [scenario] section")
     sec = parser["scenario"]
-    system_id = sec["system"].strip()
+    system_id = _required(path, text, sec, "system").strip()
     try:
         scenario = builtin_scenario(system_id)
     except ValueError as exc:
@@ -139,8 +147,8 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
                 _fail_schema(path, text, "source",
                              f"system {system_id!r} does not define a feedback rule")
         elif kind == "generate":
-            tau_d = _parse_float(path, text, "tau_d", sig.get("tau_d", ""))
-            n0 = _parse_int(path, text, "n0", sig.get("n0", ""))
+            tau_d = _parse_float(path, text, "tau_d", _required(path, text, sig, "tau_d"))
+            n0 = _parse_int(path, text, "n0", _required(path, text, sig, "n0"))
             count = _parse_int(path, text, "count", sig.get("count", "8"))
             base = _parse_int(path, text, "seed", sec.get("seed", "0"))
             try:
@@ -151,11 +159,10 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
                 key = str(exc).split()[0]  # tau_d, n0 or seed; "seeds" is empty: count
                 _fail_schema(path, text, key if _locate(text, key) else "count", str(exc))
         elif kind == "file":
-            if "paths" not in sig:
-                _fail_schema(path, text, "paths", "file source requires 'paths'")
+            paths = _required(path, text, sig, "paths").split()
             root = Path(path).parent
             try:
-                overrides["source"] = FileSource(tuple(str(root / p) for p in sig["paths"].split()))
+                overrides["source"] = FileSource(tuple(str(root / p) for p in paths))
             except ValueError as exc:
                 _fail_schema(path, text, "paths", str(exc))
         elif kind:
@@ -324,25 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and certify switched systems under dwell-time switching.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scenario_args(p):
+    for name, func, summary in (
+        ("run", cmd_run, "simulate, estimate, certify; write all artifacts"),
+        ("simulate", cmd_simulate, "trajectories and realized signals only"),
+        ("omega", cmd_omega, "limit-set estimates only"),
+    ):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("scenario", help="built-in id or scenario .ini path")
         p.add_argument("--out", help="artifact directory")
         p.add_argument("--horizon", type=float, default=None, help="override horizon")
         p.add_argument("--seed", type=int, default=None,
                        help="override base seed for generated signals")
-
-    p_run = sub.add_parser("run", help="simulate, estimate, certify; write all artifacts")
-    add_scenario_args(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sim = sub.add_parser("simulate", help="trajectories and realized signals only")
-    add_scenario_args(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_om = sub.add_parser("omega", help="limit-set estimates only")
-    add_scenario_args(p_om)
-    p_om.set_defaults(func=cmd_omega)
+        p.set_defaults(func=func)
 
     p_val = sub.add_parser("validate", help="check a signal file against an ADT class")
     p_val.add_argument("signal_file")

@@ -159,11 +159,12 @@ def lie_derivative(
     return float(np.dot(V.grad(x, gamma), system.rhs(x, gamma)))
 
 
+_GRADIENT_REL_TOL = 1e-4  # supplied vs central-difference gradient
+_DECREASE_MARGIN = 1e-12  # roundoff allowance for the Lie derivative of a weak candidate
+
+
 def check_gradient_consistency(
-    V: LyapunovCandidate,
-    system: SwitchedSystem,
-    region: SampleRegion,
-    rel_tol: float = 1e-4,
+    V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> CheckReport:
     """Compare a supplied gradient against central differences."""
     if V.gradient is None:
@@ -179,18 +180,15 @@ def check_gradient_consistency(
             err = float(np.linalg.norm(g_sup - g_fd) / max(1.0, np.linalg.norm(g_sup)))
             if err > worst:
                 worst, witness = err, (np.array(x), gamma)
-    return CheckReport("gradient-consistency", worst <= rel_tol, worst=worst,
-                       witness=None if worst <= rel_tol else witness,
+    return CheckReport("gradient-consistency", worst <= _GRADIENT_REL_TOL, worst=worst,
+                       witness=None if worst <= _GRADIENT_REL_TOL else witness,
                        details={"n_points": len(pts) * system.modes.size})
 
 
 def check_decrease_on_covering(
-    V: LyapunovCandidate,
-    system: SwitchedSystem,
-    region: SampleRegion,
-    margin: float = 0.0,
+    V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> CheckReport:
-    """Lie derivative <= margin at every sampled point of every region."""
+    """Lie derivative <= the roundoff margin at every sampled point of every region."""
     worst = -math.inf
     witness = None
     n_checked = 0
@@ -203,9 +201,9 @@ def check_decrease_on_covering(
             ld = lie_derivative(V, system, x, gamma)
             if ld > worst:
                 worst, witness = ld, (np.array(x), gamma)
-    return CheckReport("decrease-on-covering", worst <= margin, worst=worst,
-                       witness=None if worst <= margin else witness,
-                       details={"n_checked": n_checked, "margin": margin})
+    return CheckReport("decrease-on-covering", worst <= _DECREASE_MARGIN, worst=worst,
+                       witness=None if worst <= _DECREASE_MARGIN else witness,
+                       details={"n_checked": n_checked, "margin": _DECREASE_MARGIN})
 
 
 # -- radius-indexed envelope checks ------------------------------------------

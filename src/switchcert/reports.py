@@ -11,7 +11,7 @@ which round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 
@@ -32,6 +32,13 @@ def require_ranges(settings: Any, positive: tuple[str, ...] = (),
             value = getattr(settings, name)
             if value is not None and not in_range(value):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def reduce_via_constructor(obj: Any) -> tuple:
+    """``__reduce__`` for a dataclass whose ``__post_init__`` validates and
+    freezes arrays: unpickling calls the constructor again, so a copy is
+    checked and read-only like the original."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True)

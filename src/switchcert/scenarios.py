@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .lyapunov import LyapunovCandidate, OutputFamily, SampleRegion
-from .reports import require_ranges
+from .reports import reduce_via_constructor, require_ranges
 from .signals import AdtClass, ModeSet
 from .systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
 
@@ -215,6 +215,8 @@ class Scenario:
     integrator: IntegratorOptions = IntegratorOptions()
     checks: CheckSettings = CheckSettings()
     region: SampleRegion = SampleRegion(0.1, 3.0)
+
+    __reduce__ = reduce_via_constructor
 
     def __post_init__(self) -> None:
         ics = np.atleast_2d(np.asarray(self.initial_states, dtype=float))

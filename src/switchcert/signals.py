@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reports import CheckReport, fmt17
+from .reports import CheckReport, fmt17, reduce_via_constructor
 
 INFINITY = math.inf
 
@@ -104,6 +104,8 @@ class SwitchingSignal:
     switch_times: np.ndarray
     modes: np.ndarray
     horizon: float
+
+    __reduce__ = reduce_via_constructor
 
     def __post_init__(self) -> None:
         times = np.asarray(self.switch_times, dtype=float).reshape(-1)

@@ -119,7 +119,6 @@ def _restart_grid(horizon: float) -> np.ndarray:
 class UniformEnvelope:
     """Overshoot table alpha(r) = worst sup_{t >= t0} |x(t)| per restart-radius bin."""
 
-    kind = "uniform"
     passed: bool
     bin_edges: np.ndarray
     alpha: np.ndarray              # nan where the bin is empty
@@ -139,13 +138,15 @@ class UniformEnvelope:
                     fh.write(f"{fmt17(self.bin_edges[i + 1])},{fmt17(a)}\n")
 
 
-def fit_uniform_envelope(
-    batch: TrajectoryBatch, n_bins: int = 20, bin_slack: float = 3.0
-) -> UniformEnvelope:
+_OVERSHOOT_BINS = 20  # geometric restart-radius bins
+_BIN_SLACK = 3.0  # allowed overshoot per unit of the smallest bin's upper edge
+
+
+def fit_uniform_envelope(batch: TrajectoryBatch) -> UniformEnvelope:
     """Tabulate worst-case overshoot against restart radius.
 
     Passes iff the smallest populated bin's overshoot is at most
-    ``bin_slack`` times that bin's upper edge (the sampled rendering of
+    ``_BIN_SLACK`` times that bin's upper edge (the sampled rendering of
     "alpha(r) -> 0 as r -> 0") and restarts at radius zero stay at zero.
     """
     pairs_r, pairs_sup = [], []
@@ -171,11 +172,11 @@ def fit_uniform_envelope(
         lo, hi = float(r.min()), float(r.max())
         if hi <= lo:
             hi = lo * (1.0 + 1e-9)
-        edges = np.geomspace(lo, hi, n_bins + 1)
+        edges = np.geomspace(lo, hi, _OVERSHOOT_BINS + 1)
         edges[0] *= 1.0 - 1e-12
-        which = np.clip(np.searchsorted(edges, r, side="left") - 1, 0, n_bins - 1)
-        alpha = np.full(n_bins, math.nan)
-        for b in range(n_bins):
+        which = np.clip(np.searchsorted(edges, r, side="left") - 1, 0, _OVERSHOOT_BINS - 1)
+        alpha = np.full(_OVERSHOOT_BINS, math.nan)
+        for b in range(_OVERSHOOT_BINS):
             sel = which == b
             if np.any(sel):
                 alpha[b] = float(sup[sel].max())
@@ -183,7 +184,7 @@ def fit_uniform_envelope(
         alpha_reg = np.maximum.accumulate(filled)
         alpha_reg[np.isinf(alpha_reg)] = math.nan
         first = int(np.nonzero(~np.isnan(alpha))[0][0])
-        margin = bin_slack * float(edges[first + 1]) - float(alpha[first])
+        margin = _BIN_SLACK * float(edges[first + 1]) - float(alpha[first])
         passed = margin >= 0.0 and zero_sup <= 1e-9
     else:
         edges = np.array([0.0, 0.0])
@@ -215,7 +216,6 @@ class KLEnvelope:
     nonparametric fallback: the late-window worst norm ratio.
     """
 
-    kind = "kl"
     passed: bool
     C: float
     lam: float
@@ -228,10 +228,13 @@ class KLEnvelope:
         return self.passed
 
 
-def fit_kl_envelope(batch: TrajectoryBatch, floor: float = 1e-9) -> KLEnvelope:
+_KL_FLOOR = 1e-9  # norms at or below it are the origin to the KL fit
+
+
+def fit_kl_envelope(batch: TrajectoryBatch) -> KLEnvelope:
     """Least-squares exponential envelope over every batch sample.
 
-    Samples below ``floor`` (and trajectories starting there) are
+    Samples below ``_KL_FLOOR`` (and trajectories starting there) are
     excluded from the fit; a batch with nothing above the floor is
     degenerate and trivially covered.  After fitting, C is raised until
     the envelope dominates every sample, so slack is nonnegative by
@@ -249,9 +252,9 @@ def fit_kl_envelope(batch: TrajectoryBatch, floor: float = 1e-9) -> KLEnvelope:
     ts, ys = [], []
     for traj in batch.trajectories:
         r0 = float(traj.norms[0])
-        if r0 <= floor:
+        if r0 <= _KL_FLOOR:
             continue
-        keep = traj.norms > floor
+        keep = traj.norms > _KL_FLOOR
         ts.append(traj.times[keep])
         ys.append(np.log(traj.norms[keep] / r0))
     if not ts:
@@ -267,7 +270,7 @@ def fit_kl_envelope(batch: TrajectoryBatch, floor: float = 1e-9) -> KLEnvelope:
         ratios = []
         for traj in batch.trajectories:
             r0 = float(traj.norms[0])
-            if r0 <= floor:
+            if r0 <= _KL_FLOOR:
                 continue
             late = traj.times >= 0.9 * traj.horizon
             ratios.append(float(traj.norms[late].max() / r0))
@@ -432,15 +435,11 @@ def _feedback_adt_entries(batch: TrajectoryBatch) -> list[ReportEntry]:
     )]
 
 
-# roundoff allowance for the sampled Lie derivative of a weak Lyapunov candidate
-_DECREASE_MARGIN = 1e-12
-
-
 def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> AggregateReport:
     """Compose all hypothesis and conclusion checks into one verdict.
 
-    The tolerances a scenario's ``checks`` do not hold are those of the
-    checks' own defaults, except the decrease margin above.
+    The tolerances a scenario's ``checks`` do not hold are fixed in the
+    checks themselves.
     """
     from .scenarios import FeedbackSource, GeneratedSource
 
@@ -474,10 +473,10 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
                           else f"lower envelope min {float(np.nanmin(classk.lower)):.3g}",
                           lower_min=float(np.nanmin(classk.lower))))
 
-    dec = check_decrease_on_covering(V, sys_, region, _DECREASE_MARGIN)
+    dec = check_decrease_on_covering(V, sys_, region)
     entries.append(_entry("hypothesis", "decrease-on-covering", dec.passed,
                           f"worst Lie derivative {dec.worst:.3g}",
-                          worst=dec.worst, margin=_DECREASE_MARGIN))
+                          worst=dec.worst, margin=dec.details["margin"]))
 
     grad = check_gradient_consistency(V, sys_, region)
     entries.append(_entry("hypothesis", "gradient-consistency", grad.passed,

@@ -12,6 +12,8 @@ stepper (scipy's DOP853), and accepted steps are subdivided
 through the dense interpolant until consecutive samples differ by at
 most ``max_dx``.  State-feedback switching locates region crossings by
 bisection on the active boundary function over the step interpolant.
+The interpolant costs extra field evaluations, so a step builds it only
+when it is split or a crossing is located in it.
 
 Solution blow-up surfaces as :class:`FiniteEscapeError` with an escape
 time estimate; step-size collapse as :class:`StiffnessError`; feedback
@@ -29,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import DOP853
 
-from .reports import CheckReport, fmt17, require_ranges
+from .reports import CheckReport, fmt17, reduce_via_constructor, require_ranges
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -75,10 +77,10 @@ class Covering:
         """Signed membership margin; <= 0 means x lies in region gamma."""
         return float(self.boundaries[gamma](np.asarray(x, dtype=float)))
 
-    def contains(self, gamma: int, x: np.ndarray, tol: float = 0.0) -> bool:
-        return self.margin(gamma, x) <= tol
+    def contains(self, gamma: int, x: np.ndarray) -> bool:
+        return self.margin(gamma, x) <= 0.0
 
-    def check_union(self, points: np.ndarray, tol: float = 0.0) -> CheckReport:
+    def check_union(self, points: np.ndarray) -> CheckReport:
         """Sampled check that the regions cover the whole space."""
         worst = -math.inf
         witness = None
@@ -87,8 +89,8 @@ class Covering:
             if m > worst:
                 worst, witness = m, np.array(x)
         return CheckReport(
-            "covering-union", worst <= tol, worst=worst,
-            witness=None if worst <= tol else witness,
+            "covering-union", worst <= 0.0, worst=worst,
+            witness=None if worst <= 0.0 else witness,
             details={"n_points": int(np.atleast_2d(points).shape[0])},
         )
 
@@ -165,11 +167,6 @@ class IntegratorStats:
     n_events: int = 0
     error_bound_sum: float = 0.0
 
-    def record_step(self, x: np.ndarray, opts: IntegratorOptions) -> None:
-        scale = opts.atol + opts.rtol * float(np.linalg.norm(x, ord=np.inf))
-        self.n_steps += 1
-        self.error_bound_sum += scale
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -179,6 +176,8 @@ class Trajectory:
     states: np.ndarray
     signal: SwitchingSignal
     stats: IntegratorStats
+
+    __reduce__ = reduce_via_constructor
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -232,14 +231,17 @@ def _emit(ts: list, xs: list, t: float, x: np.ndarray) -> None:
 _SUBDIVISION_BUDGET = 4096  # per accepted step; guards runaway motion
 
 
-def _subdivide(dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
+def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     """Append samples on (t0, t1] so consecutive states differ <= max_dx.
 
+    ``make_dense`` builds the step's interpolant; it is called once, at
+    the first split, and not at all for a step that needs none.
     Splitting is budgeted per step: a step whose displacement exceeds
     the budget times max_dx (escaping solutions, or a wildly small
     max_dx) is emitted at budget resolution rather than ground to dust.
     """
     budget = _SUBDIVISION_BUDGET
+    dense = None
     stack = [(t0, x0, t1, x1)]
     while stack:
         ta, xa, tb, xb = stack.pop()
@@ -251,10 +253,20 @@ def _subdivide(dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
             _emit(ts, xs, tb, xb)
             continue
         budget -= 1
+        if dense is None:
+            dense = make_dense()
         tm = 0.5 * (ta + tb)
         xm = dense(tm)
         stack.append((tm, xm, tb, xb))
         stack.append((ta, xa, tm, xm))
+
+
+def _start(system: SwitchedSystem, x0: Sequence[float]):
+    """Validated start state, fresh stats, and sample lists holding (0, x0)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dimension,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite vector of length {system.dimension}")
+    return x0, IntegratorStats(), [0.0], [x0.copy()]
 
 
 def _check_bounds(t: float, x: np.ndarray, opts: IntegratorOptions) -> None:
@@ -264,23 +276,17 @@ def _check_bounds(t: float, x: np.ndarray, opts: IntegratorOptions) -> None:
         raise FiniteEscapeError(t, np.array(x), opts.bound)
 
 
-def _run_mode(
-    f: VectorField,
-    t0: float,
-    x0: np.ndarray,
-    t_end: float,
-    opts: IntegratorOptions,
-    stats: IntegratorStats,
-    ts: list,
-    xs: list,
-    on_step: Callable | None = None,
-):
-    """Advance one vector field from (t0, x0) to t_end, sampling as we go.
+def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
+              opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
+              rule: FeedbackRule | None = None):
+    """Advance mode gamma from (t0, x0) to t_end, sampling as we go.
 
-    ``on_step(dense, t_prev, x_prev, t_new, x_new)`` may return a
-    (t_event, x_event) pair to stop the run early at an interior point.
-    Returns (t, x, stopped_by_event).
+    With a feedback ``rule``, the run stops at the first accepted step
+    whose end the rule assigns to another mode, at the crossing located
+    inside that step.  Returns (t, x, stopped_at_crossing).
     """
+    f = system.field(gamma)
+
     def rhs(t, y):
         out = np.asarray(f(y), dtype=float)
         if not np.all(np.isfinite(out)):
@@ -292,24 +298,23 @@ def _run_mode(
     solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end,
                     rtol=opts.rtol, atol=opts.atol)
     t_prev, x_prev = t0, np.asarray(x0, dtype=float)
-    while solver.status == "running":
+    crossed = False
+    while solver.status == "running" and not crossed:
         message = solver.step()
         if solver.status == "failed":
             raise StiffnessError(f"stepper failed at t ~ {solver.t:.6g}: {message}")
-        stats.record_step(solver.y, opts)
-        dense = solver.dense_output()
+        stats.n_steps += 1
+        stats.error_bound_sum += opts.atol + opts.rtol * float(np.linalg.norm(solver.y, np.inf))
         _check_bounds(solver.t, solver.y, opts)
-        if on_step is not None:
-            hit = on_step(dense, t_prev, x_prev, solver.t, solver.y)
-            if hit is not None:
-                t_ev, x_ev = hit
-                _subdivide(dense, t_prev, x_prev, t_ev, x_ev, opts.max_dx, ts, xs)
-                stats.n_rhs += solver.nfev
-                return t_ev, x_ev, True
-        _subdivide(dense, t_prev, x_prev, solver.t, solver.y, opts.max_dx, ts, xs)
-        t_prev, x_prev = solver.t, solver.y
+        t_new, x_new, make_dense = solver.t, solver.y, solver.dense_output
+        if rule is not None and rule(x_new) != gamma:
+            dense = solver.dense_output()
+            t_new, x_new = _locate_crossing(dense, rule, gamma, t_prev, t_new, opts.event_tol)
+            make_dense, crossed = (lambda: dense), True
+        _subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
+        t_prev, x_prev = t_new, x_new
     stats.n_rhs += solver.nfev
-    return t_prev, x_prev, False
+    return t_prev, x_prev, crossed
 
 
 def integrate(
@@ -324,19 +329,10 @@ def integrate(
     there), so downstream checks can read states at switch times without
     interpolation.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite vector of length {system.dimension}")
-    stats = IntegratorStats()
-    ts: list[float] = [0.0]
-    xs: list[np.ndarray] = [x0.copy()]
-    t, x = 0.0, x0
-    edges = np.concatenate([[0.0], signal.switch_times, [signal.horizon]])
-    for i, gamma in enumerate(signal.modes):
-        ta, tb = float(edges[i]), float(edges[i + 1])
-        if tb <= ta:
-            continue
-        t, x, _ = _run_mode(system.field(int(gamma)), ta, x, tb, opts, stats, ts, xs)
+    x, stats, ts, xs = _start(system, x0)
+    for ta, tb, gamma in signal.segments():
+        if tb > ta:
+            _, x, _ = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs)
     _emit(ts, xs, signal.horizon, x)
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
@@ -380,27 +376,17 @@ def integrate_feedback(
     active region's boundary function.  Crossings that do not change the
     rule output are not switches.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite vector of length {system.dimension}")
+    x0, stats, ts, xs = _start(system, x0)
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    stats = IntegratorStats()
-    ts: list[float] = [0.0]
-    xs: list[np.ndarray] = [x0.copy()]
     gamma = rule(x0)
     switch_times: list[float] = []
     mode_seq: list[int] = [gamma]
     t, x = 0.0, x0
 
     while t < horizon:
-        def on_step(dense, t_prev, x_prev, t_new, x_new, _g=gamma):
-            if rule(x_new) == _g:
-                return None
-            return _locate_crossing(dense, rule, _g, t_prev, t_new, opts.event_tol)
-
-        t, x, hit = _run_mode(system.field(gamma), t, x, horizon, opts, stats, ts, xs, on_step)
-        if not hit:
+        t, x, crossed = _run_mode(system, gamma, t, x, horizon, opts, stats, ts, xs, rule)
+        if not crossed:
             break
         new_gamma = rule(x)
         if new_gamma == gamma:
@@ -426,12 +412,15 @@ def modes_containing_origin(covering: Covering, modes: ModeSet, dimension: int) 
     return tuple(g for g in modes.labels if covering.contains(g, zero))
 
 
-def check_equilibrium(system: SwitchedSystem, tol: float = 1e-9) -> CheckReport:
+_EQUILIBRIUM_TOL = 1e-9  # largest |f(0)| accepted as vanishing
+
+
+def check_equilibrium(system: SwitchedSystem) -> CheckReport:
     """Verify that every field whose region contains 0 vanishes there."""
     zero = np.zeros(system.dimension)
     gamma_star = modes_containing_origin(system.covering, system.modes, system.dimension)
     residuals = {g: float(np.linalg.norm(system.rhs(zero, g))) for g in gamma_star}
-    violators = {g: r for g, r in residuals.items() if r > tol}
+    violators = {g: r for g, r in residuals.items() if r > _EQUILIBRIUM_TOL}
     worst = max(residuals.values()) if residuals else 0.0
     return CheckReport(
         "equilibrium-at-origin", not violators, worst=worst,

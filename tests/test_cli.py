@@ -341,6 +341,14 @@ _LOCATED_BAD_INPUTS = [
                  "scn.ini:1:", id="no_section_header"),
     pytest.param(lambda tmp: [_bytes_ini(tmp, b"[scenario]\nsystem = example1\n# caf\xe9\n")],
                  "scn.ini:3:", id="not_utf8"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n"
+                                         "[signal]\nsource = generate\nn0 = 2\n")],
+                 "scn.ini:3: missing required key 'tau_d' in [signal]", id="tau_d_missing"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n\n"
+                                         "[signal]\nsource = generate\ntau_d = 0.5\n")],
+                 "scn.ini:4: missing required key 'n0' in [signal]", id="n0_missing"),
+    pytest.param(lambda tmp: [write(tmp, "# no system\n\n[scenario]\nhorizon = 5\n")],
+                 "scn.ini:3: missing required key 'system' in [scenario]", id="system_missing"),
 ]
 
 
@@ -367,6 +375,15 @@ def test_bad_input_exit_2(tmp_path, capsys, make_args):
 def test_bad_input_says_where(tmp_path, capsys, make_args, where):
     assert main(["run", *make_args(tmp_path), "--out", str(tmp_path / "out")]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_percent_in_value_is_literal(tmp_path, capsys):
+    out = tmp_path / "out%1"
+    scn = write(tmp_path, f"[scenario]\nsystem = two_centers\nhorizon = 2\noutput = {out}\n"
+                          "[initial_conditions]\npoints = 1 0\n")
+    assert main(["simulate", scn]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "trajectory_000.csv").is_file()
 
 
 def test_simulate_writes_trajectories(small_scenario):

@@ -73,7 +73,7 @@ def test_finite_difference_fallback(ex1_scenario):
 
 def test_gradient_consistency_builtin(ex1_scenario, ex2_scenario):
     for scn in (ex1_scenario, ex2_scenario):
-        rep = check_gradient_consistency(scn.V, scn.system, REGION, rel_tol=1e-4)
+        rep = check_gradient_consistency(scn.V, scn.system, REGION)
         assert rep.passed
 
 
@@ -81,14 +81,14 @@ def test_gradient_consistency_builtin(ex1_scenario, ex2_scenario):
 
 
 def test_decrease_on_covering_pass(ex1_scenario):
-    rep = check_decrease_on_covering(ex1_scenario.V, ex1_scenario.system, REGION, margin=1e-12)
+    rep = check_decrease_on_covering(ex1_scenario.V, ex1_scenario.system, REGION)
     assert rep.passed
 
 
 def test_decrease_with_trivial_covering(ex1_scenario):
     m = ModeSet(2)
     sys_ = SwitchedSystem(2, dict(ex1_scenario.system.fields), m, Covering.trivial(m))
-    rep = check_decrease_on_covering(ex1_scenario.V, sys_, REGION, margin=1e-12)
+    rep = check_decrease_on_covering(ex1_scenario.V, sys_, REGION)
     assert rep.passed  # mode 1 gives -4 x1^2 <= 0 everywhere, mode 2 gives 0
 
 
@@ -100,7 +100,7 @@ def test_decrease_fails_with_flipped_field(ex1_scenario):
         m,
         ex1_scenario.system.covering,
     )
-    rep = check_decrease_on_covering(ex1_scenario.V, flipped, REGION, margin=1e-12)
+    rep = check_decrease_on_covering(ex1_scenario.V, flipped, REGION)
     assert not rep.passed
     assert rep.worst > 0.0 and rep.witness is not None
 

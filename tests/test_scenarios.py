@@ -88,8 +88,13 @@ def test_scenarios_pickle_and_simulate_alike(tmp_path):
     ]
     for scenario in scenarios:
         copy = pickle.loads(pickle.dumps(scenario))
+        assert not copy.initial_states.flags.writeable
         expected, got = simulate_batch(scenario), simulate_batch(copy)
         assert len(got) == len(expected) > 0, scenario.name
         for a, b in zip(expected.trajectories, got.trajectories):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
             assert a.signal == b.signal
+            traj = pickle.loads(pickle.dumps(b))
+            assert np.array_equal(traj.states, b.states) and traj.signal == b.signal
+            for array in (traj.times, traj.states, traj.signal.switch_times, traj.signal.modes):
+                assert not array.flags.writeable

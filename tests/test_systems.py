@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from switchcert.scenarios import (
     builtin_scenario,
@@ -74,7 +75,7 @@ def test_check_equilibrium_builtin_and_shifted():
     shifted = SwitchedSystem(
         2, {1: lambda x: rotation(x) + np.array([1.0, 0.0])}, m, Covering.trivial(m)
     )
-    rep = check_equilibrium(shifted, tol=1e-9)
+    rep = check_equilibrium(shifted)
     assert not rep.passed
     assert rep.worst == pytest.approx(1.0)
 
@@ -163,6 +164,20 @@ def test_single_mode_reversal():
     assert np.linalg.norm(back.states[-1] - np.array([1.0, 0.0])) <= 100.0 * opts.atol
 
 
+def test_unsplit_steps_skip_the_interpolant():
+    sys_ = builtin_scenario("example1").system
+    signal = SwitchingSignal(np.array([1.0, 3.0]), np.array([1, 2, 1]), 5.0)
+    coarse = integrate(sys_, [1.0, 0.5], signal, IntegratorOptions(max_dx=math.inf))
+    fine = integrate(sys_, [1.0, 0.5], signal, IntegratorOptions(max_dx=0.01))
+    # subdivision only adds samples: the accepted steps are the same
+    idx = np.searchsorted(fine.times, coarse.times)
+    assert np.array_equal(fine.times[idx], coarse.times)
+    assert np.array_equal(fine.states[idx], coarse.states)
+    assert coarse.stats.n_steps == fine.stats.n_steps
+    # and the interpolant's extra field evaluations are paid only by split steps
+    assert coarse.stats.n_rhs < fine.stats.n_rhs
+
+
 # -- feedback integration -----------------------------------------------------------
 
 
@@ -231,6 +246,43 @@ def test_feedback_chattering_guard():
     opts = IntegratorOptions(max_switches=50)
     with pytest.raises(ChatteringError):
         integrate_feedback(sliding, [-0.5, ], rule, 10.0, opts)
+
+
+# Every mode of example1 and two_centers is linear, so the exact solution
+# along a realized signal is a product of matrix exponentials.
+_FOCUS = np.array([[-2.0, -2.0], [2.0, 0.0]])
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+_MATRICES = {"example1": {1: _FOCUS, 2: _ROTATION}, "two_centers": {1: _ROTATION, 2: _ROTATION}}
+
+
+@pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
+                                                 ("two_centers", "two_centers_batch")])
+def test_feedback_batch_matches_closed_form_flow(request, name, batch_fixture):
+    system = builtin_scenario(name).system
+    matrices = _MATRICES[name]
+    probe = np.array([0.3, -1.7])
+    for gamma, a in matrices.items():
+        assert np.array_equal(system.rhs(probe, gamma), a @ probe)
+    for traj in request.getfixturevalue(batch_fixture).trajectories:
+        x = traj.states[0]
+        for start, end, gamma in traj.signal.segments():
+            x = expm(matrices[gamma] * (end - start)) @ x
+        assert np.linalg.norm(x - traj.states[-1]) <= traj.stats.error_bound_sum
+
+
+def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
+    """Both regions are half-planes and both fields unit-speed rotations,
+    so every interior dwell is exactly pi.  Each located switch lies at
+    most event_tol past its crossing; the flow's phase error over one
+    dwell is at most that dwell's share of the error budget over |x0|
+    (a rotation takes like steps all along its circle)."""
+    event_tol = two_centers_scenario.integrator.event_tol
+    for traj in two_centers_batch.trajectories:
+        dwells = np.diff(traj.signal.switch_times)
+        assert dwells.size > 10
+        share = traj.stats.error_bound_sum * math.pi / traj.horizon
+        bound = event_tol + share / float(np.linalg.norm(traj.states[0]))
+        assert np.max(np.abs(dwells - math.pi)) <= bound
 
 
 # -- compliance -----------------------------------------------------------------------
