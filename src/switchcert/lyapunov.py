@@ -14,7 +14,10 @@ envelope when a closed form is wanted downstream.
 
 The distinguishability probe tests output distinguishability only;
 norm-observability is a strictly stronger property and has no checker
-here.
+here.  It steps all starts of a mode together through
+:func:`~switchcert.systems.advance_starts`, with the same steps and
+peaks as one integration per start, and a probe whose starts all
+escaped fails rather than passing on no evidence.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .reports import CheckReport, fmt17
-from .signals import SwitchingSignal
 from .systems import (
     FiniteEscapeError,
     IntegratorOptions,
     SwitchedSystem,
     Trajectory,
-    integrate,
+    advance_starts,
+    integrate,  # noqa: F401 -- unused, but perfbench's tracer wraps switchcert.lyapunov.integrate
     modes_containing_origin,
 )
 
@@ -395,9 +398,10 @@ class ProbeReport:
     """Falsification probe for zero small-time distinguishability.
 
     For each start away from the origin the mode is integrated over a
-    short window and the largest observed output recorded; the probe
-    passes when no start keeps its output below the threshold.  Evidence
-    only: a pass cannot certify the property.
+    short window and the largest output at the accepted steps recorded;
+    the probe passes when at least one start was integrated and none
+    keeps its output below the threshold.  Evidence only: a pass cannot
+    certify the property.
     """
 
     passed: bool
@@ -420,7 +424,13 @@ def distinguishability_probe(
     threshold: float | None = None,
     opts: IntegratorOptions | None = None,
 ) -> ProbeReport:
-    """Probe whether mode gamma can hide at zero output away from 0."""
+    """Probe whether mode gamma can hide at zero output away from 0.
+
+    All starts are stepped together by :func:`~switchcert.systems.advance_starts`,
+    which takes for each start exactly the steps a per-start
+    :func:`~switchcert.systems.integrate` under the constant signal would;
+    ``opts`` must therefore sample accepted steps only (``max_dx = inf``).
+    """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if threshold is None:
@@ -430,22 +440,21 @@ def distinguishability_probe(
     min_peak, witness = math.inf, None
     skipped = []
     starts = region.all_points(system.dimension)
-    constant = SwitchingSignal.constant(gamma, delta)
-    for x0 in starts:
-        try:
-            traj = integrate(system, x0, constant, opts)
-        except FiniteEscapeError as exc:
-            skipped.append(f"start {np.array2string(x0)} escaped at t~{exc.escape_time:.3g}")
+    for x0, states in zip(starts, advance_starts(system, gamma, starts, delta, opts)):
+        if isinstance(states, FiniteEscapeError):
+            skipped.append(f"start {np.array2string(x0)} escaped at t~{states.escape_time:.3g}")
             continue
-        peak = max(W(gamma, x) for x in traj.states)
+        peak = max(W(gamma, x) for x in states)
         if peak < min_peak:
             min_peak, witness = peak, np.array(x0)
+    n_probed = len(starts) - len(skipped)
+    passed = n_probed > 0 and min_peak >= threshold
     return ProbeReport(
-        passed=min_peak >= threshold,
+        passed=passed,
         min_peak=min_peak,
         threshold=threshold,
-        witness=None if min_peak >= threshold else witness,
-        n_probed=len(starts) - len(skipped),
+        witness=None if passed else witness,
+        n_probed=n_probed,
         skipped=tuple(skipped),
     )
 

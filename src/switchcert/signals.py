@@ -229,16 +229,17 @@ class SwitchingSignal:
 # -- average dwell-time validation --------------------------------------
 
 
-def _adt_violation(times: np.ndarray, adt: AdtClass) -> tuple[int, int] | None:
-    """First switch-index pair (i, j) whose enclosing interval violates
-    the ADT bound, or None.  Pairs with j - i < n0 can never violate.
+def _adt_violation(times: np.ndarray, adt: AdtClass, start: int = 0) -> tuple[int, int] | None:
+    """First switch-index pair (i, j) with i >= start whose enclosing
+    interval violates the ADT bound, or None.  Pairs with j - i < n0 can
+    never violate.
 
     Equality with the bound is valid; the relative guard keeps exact
     boundary cases (count == bound in real arithmetic) from flipping on
     the rounding of (t_j - t_i) / tau_d.
     """
     n = times.size
-    for i in range(n):
+    for i in range(start, n):
         js = np.arange(i + adt.n0, n)
         if js.size == 0:
             continue
@@ -279,10 +280,13 @@ def generate_adt(
 ) -> SwitchingSignal:
     """Draw a pseudo-random signal guaranteed to satisfy ``adt``.
 
-    Inter-switch gaps are exponential with mean tau_d; any counting violations are then repaired by deleting the
-    middle switch of the first violating window until none remain, which
-    terminates because each deletion removes one switch.  Deterministic
-    for a fixed seed.
+    Inter-switch gaps are exponential with mean tau_d; any counting
+    violations are then repaired by deleting the middle switch of the
+    first violating window until none remain, which terminates because
+    each deletion removes one switch.  After the deletion inside the
+    pair (i, j) the scan resumes at i: a deletion never raises the count
+    of any interval, and every window starting before i was valid.
+    Deterministic for a fixed seed.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -297,12 +301,10 @@ def generate_adt(
     times = times[times <= horizon]
     if times.size and modes.size < 2:
         raise ValueError("mode set must contain at least 2 modes to place switches")
-    while True:
-        pair = _adt_violation(times, adt)
-        if pair is None:
-            break
-        i, j = pair
-        times = np.delete(times, (i + j) // 2)
+    start = 0
+    while (pair := _adt_violation(times, adt, start)) is not None:
+        start, j = pair
+        times = np.delete(times, (start + j) // 2)
     labels = list(modes.labels)
     seq = [int(rng.integers(1, modes.size + 1))]
     for _ in range(times.size):

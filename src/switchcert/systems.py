@@ -15,6 +15,12 @@ bisection on the active boundary function over the step interpolant.
 The interpolant costs extra field evaluations, so a step builds it only
 when it is split or a crossing is located in it.
 
+:func:`advance_starts` steps many starts of one mode over one window
+together, as rows of a single DOP853 whose stage sums, error norms and
+step controller reproduce scipy's per-start solve bit for bit, so that
+every row takes the steps :func:`integrate` would take for it alone.
+It samples accepted steps only and has no interpolant.
+
 Solution blow-up surfaces as :class:`FiniteEscapeError` with an escape
 time estimate; step-size collapse as :class:`StiffnessError`; feedback
 rules that switch more than ``max_switches`` times as
@@ -289,7 +295,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
 
     def rhs(t, y):
         out = np.asarray(f(y), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not all(map(math.isfinite, out.tolist())):
             # raised from the field itself so that the solver's constructor,
             # which evaluates it at the start state, is covered too
             raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
@@ -335,6 +341,146 @@ def integrate(
             _, x, _ = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs)
     _emit(ts, xs, signal.horizon, x)
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, to the last bit (unlike ``norm(axis=1)``)."""
+    return np.sqrt(np.vecdot(z, z))
+
+
+def _rms(z: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm of each row."""
+    return _row_norms(z) / z.shape[1] ** 0.5
+
+
+def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
+                   opts: IntegratorOptions) -> list:
+    """Advance every start under mode gamma over [0, t_end] as rows of one DOP853.
+
+    Each row takes exactly the steps that :func:`integrate` takes for that
+    start alone under the constant signal with ``max_dx = inf``: scipy's
+    initial-step selection, stage sums, error norm and step controller,
+    mirrored line by line, with every scalar power taken per row as a
+    Python float power (libm ``pow``, as in scipy's scalar arithmetic).
+    The field is called with one row's (n,) state at a time, so it needs
+    no batched form.  Returns, per start in
+    order, its states at t = 0 and after every accepted step as a (k, n)
+    array, or the :class:`FiniteEscapeError` of a start whose norm passed
+    ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
+    that of the first start which met one, as a loop over starts would.
+    """
+    if opts.max_dx != math.inf:
+        raise ValueError("advance_starts samples accepted steps only; it needs max_dx = inf")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    y = np.array(starts, dtype=float)
+    if y.ndim != 2 or y.shape[1] != system.dimension or not np.all(np.isfinite(y)):
+        raise ValueError(f"starts must be finite rows of length {system.dimension}")
+    f = system.field(gamma)
+    A, B, C, E3, E5, S = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5, DOP853.n_stages
+    exponent = 1 / (DOP853.error_estimator_order + 1)
+    rtol, atol = max(opts.rtol, 100 * np.finfo(float).eps), opts.atol  # validate_tol
+    n_rows, n = y.shape
+    rows = np.arange(n_rows)  # start index of each row still running
+    out: list = [None] * n_rows
+    samples = [[x] for x in y]
+    errors: dict[int, StiffnessError] = {}
+
+    def field(t: np.ndarray, Y: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """Field value of each live row.  A row whose value is not finite
+        records its StiffnessError, leaves ``live`` and reads zero."""
+        F = np.zeros_like(Y)
+        idx = np.flatnonzero(live).tolist()
+        if idx:
+            F[idx] = [f(Y[r]) for r in idx]
+        for r in np.flatnonzero(live & ~np.isfinite(F).all(axis=1)).tolist():
+            errors[int(rows[r])] = StiffnessError(
+                f"vector field returned non-finite values at t ~ {float(t[r]):.6g}")
+            live[r], F[r] = False, 0.0
+        return F
+
+    # select_initial_step, with t0 = 0 and direction +1
+    live = np.ones(n_rows, dtype=bool)
+    t = np.zeros(n_rows)
+    fy = field(t, y, live)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale).tolist(), _rms(fy / scale).tolist()
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, t_end)
+                   for a, b in zip(d0, d1)])
+    f1 = field(h0, y + h0[:, None] * fy, live)
+    d2 = (_rms((f1 - fy) / scale) / h0).tolist()
+    h_abs = np.array([
+        min(100 * h, max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15
+            else (0.01 / max(b, c)) ** exponent, t_end)
+        for h, b, c in zip(h0.tolist(), d1, d2)])
+    fresh = np.ones(n_rows, dtype=bool)  # a row whose next attempt starts a new step
+    rejected = np.zeros(n_rows, dtype=bool)
+
+    while True:
+        rows, t, y, fy, h_abs, fresh, rejected = (
+            a[live] for a in (rows, t, y, fy, h_abs, fresh, rejected))
+        if not rows.size:
+            break
+        live = np.ones(rows.size, dtype=bool)
+        # RungeKutta._step_impl: one attempt per row, at its own t and step size
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
+        rejected &= ~fresh
+        for r in np.flatnonzero(h_abs < min_step).tolist():
+            errors[int(rows[r])] = StiffnessError(
+                f"stepper failed at t ~ {float(t[r]):.6g}: {DOP853.TOO_SMALL_STEP}")
+            live[r] = False
+        t_new = np.where(t + h_abs - t_end > 0, t_end, t + h_abs)
+        h = t_new - t
+        # rk_step, with stage s in K[:, s] and each stage sum one matmul per row
+        K = np.empty((rows.size, S + 1, n))
+        KT = K.transpose(0, 2, 1)
+        K[:, 0] = fy
+        for s in range(1, S):
+            dy = np.matmul(KT[:, :, :s], A[s, :s]) * h[:, None]
+            K[:, s] = field(t + C[s] * h, y + dy, live)
+        y_new = y + h[:, None] * np.matmul(KT[:, :, :S], B)
+        K[:, S] = f_new = field(t + h, y_new, live)
+        # DOP853._estimate_error_norm and the controller, per row
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        e5 = _row_norms(np.matmul(KT, E5) / scale).tolist()
+        e3 = _row_norms(np.matmul(KT, E3) / scale).tolist()
+        accepted = np.zeros(rows.size, dtype=bool)
+        h_abs = np.abs(h)
+        for r in np.flatnonzero(live).tolist():
+            h_r = float(h_abs[r])
+            n5, n3 = e5[r] ** 2, e3[r] ** 2
+            error_norm = (0.0 if n5 == 0 and n3 == 0
+                          else h_r * n5 / math.sqrt((n5 + 0.01 * n3) * n))
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -exponent)
+                h_abs[r] = h_r * (min(1, factor) if rejected[r] else factor)
+                accepted[r] = True
+            else:
+                h_abs[r] = h_r * max(0.2, 0.9 * error_norm ** -exponent)
+                rejected[r] = True
+        # an accepted row moves to the step's end and meets integrate's state guards
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        fy = np.where(accepted[:, None], f_new, fy)
+        fresh = accepted
+        norms = _row_norms(y).tolist()
+        for r in np.flatnonzero(accepted).tolist():
+            i = int(rows[r])
+            if not np.all(np.isfinite(y[r])):
+                errors[i] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
+                live[r] = False
+            elif norms[r] > opts.bound:
+                out[i] = FiniteEscapeError(float(t[r]), np.array(y[r]), opts.bound)
+                live[r] = False
+            else:
+                samples[i].append(y[r])
+                if t[r] >= t_end:
+                    out[i] = np.array(samples[i])
+                    live[r] = False
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: float,
@@ -485,6 +631,7 @@ __all__ = [
     "StiffnessError",
     "SwitchedSystem",
     "Trajectory",
+    "advance_starts",
     "check_covering_compliance",
     "check_equilibrium",
     "integrate",

@@ -6,6 +6,7 @@ import pytest
 from switchcert.lyapunov import (
     LyapunovCandidate,
     OutputFamily,
+    ProbeReport,
     SampleRegion,
     check_class_k_bounds,
     check_decrease_on_covering,
@@ -16,9 +17,17 @@ from switchcert.lyapunov import (
     finite_difference_gradient,
     lie_derivative,
 )
-from switchcert.scenarios import rotation
+from switchcert.scenarios import builtin_scenario, rotation
 from switchcert.signals import ModeSet, SwitchingSignal
-from switchcert.systems import Covering, IntegratorOptions, SwitchedSystem, Trajectory, integrate
+from switchcert.systems import (
+    Covering,
+    FiniteEscapeError,
+    IntegratorOptions,
+    SwitchedSystem,
+    Trajectory,
+    advance_starts,
+    integrate,
+)
 
 
 REGION = SampleRegion(0.1, 3.0, n_radii=10, n_directions=8, n_random=64, seed=3)
@@ -235,14 +244,117 @@ def test_probe_requires_positive_delta(ex2_scenario):
         distinguishability_probe(ex2_scenario.system, ex2_scenario.W, 1, 0.0, REGION)
 
 
-def test_probe_skips_escaping_starts():
+def _cubic_escape_case():
+    """x' = x |x|^2 from 6 starts with 5 <= |x0| <= 10 escapes |x| > 50 at once."""
     m = ModeSet(1)
     sys_ = SwitchedSystem(2, {1: lambda x: x * np.dot(x, x)}, m, Covering.trivial(m))
-    W = OutputFamily({1: lambda x: float(np.dot(x, x))})
     region = SampleRegion(5.0, 10.0, n_radii=2, n_directions=2, n_random=2, seed=0)
-    opts = IntegratorOptions(bound=50.0, max_dx=math.inf)
+    return sys_, region, IntegratorOptions(bound=50.0, max_dx=math.inf)
+
+
+def test_probe_skips_escaping_starts():
+    sys_, region, opts = _cubic_escape_case()
+    W = OutputFamily({1: lambda x: float(np.dot(x, x))})
     rep = distinguishability_probe(sys_, W, 1, 5.0, region, threshold=1e-9, opts=opts)
     assert rep.skipped  # cubic growth escapes the tight bound
+
+
+def test_probe_with_every_start_escaped_fails():
+    sys_, region, opts = _cubic_escape_case()
+    silent = OutputFamily({1: lambda x: 0.0})
+    rep = distinguishability_probe(sys_, silent, 1, 5.0, region, threshold=1e-9, opts=opts)
+    assert rep.n_probed == 0 and len(rep.skipped) == 6
+    assert not rep.passed and rep.min_peak == math.inf and rep.witness is None
+
+
+def test_probe_rejects_finite_max_dx(ex2_scenario):
+    with pytest.raises(ValueError, match="max_dx"):
+        distinguishability_probe(ex2_scenario.system, ex2_scenario.W, 1, 0.1, REGION,
+                                 opts=IntegratorOptions(max_dx=0.05))
+
+
+def _first_coordinate_squared(x: np.ndarray) -> float:
+    return float(x[0]) ** 2
+
+
+def _reference_probe(system, W, gamma, delta, region, threshold=None, opts=None):
+    """The probe as one ``integrate`` per start; returns its report and the
+    per-start sampled states (None for a skipped start)."""
+    if threshold is None:
+        threshold = 1e-8 * region.r_min ** 2
+    if opts is None:
+        opts = IntegratorOptions(max_dx=math.inf)
+    min_peak, witness = math.inf, None
+    skipped, runs = [], []
+    starts = region.all_points(system.dimension)
+    constant = SwitchingSignal.constant(gamma, delta)
+    for x0 in starts:
+        try:
+            traj = integrate(system, x0, constant, opts)
+        except FiniteEscapeError as exc:
+            skipped.append(f"start {np.array2string(x0)} escaped at t~{exc.escape_time:.3g}")
+            runs.append(None)
+            continue
+        runs.append(traj.states)
+        peak = max(W(gamma, x) for x in traj.states)
+        if peak < min_peak:
+            min_peak, witness = peak, np.array(x0)
+    n_probed = len(starts) - len(skipped)
+    passed = n_probed > 0 and min_peak >= threshold
+    report = ProbeReport(passed, min_peak, threshold, None if passed else witness, n_probed,
+                         tuple(skipped))
+    return report, runs
+
+
+def _assert_probe_matches_reference(system, W, gamma, delta, region, threshold=None,
+                                    opts=None):
+    want, want_runs = _reference_probe(system, W, gamma, delta, region, threshold, opts)
+    got = distinguishability_probe(system, W, gamma, delta, region, threshold, opts)
+    got_runs = advance_starts(system, gamma, region.all_points(system.dimension), delta,
+                              opts or IntegratorOptions(max_dx=math.inf))
+    got_runs = [None if isinstance(r, FiniteEscapeError) else r for r in got_runs]
+    assert [r is None for r in got_runs] == [r is None for r in want_runs]
+    got_runs = [r for r in got_runs if r is not None]
+    want_runs = [r for r in want_runs if r is not None]
+    assert all(np.array_equal(a, b) for a, b in zip(got_runs, want_runs))
+    peaks = [[max(W(gamma, x) for x in r) for r in runs] for runs in (got_runs, want_runs)]
+    assert np.array_equal(*peaks)
+    assert (got.passed, got.min_peak, got.threshold, got.n_probed, got.skipped) == (
+        want.passed, want.min_peak, want.threshold, want.n_probed, want.skipped)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert np.array_equal(got.witness, want.witness)
+
+
+ACCEPTANCE_5_REGION = SampleRegion(0.1, 3.0, n_radii=20, n_directions=16, n_random=680, seed=11)
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0])
+@pytest.mark.parametrize("region", [SampleRegion(0.1, 3.0), ACCEPTANCE_5_REGION],
+                         ids=["default", "acceptance5"])
+@pytest.mark.parametrize("name", ["example1", "example2", "two_centers"])
+def test_probe_matches_per_start_integrate(name, region, delta):
+    scenario = builtin_scenario(name)
+    modes = scenario.system.modes.labels
+    W = scenario.W or OutputFamily({g: _first_coordinate_squared for g in modes})
+    for gamma in modes:
+        _assert_probe_matches_reference(scenario.system, W, gamma, delta, region)
+
+
+def test_probe_matches_per_start_integrate_long_window(ex2_scenario):
+    # dozens of steps per start: a step size off in its last bit (say a
+    # squared norm taken as x*x rather than scipy's pow) shows in later states
+    _assert_probe_matches_reference(ex2_scenario.system, ex2_scenario.W, 2, 7.3,
+                                    SampleRegion(0.1, 3.0))
+
+
+def test_probe_matches_per_start_integrate_escaping_cubic():
+    sys_, region, opts = _cubic_escape_case()
+    for W in (OutputFamily({1: lambda x: 0.0}), OutputFamily({1: _first_coordinate_squared})):
+        _assert_probe_matches_reference(sys_, W, 1, 5.0, region, 1e-9, opts)
+    # a window short enough that part of the starts stay inside the bound
+    _assert_probe_matches_reference(sys_, OutputFamily({1: _first_coordinate_squared}), 1,
+                                    0.01, region, 1e-9, opts)
 
 
 # -- sample region determinism ------------------------------------------------------------

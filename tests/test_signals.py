@@ -20,6 +20,7 @@ from switchcert.signals import (
     signal_distance,
     validate_adt,
 )
+from switchcert.signals import _adt_violation
 
 
 def sig(times, modes, horizon):
@@ -262,6 +263,45 @@ def test_generate_deterministic():
     a = generate_adt(7, adt, ModeSet(3), 20.0)
     b = generate_adt(7, adt, ModeSet(3), 20.0)
     assert a == b
+
+
+def _reference_generate_adt(seed: int, adt: AdtClass, modes: ModeSet,
+                            horizon: float) -> SwitchingSignal:
+    """generate_adt with the repair rescanning from the first switch after
+    every deletion."""
+    rng = np.random.default_rng(seed)
+    gaps: list[float] = []
+    total = 0.0
+    while total <= horizon:
+        g = float(rng.exponential(adt.tau_d))
+        total += g
+        gaps.append(g)
+    times = np.cumsum(gaps)[:-1]
+    times = times[times <= horizon]
+    while True:
+        pair = _adt_violation(times, adt)
+        if pair is None:
+            break
+        i, j = pair
+        times = np.delete(times, (i + j) // 2)
+    labels = list(modes.labels)
+    seq = [int(rng.integers(1, modes.size + 1))]
+    for _ in range(times.size):
+        options = [g for g in labels if g != seq[-1]]
+        seq.append(options[int(rng.integers(0, len(options)))])
+    return SwitchingSignal(times, np.array(seq), horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0.5, 2), (0.3, 1), (1.0, 3)]),
+       st.sampled_from([20.0, 100.0]), st.integers(2, 3))
+def test_generate_adt_matches_reference(seed, cls, horizon, n_modes):
+    adt, modes = AdtClass(*cls), ModeSet(n_modes)
+    got = generate_adt(seed, adt, modes, horizon)
+    want = _reference_generate_adt(seed, adt, modes, horizon)
+    assert np.array_equal(got.switch_times, want.switch_times)
+    assert np.array_equal(got.modes, want.modes)
+    assert got.horizon == want.horizon
 
 
 def test_generate_single_mode_error():

@@ -20,6 +20,7 @@ from switchcert.systems import (
     IntegratorOptions,
     StiffnessError,
     SwitchedSystem,
+    advance_starts,
     check_covering_compliance,
     check_equilibrium,
     integrate,
@@ -144,6 +145,26 @@ def test_stiffness_error_on_nonfinite_field():
     )
     with pytest.raises(StiffnessError):
         integrate(sys_, [0.0, 0.0], SwitchingSignal.constant(1, 5.0))
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf]], ids=["nan", "inf"])
+@pytest.mark.parametrize("x0, t_bad", [([2.0, 0.0], 0.0), ([0.0, 0.0], 1.0)],
+                         ids=["at-start", "mid-run"])
+def test_stiffness_error_on_each_nonfinite_component(bad, x0, t_bad):
+    # unit speed along x1; the field turns non-finite once x1 reaches 1
+    sys_ = single_mode_system(lambda x: np.array(bad) if x[0] >= 1.0 else np.array([1.0, 0.0]))
+    rule = FeedbackRule(lambda x: 1, {1: lambda x: -1.0})
+    opts = IntegratorOptions(max_dx=math.inf)
+    runs = [
+        lambda: integrate(sys_, x0, SwitchingSignal.constant(1, 3.0), opts),
+        lambda: integrate_feedback(sys_, x0, rule, 3.0, opts),
+        lambda: advance_starts(sys_, 1, np.array([[-5.0, 0.0], x0]), 3.0, opts),
+    ]
+    for run in runs:
+        with pytest.raises(StiffnessError, match="non-finite values") as err:
+            run()
+        t = float(str(err.value).rsplit("~", 1)[1])
+        assert t_bad <= t <= t_bad + 0.5
 
 
 def test_integration_consistency_with_error_budget():
