@@ -21,6 +21,8 @@ from .reports import CheckReport, fmt17
 from .systems import Trajectory
 
 
+_DISTANCE_BLOCK = 1 << 16  # state-distance entries per block of omega_sharp's member test
+
 # Relative band around tol in which a vectorised distance is not trusted:
 # there the decision is made by the scalar test itself.  Row-wise and
 # scalar norms differ by a few ulps, far inside this band.
@@ -199,6 +201,11 @@ def omega_sharp(
     the next switch), then clustered per mode.  ``r_min`` defaults to
     half the smallest inter-switch gap of the realized signal (0 when
     the signal has fewer than two switches).
+
+    The members behind each kept cluster are the mode's samples within
+    ``cluster_tol`` of its representative (or, if the centroid drifted
+    away from all of them, the nearest one), found for a block of
+    representatives at once.
     """
     if not cluster_tol > 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
@@ -226,19 +233,25 @@ def omega_sharp(
     states_out, modes_out, dwells_out, counts_out = [], [], [], []
     for gamma in np.unique(modes):
         sel = modes == gamma
-        reps, counts = _greedy_clusters(traj.states[idx[sel]], cluster_tol)
-        mode_gaps = gaps[sel]
         pts = traj.states[idx[sel]]
-        for rep, cnt in zip(reps, counts):
-            if cnt < min_hits:
-                continue
-            members = np.linalg.norm(pts - rep, axis=1) <= cluster_tol
-            if not np.any(members):  # centroid drifted; fall back to nearest member
-                members = np.array([np.argmin(np.linalg.norm(pts - rep, axis=1))])
-            states_out.append(rep)
-            modes_out.append(int(gamma))
-            dwells_out.append(float(np.median(mode_gaps[members])))
-            counts_out.append(int(cnt))
+        reps, counts = _greedy_clusters(pts, cluster_tol)
+        mode_gaps = gaps[sel]
+        kept = np.flatnonzero(counts >= min_hits)
+        block = max(1, _DISTANCE_BLOCK // len(pts))
+        for lo in range(0, kept.size, block):
+            rows = kept[lo:lo + block]
+            # one norm call over the stacked differences, row by row as
+            # np.linalg.norm(pts - rep, axis=1) would take them
+            diff = (pts[None, :, :] - reps[rows][:, None, :]).reshape(-1, pts.shape[1])
+            dist = np.linalg.norm(diff, axis=1).reshape(rows.size, len(pts))
+            for j, d in zip(rows.tolist(), dist):
+                members = d <= cluster_tol
+                if not np.any(members):  # centroid drifted; fall back to nearest member
+                    members = np.array([np.argmin(d)])
+                states_out.append(reps[j])
+                modes_out.append(int(gamma))
+                dwells_out.append(float(np.median(mode_gaps[members])))
+                counts_out.append(int(counts[j]))
     return OmegaSharpEstimate(
         np.array(states_out) if states_out else np.empty((0, traj.dimension)),
         np.array(modes_out, dtype=np.int64),

@@ -18,6 +18,13 @@ here.  It steps all starts of a mode together through
 :func:`~switchcert.systems.advance_starts`, with the same steps and
 peaks as one integration per start, and a probe whose starts all
 escaped fails rather than passing on no evidence.
+
+V, its gradient and the outputs W are row-wise scenario functions (see
+:func:`~switchcert.systems.evaluate_rows`): every check here evaluates
+them, and the fields and covering boundaries, once per mode on the whole
+sample, with the same values as a loop over points.  Each check keeps
+the first worst sample in scan order, and a NaN is worse than any
+number, so it fails the check with the first NaN sample as witness.
 """
 
 from __future__ import annotations
@@ -35,22 +42,30 @@ from .systems import (
     SwitchedSystem,
     Trajectory,
     advance_starts,
+    evaluate_by_mode,
+    evaluate_rows,
     integrate,  # noqa: F401 -- unused, but perfbench's tracer wraps switchcert.lyapunov.integrate
     modes_containing_origin,
+    row_norms,
 )
 
 
 def finite_difference_gradient(
     value: Callable[[np.ndarray, int], float], x: np.ndarray, gamma: int
 ) -> np.ndarray:
-    """Central differences with state-scaled step h = 1e-6 * (1 + |x|)."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    """Central differences with state-scaled step h = 1e-6 * (1 + |x|).
+
+    Row-wise: at a stack (k, n) of states ``value`` is called on the
+    whole stack, twice per coordinate.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    h = 1e-6 * (1.0 + row_norms(x))
     grad = np.empty_like(x)
-    for i in range(x.size):
+    for i in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (value(x + e, gamma) - value(x - e, gamma)) / (2.0 * h)
+        e[..., i] = h
+        grad[..., i] = (evaluate_rows(value, x + e, gamma)
+                        - evaluate_rows(value, x - e, gamma)) / (2.0 * h)
     return grad
 
 
@@ -58,8 +73,10 @@ def finite_difference_gradient(
 class LyapunovCandidate:
     """Candidate function V(x, gamma) with gradient access.
 
-    When no gradient is supplied, central finite differences with a
-    state-scaled step are used.
+    ``value`` and ``gradient`` are row-wise (see
+    :func:`~switchcert.systems.evaluate_rows`).  When no gradient is
+    supplied, central finite differences with a state-scaled step are
+    used.
     """
 
     value: Callable[[np.ndarray, int], float]
@@ -67,18 +84,20 @@ class LyapunovCandidate:
 
     def grad(self, x: np.ndarray, gamma: int) -> np.ndarray:
         if self.gradient is not None:
-            return np.asarray(self.gradient(np.asarray(x, dtype=float), gamma), dtype=float)
+            return evaluate_rows(self.gradient, x, gamma)
         return finite_difference_gradient(self.value, x, gamma)
 
 
 @dataclass(frozen=True)
 class OutputFamily:
-    """Per-mode continuous nonnegative output functions."""
+    """Per-mode continuous nonnegative output functions, each row-wise."""
 
     functions: Mapping[int, Callable[[np.ndarray], float]]
 
-    def __call__(self, gamma: int, x: np.ndarray) -> float:
-        return float(self.functions[gamma](np.asarray(x, dtype=float)))
+    def __call__(self, gamma: int, x: np.ndarray) -> float | np.ndarray:
+        """W_gamma at one state (a float) or at each row of a stack."""
+        out = evaluate_rows(self.functions[gamma], x)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -156,14 +175,22 @@ def fit_power_law(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, 
 
 def lie_derivative(
     V: LyapunovCandidate, system: SwitchedSystem, x: np.ndarray, gamma: int
-) -> float:
-    """Directional derivative of V(., gamma) along the field of mode gamma."""
+) -> float | np.ndarray:
+    """Directional derivative of V(., gamma) along the field of mode gamma,
+    at one state (a float) or at each row of a stack."""
     x = np.asarray(x, dtype=float)
-    return float(np.dot(V.grad(x, gamma), system.rhs(x, gamma)))
+    ld = np.vecdot(V.grad(x, gamma), system.rhs(x, gamma))
+    return float(ld) if x.ndim == 1 else ld
 
 
 _GRADIENT_REL_TOL = 1e-4  # supplied vs central-difference gradient
 _DECREASE_MARGIN = 1e-12  # roundoff allowance for the Lie derivative of a weak candidate
+
+
+def _admissible(system: SwitchedSystem, pts: np.ndarray) -> dict[int, np.ndarray]:
+    """Per mode, the indices of the points that lie in its covering region."""
+    return {g: np.flatnonzero(system.covering.margin(g, pts) <= 0.0)
+            for g in system.modes.labels}
 
 
 def check_gradient_consistency(
@@ -173,40 +200,41 @@ def check_gradient_consistency(
     if V.gradient is None:
         return CheckReport("gradient-consistency", True,
                            details={"note": "no supplied gradient; finite differences in use"})
-    worst = 0.0
-    witness = None
     pts = region.all_points(system.dimension)
-    for gamma in system.modes.labels:
-        for x in pts:
-            g_sup = V.grad(x, gamma)
-            g_fd = finite_difference_gradient(V.value, x, gamma)
-            err = float(np.linalg.norm(g_sup - g_fd) / max(1.0, np.linalg.norm(g_sup)))
-            if err > worst:
-                worst, witness = err, (np.array(x), gamma)
+    labels = system.modes.labels
+    errors = []
+    for gamma in labels:
+        g_sup = V.grad(pts, gamma)
+        g_fd = finite_difference_gradient(V.value, pts, gamma)
+        errors.append(row_norms(g_sup - g_fd) / np.maximum(1.0, row_norms(g_sup)))
+    errors = np.concatenate(errors)
+    i = int(np.argmax(errors))  # the first NaN, else the first largest error
+    worst = float(errors[i])
+    witness = (np.array(pts[i % len(pts)]), labels[i // len(pts)])
     return CheckReport("gradient-consistency", worst <= _GRADIENT_REL_TOL, worst=worst,
                        witness=None if worst <= _GRADIENT_REL_TOL else witness,
-                       details={"n_points": len(pts) * system.modes.size})
+                       details={"n_points": errors.size})
 
 
 def check_decrease_on_covering(
     V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> CheckReport:
     """Lie derivative <= the roundoff margin at every sampled point of every region."""
-    worst = -math.inf
-    witness = None
-    n_checked = 0
     pts = region.all_points(system.dimension)
-    for gamma in system.modes.labels:
-        for x in pts:
-            if not system.covering.contains(gamma, x):
-                continue
-            n_checked += 1
-            ld = lie_derivative(V, system, x, gamma)
-            if ld > worst:
-                worst, witness = ld, (np.array(x), gamma)
+    lie, where = [], []
+    for gamma, inside in _admissible(system, pts).items():
+        if inside.size:
+            lie.append(lie_derivative(V, system, pts[inside], gamma))
+            where += [(i, gamma) for i in inside.tolist()]
+    worst, witness = -math.inf, None
+    if where:
+        lie = np.concatenate(lie)
+        k = int(np.argmax(lie))  # the first NaN, else the first largest
+        i, gamma = where[k]
+        worst, witness = float(lie[k]), (np.array(pts[i]), gamma)
     return CheckReport("decrease-on-covering", worst <= _DECREASE_MARGIN, worst=worst,
                        witness=None if worst <= _DECREASE_MARGIN else witness,
-                       details={"n_checked": n_checked, "margin": _DECREASE_MARGIN})
+                       details={"n_checked": len(where), "margin": _DECREASE_MARGIN})
 
 
 # -- radius-indexed envelope checks ------------------------------------------
@@ -237,6 +265,40 @@ class EnvelopeReport:
                 fh.write(f"{fmt17(r)},{fmt17(m)},{fmt17(M)}\n")
 
 
+def _shell_table(system: SwitchedSystem, region: SampleRegion,
+                 values: Callable[[np.ndarray, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``values(points, gamma)`` at the covering-admissible shell points.
+
+    Returns a (shells, modes * directions) table whose row holds one
+    shell in the order of a loop over modes, then points, and the mask
+    of its admissible entries (inadmissible entries read 0).
+    """
+    shells = [pts for _, pts in region.shell_points(system.dimension)]
+    pts = np.vstack(shells)
+    table = np.zeros((system.modes.size, len(pts)))
+    mask = np.zeros(table.shape, dtype=bool)
+    for j, (gamma, inside) in enumerate(_admissible(system, pts).items()):
+        mask[j, inside] = True
+        if inside.size:
+            table[j, inside] = values(pts[inside], gamma)
+    shape = (system.modes.size, len(shells), len(shells[0]))
+
+    def by_shell(a: np.ndarray) -> np.ndarray:
+        return a.reshape(shape).transpose(1, 0, 2).reshape(len(shells), -1)
+
+    return by_shell(table), by_shell(mask)
+
+
+def _first_extremum(table: np.ndarray, mask: np.ndarray, largest: bool) -> np.ndarray:
+    """Per row, the first largest (or least) masked entry, as a scan with a
+    strict comparison keeps it, except that the first NaN wins; NaN for a
+    row with no masked entry."""
+    masked = np.where(mask, table, -math.inf if largest else math.inf)
+    pick = np.argmax if largest else np.argmin  # both return the first NaN, else the first extremum
+    out = masked[np.arange(len(masked)), pick(masked, axis=1)]
+    return np.where(mask.any(axis=1), out, math.nan)
+
+
 def check_class_k_bounds(
     V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> EnvelopeReport:
@@ -245,26 +307,20 @@ def check_class_k_bounds(
     Passes iff the per-radius minimum stays strictly positive and
     V(0, gamma) = 0 for every mode whose region contains the origin.
     """
-    lower, upper = [], []
     radii = region.radii()
-    for r, pts in region.shell_points(system.dimension):
-        vals = [
-            V.value(x, gamma)
-            for gamma in system.modes.labels
-            for x in pts
-            if system.covering.contains(gamma, x)
-        ]
-        lower.append(min(vals) if vals else math.nan)
-        upper.append(max(vals) if vals else math.nan)
-    lower = np.array(lower)
-    upper = np.array(upper)
+    table, mask = _shell_table(system, region, lambda x, g: evaluate_rows(V.value, x, g))
+    lower = _first_extremum(table, mask, largest=False)
+    upper = _first_extremum(table, mask, largest=True)
     origin = {
         g: float(V.value(np.zeros(system.dimension), g))
         for g in modes_containing_origin(system.covering, system.modes, system.dimension)
     }
     reasons = []
-    if np.any(np.isnan(lower)):
+    if not mask.any(axis=1).all():
         reasons.append("some radius shell has no covering-admissible sample")
+    elif np.any(np.isnan(lower)):
+        r_bad = float(radii[int(np.argmax(np.isnan(lower)))])
+        reasons.append(f"V is NaN at a sampled point (first at r={r_bad:g})")
     elif not np.all(lower > 0.0):
         r_bad = float(radii[int(np.argmin(lower))])
         reasons.append(f"lower envelope not strictly positive (min at r={r_bad:g})")
@@ -304,17 +360,13 @@ class StrictDecreaseReport:
 def check_strict_decrease(
     V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> StrictDecreaseReport:
-    """Strict negativity of the Lie derivative on every radius shell."""
-    worst = []
-    for r, pts in region.shell_points(system.dimension):
-        w = -math.inf
-        for gamma in system.modes.labels:
-            for x in pts:
-                if not system.covering.contains(gamma, x):
-                    continue
-                w = max(w, lie_derivative(V, system, x, gamma))
-        worst.append(w)
-    worst = np.array(worst)
+    """Strict negativity of the Lie derivative on every radius shell.
+
+    A shell's worst value is NaN when the Lie derivative is NaN at one of
+    its points, and -inf when none of its points is admissible.
+    """
+    table, mask = _shell_table(system, region, lambda x, g: lie_derivative(V, system, x, g))
+    worst = np.where(mask.any(axis=1), _first_extremum(table, mask, largest=True), -math.inf)
     return StrictDecreaseReport(
         passed=bool(np.all(worst < 0.0)),
         radii=region.radii(),
@@ -324,6 +376,24 @@ def check_strict_decrease(
 
 
 # -- along-trajectory checks --------------------------------------------------
+
+
+def _rises(starts: np.ndarray, ends: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry k, ``starts[k]`` minus the least ``ends[j]`` over the earlier
+    entries j of the same mode (-inf for a mode's first entry), and that
+    j: the first one to reach the least value, as a running minimum with
+    a strict comparison finds it.  A NaN end makes every later rise of
+    its mode NaN."""
+    rise = np.full(starts.size, -math.inf)
+    low_at = np.zeros(starts.size, dtype=np.int64)
+    for gamma in np.unique(modes).tolist():
+        idx = np.flatnonzero(modes == gamma)
+        low = np.minimum.accumulate(ends[idx])
+        rise[idx[1:]] = starts[idx[1:]] - low[:-1]
+        new_low = np.concatenate(([True], ends[idx[1:]] < low[:-1]))
+        first_at = np.maximum.accumulate(np.where(new_low, np.arange(idx.size), 0))
+        low_at[idx[1:]] = idx[first_at[:-1]]
+    return rise, low_at
 
 
 def check_return_monotonicity(
@@ -340,22 +410,19 @@ def check_return_monotonicity(
     witness that of the sub-check which found it.
     """
     sig = traj.signal
-    edge_times = np.concatenate([[0.0], sig.switch_times])
 
-    # (a) switch-pair check, running minimum of interval-end values per mode
-    worst_a, witness_a = -math.inf, None
-    end_min: dict[int, float] = {}
-    for i in range(edge_times.size):
-        gamma = int(sig.modes[i])
-        if gamma in end_min:
-            v_start = V.value(traj.state_at_sample(float(edge_times[i])), gamma)
-            rise = v_start - end_min[gamma]
-            if rise > worst_a:
-                worst_a, witness_a = rise, (float(edge_times[i]), gamma)
-        if i + 1 < edge_times.size:  # interval i ends at the next switch
-            t_end = float(edge_times[i + 1])
-            v_end = V.value(traj.state_at_sample(t_end), gamma)
-            end_min[gamma] = min(end_min.get(gamma, math.inf), v_end)
+    def values(states: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        return evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g), states, modes)
+
+    # (a) switch-pair check: the value at each switch against the least
+    # value at the end of an earlier interval of the same mode
+    edge_times = np.concatenate([[0.0], sig.switch_times])
+    edges = np.array([traj.state_at_sample(float(t)) for t in edge_times])
+    ends = np.append(values(edges[1:], sig.modes[:-1]), math.inf)  # interval i ends at switch i+1
+    rise_a, _ = _rises(values(edges, sig.modes), ends, sig.modes)
+    i = int(np.argmax(rise_a))  # the first NaN, else the first largest rise
+    worst_a = float(rise_a[i])
+    witness_a = (float(edge_times[i]), int(sig.modes[i]))
     if worst_a == -math.inf:
         worst_a = 0.0
     rep_a = CheckReport("return-decrease-across-switches", worst_a <= tol,
@@ -363,28 +430,18 @@ def check_return_monotonicity(
                         details={"n_switches": sig.n_switches, "tol": tol})
 
     # (b) all same-mode sample pairs, running minimum per mode
-    worst_b, witness_b = -math.inf, None
-    run_min: dict[int, tuple[float, float]] = {}  # mode -> (min V, its time)
     modes = traj.sample_modes
-    for k in range(traj.times.size):
-        gamma = int(modes[k])
-        v = float(V.value(traj.states[k], gamma))
-        t = float(traj.times[k])
-        if gamma in run_min:
-            v_min, t_min = run_min[gamma]
-            rise = v - v_min
-            if rise > worst_b:
-                worst_b, witness_b = rise, (t_min, t, gamma)
-            if v < v_min:
-                run_min[gamma] = (v, t)
-        else:
-            run_min[gamma] = (v, t)
+    v = values(traj.states, modes)
+    rise_b, low_at = _rises(v, v, modes)
+    k = int(np.argmax(rise_b))
+    worst_b = float(rise_b[k])
+    witness_b = (float(traj.times[low_at[k]]), float(traj.times[k]), int(modes[k]))
     if worst_b == -math.inf:
         worst_b = 0.0
     rep_b = CheckReport("same-mode-sample-monotonicity", worst_b <= tol,
                         worst=worst_b, witness=None if worst_b <= tol else witness_b,
                         details={"n_samples": int(traj.times.size), "tol": tol})
-    top = rep_a if worst_a >= worst_b else rep_b
+    top = rep_b if math.isnan(worst_b) or worst_b > worst_a else rep_a
     return CheckReport("return-monotonicity", rep_a.passed and rep_b.passed, worst=top.worst,
                        witness=top.witness,
                        details={"across_switches": rep_a, "across_samples": rep_b})
@@ -415,6 +472,16 @@ class ProbeReport:
         return self.passed
 
 
+def _first_max_per_run(values: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Per run of consecutive values, the first largest value (the first
+    NaN, if any): what ``max`` over the run keeps, except that NaN wins."""
+    offsets = np.cumsum(lengths) - lengths
+    top = np.repeat(np.maximum.reduceat(values, offsets), lengths)  # NaN propagates
+    hit = (values == top) | np.isnan(values)
+    return values[np.minimum.reduceat(np.where(hit, np.arange(values.size), values.size),
+                                      offsets)]
+
+
 def distinguishability_probe(
     system: SwitchedSystem,
     W: OutputFamily,
@@ -438,16 +505,19 @@ def distinguishability_probe(
     if opts is None:
         opts = IntegratorOptions(max_dx=math.inf)
     min_peak, witness = math.inf, None
-    skipped = []
+    skipped, probed, runs = [], [], []
     starts = region.all_points(system.dimension)
     for x0, states in zip(starts, advance_starts(system, gamma, starts, delta, opts)):
         if isinstance(states, FiniteEscapeError):
             skipped.append(f"start {np.array2string(x0)} escaped at t~{states.escape_time:.3g}")
-            continue
-        peak = max(W(gamma, x) for x in states)
-        if peak < min_peak:
-            min_peak, witness = peak, np.array(x0)
-    n_probed = len(starts) - len(skipped)
+        else:
+            probed.append(x0)
+            runs.append(states)
+    if runs:
+        peaks = _first_max_per_run(W(gamma, np.concatenate(runs)), [len(r) for r in runs])
+        i = int(np.argmin(peaks))  # the first NaN, else the first least peak
+        min_peak, witness = float(peaks[i]), np.array(probed[i])
+    n_probed = len(probed)
     passed = n_probed > 0 and min_peak >= threshold
     return ProbeReport(
         passed=passed,

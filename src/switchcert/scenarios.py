@@ -4,8 +4,18 @@ A scenario bundles everything a certification run needs: the switched
 system, the candidate Lyapunov function, optional output functions, the
 switching-signal source, an initial-condition grid, the horizon, and
 all tolerances.  Every function a scenario holds is a module-level
-function, never a lambda or closure, so scenarios pickle.  Three
-scenarios ship with the package, as rows of one table:
+function, never a lambda or closure, so scenarios pickle.  Every
+function but the feedback rule's ``mode_of`` is row-wise: it takes one
+state (n,) or a stack (k, n) of states and returns the per-row results,
+each equal to the per-point call's to the last bit (see
+:func:`~switchcert.systems.evaluate_rows`, which rejects a function
+written for one state only).  The built-ins index the components of
+``xt = x.T`` (``xt[0]``, ``xt[1]``) and stack results back with
+``np.array([...]).T``, which adds about 0.2 us to a single-state call;
+indexing ``x[..., 0]``, or unpacking ``a, b = x.T`` (which iterates the
+array), costs several times that.  Sums of squares use ``np.vecdot``,
+which equals a per-point ``np.dot`` bit for bit.  Three scenarios ship
+with the package, as rows of one table:
 
 ``example1``
     Planar pair of a stable focus and a rotation, switched by the state
@@ -47,31 +57,38 @@ from .systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
 
 def spiral_focus(x: np.ndarray) -> np.ndarray:
     """Stable focus running counterclockwise (eigenvalues -1 +- i*sqrt(3))."""
-    return np.array([-2.0 * x[0] - 2.0 * x[1], 2.0 * x[0]])
+    xt = x.T
+    a, b = xt[0], xt[1]
+    return np.array([-2.0 * a - 2.0 * b, 2.0 * a]).T
 
 
 def rotation(x: np.ndarray) -> np.ndarray:
     """Unit-speed counterclockwise rotation; conserves |x|."""
-    return np.array([-x[1], x[0]])
+    xt = x.T
+    return np.array([-xt[1], xt[0]]).T
 
 
 def damped_rotation(x: np.ndarray) -> np.ndarray:
     """Counterclockwise spiral with eigenvalues (-1 +- i*sqrt(3))/2."""
-    return np.array([-x[0] - x[1], x[0]])
+    xt = x.T
+    a, b = xt[0], xt[1]
+    return np.array([-a - b, a]).T
 
 
 def saturating_pull(x: np.ndarray) -> np.ndarray:
     """Radial pull -x / (1 + |x|^4); decays slowly far from the origin."""
-    r2 = float(x[0] * x[0] + x[1] * x[1])
-    return -x / (1.0 + r2 * r2)
+    xt = x.T
+    a, b = xt[0], xt[1]
+    r2 = a * a + b * b
+    return (-xt / (1.0 + r2 * r2)).T
 
 
 def _left_margin(x: np.ndarray) -> float:
-    return float(x[0])
+    return x.T[0]
 
 
 def _right_margin(x: np.ndarray) -> float:
-    return float(-x[0])
+    return -x.T[0]
 
 
 def _half_plane_mode(x: np.ndarray) -> int:
@@ -89,7 +106,7 @@ def half_plane_rule() -> FeedbackRule:
 
 
 def _squared_norm(x: np.ndarray, gamma: int) -> float:
-    return float(np.dot(x, x))
+    return np.vecdot(x, x)
 
 
 def _squared_norm_gradient(x: np.ndarray, gamma: int) -> np.ndarray:
@@ -97,7 +114,7 @@ def _squared_norm_gradient(x: np.ndarray, gamma: int) -> np.ndarray:
 
 
 def _half_squared_norm(x: np.ndarray, gamma: int) -> float:
-    return 0.5 * float(np.dot(x, x))
+    return 0.5 * np.vecdot(x, x)
 
 
 def _half_squared_norm_gradient(x: np.ndarray, gamma: int) -> np.ndarray:
@@ -113,11 +130,14 @@ def half_squared_norm_candidate() -> LyapunovCandidate:
 
 
 def _w1(x: np.ndarray) -> float:
-    return float(x[0]) ** 2
+    # squared per element as a Python float power (libm pow), which numpy's
+    # x ** 2 (that is, x * x) differs from in the last bit of a few values
+    a = np.asarray(x.T[0])
+    return np.array([v ** 2 for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def _w2(x: np.ndarray) -> float:
-    r2 = float(np.dot(x, x))
+    r2 = np.vecdot(x, x)
     return r2 / (1.0 + r2 * r2)
 
 
@@ -270,7 +290,12 @@ _BUILTINS: dict[str, Callable[[], Scenario]] = {
 
 
 def register_scenario(name: str, builder: Callable[[], Scenario]) -> None:
-    """Register a plug-in scenario builder, called with no arguments, under a new id."""
+    """Register a plug-in scenario builder, called with no arguments, under a new id.
+
+    The scenario's functions must be row-wise, as the built-ins are (see
+    the module docstring); the checks reject one that is not with a
+    TypeError naming it.
+    """
     if name in _BUILTINS:
         raise ValueError(f"scenario id {name!r} already registered")
     _BUILTINS[name] = builder

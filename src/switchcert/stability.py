@@ -400,6 +400,11 @@ class AggregateReport:
         return rec
 
 
+def _worse(a: float, b: float) -> float:
+    """max(a, b), except that a NaN (a failed check's worst) is kept."""
+    return a if math.isnan(a) else b if math.isnan(b) else max(a, b)
+
+
 def _entry(section: str, name: str, passed: bool, summary: str, **data) -> ReportEntry:
     return ReportEntry(section, name, bool(passed), summary, data)
 
@@ -461,7 +466,7 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
     compliant = True
     for traj in batch.trajectories:
         rep = check_covering_compliance(traj, sys_.covering, checks.compliance_tol)
-        worst_margin = max(worst_margin, rep.worst)
+        worst_margin = _worse(worst_margin, rep.worst)
         compliant &= rep.passed
     entries.append(_entry("hypothesis", "covering-compliance", compliant,
                           f"worst boundary margin {worst_margin:.3g} over batch",
@@ -488,7 +493,7 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
     for traj in batch.trajectories:
         rep = check_return_monotonicity(V, traj, checks.monotonicity_tol)
         mono_ok &= rep.passed
-        worst_rise = max(worst_rise, rep.worst)
+        worst_rise = _worse(worst_rise, rep.worst)
     entries.append(_entry("hypothesis", "return-monotonicity", mono_ok,
                           f"worst same-mode rise {worst_rise:.3g}",
                           worst=worst_rise, tol=checks.monotonicity_tol))

@@ -21,6 +21,16 @@ step controller reproduce scipy's per-start solve bit for bit, so that
 every row takes the steps :func:`integrate` would take for it alone.
 It samples accepted steps only and has no interpolant.
 
+Scenario functions are row-wise: a vector field, covering boundary,
+Lyapunov value or gradient, or output takes one state (n,) or a stack
+(k, n) of states and returns the per-row results, each equal to the
+per-point call's to the last bit.  :func:`evaluate_rows` is the one way
+the batched callers (the probe's advance, the sampled checks and the
+trajectory export) call them; it checks the first and last rows against
+per-point calls and raises :class:`TypeError` for a function written
+for one state only.  The integrator's right-hand side, crossing
+location and feedback rules call them per point.
+
 Solution blow-up surfaces as :class:`FiniteEscapeError` with an escape
 time estimate; step-size collapse as :class:`StiffnessError`; feedback
 rules that switch more than ``max_switches`` times as
@@ -73,31 +83,86 @@ def _whole_space(x: np.ndarray) -> float:
     return -1.0
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bits, any NaN matching any NaN."""
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def evaluate_rows(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
+    """``fn(x, *args)`` for a row-wise scenario function, at one state or a stack.
+
+    At one state (n,) this is the per-point call.  At a stack (k, n), k >= 1,
+    ``fn`` is called once on the whole stack; a constant result (such as
+    ``_whole_space``'s -1.0) is broadcast to every row, and the result is
+    a C-contiguous (k, ...) array.  Its first and last rows must equal
+    per-point calls bit for bit (NaN matching NaN), so a function written
+    for one state only (``np.array([-x[1], x[0]])``, say) raises
+    TypeError naming it instead of returning wrong numbers.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.asarray(fn(x, *args), dtype=float)
+
+    def not_rowwise(why: str) -> TypeError:
+        name = f"{getattr(fn, '__module__', None)}.{getattr(fn, '__qualname__', repr(fn))}"
+        return TypeError(f"{name} is not row-wise: on a {x.shape} stack of states {why}")
+
+    first = np.asarray(fn(x[0], *args), dtype=float)
+    try:
+        out = np.ascontiguousarray(np.broadcast_to(np.asarray(fn(x, *args), dtype=float),
+                                                   (len(x),) + first.shape))
+    except (TypeError, ValueError, IndexError) as exc:
+        raise not_rowwise(f"it raised {type(exc).__name__}: {exc}") from exc
+    if not (_same_bits(out[0], first)
+            and _same_bits(out[-1], np.asarray(fn(x[-1], *args), dtype=float))):
+        raise not_rowwise("its rows differ from per-point calls")
+    return out
+
+
+def evaluate_by_mode(evaluate: Callable[[int, np.ndarray], np.ndarray], states: np.ndarray,
+                     modes: np.ndarray) -> np.ndarray:
+    """``evaluate(gamma, rows)`` on the rows of each mode, one call per mode,
+    returned in row order; ``evaluate`` gives one value per row."""
+    out = np.empty(len(modes))
+    for gamma in np.unique(modes).tolist():
+        sel = modes == gamma
+        out[sel] = evaluate(gamma, states[sel])
+    return out
+
+
 @dataclass(frozen=True)
 class Covering:
     """Closed covering given by per-mode signed boundary functions."""
 
     boundaries: Mapping[int, BoundaryFn]
 
-    def margin(self, gamma: int, x: np.ndarray) -> float:
-        """Signed membership margin; <= 0 means x lies in region gamma."""
-        return float(self.boundaries[gamma](np.asarray(x, dtype=float)))
+    def margin(self, gamma: int, x: np.ndarray) -> np.ndarray:
+        """Signed membership margin, row-wise; <= 0 means x lies in region gamma."""
+        return evaluate_rows(self.boundaries[gamma], x)
 
     def contains(self, gamma: int, x: np.ndarray) -> bool:
-        return self.margin(gamma, x) <= 0.0
+        return bool(self.margin(gamma, x) <= 0.0)
 
     def check_union(self, points: np.ndarray) -> CheckReport:
-        """Sampled check that the regions cover the whole space."""
-        worst = -math.inf
-        witness = None
-        for x in np.atleast_2d(points):
-            m = min(self.margin(g, x) for g in self.boundaries)
-            if m > worst:
-                worst, witness = m, np.array(x)
+        """Sampled check that the regions cover the whole space.
+
+        A point's margin is its least margin over the regions, and
+        ``worst`` the largest of these; a NaN margin wins both, so it fails
+        the check with the first such point as witness.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        margins = np.array([self.margin(g, pts) for g in self.boundaries])
+        least = margins[np.argmin(margins, axis=0), np.arange(len(pts))]
+        i = int(np.argmax(least))  # argmin/argmax: the first NaN, else the first extremum
+        worst = float(least[i])
         return CheckReport(
             "covering-union", worst <= 0.0, worst=worst,
-            witness=None if worst <= 0.0 else witness,
-            details={"n_points": int(np.atleast_2d(points).shape[0])},
+            witness=None if worst <= 0.0 else np.array(pts[i]),
+            details={"n_points": len(pts)},
         )
 
     @staticmethod
@@ -124,7 +189,8 @@ class SwitchedSystem:
         return self.fields[gamma]
 
     def rhs(self, x: np.ndarray, gamma: int) -> np.ndarray:
-        return np.asarray(self.fields[gamma](x), dtype=float)
+        """Field of mode gamma, row-wise (see :func:`evaluate_rows`)."""
+        return evaluate_rows(self.fields[gamma], x)
 
 
 @dataclass(frozen=True)
@@ -343,14 +409,14 @@ def integrate(
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
 
-def _row_norms(z: np.ndarray) -> np.ndarray:
+def row_norms(z: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, to the last bit (unlike ``norm(axis=1)``)."""
     return np.sqrt(np.vecdot(z, z))
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
     """scipy's RMS norm of each row."""
-    return _row_norms(z) / z.shape[1] ** 0.5
+    return row_norms(z) / z.shape[1] ** 0.5
 
 
 def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
@@ -362,8 +428,8 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     initial-step selection, stage sums, error norm and step controller,
     mirrored line by line, with every scalar power taken per row as a
     Python float power (libm ``pow``, as in scipy's scalar arithmetic).
-    The field is called with one row's (n,) state at a time, so it needs
-    no batched form.  Returns, per start in
+    The field is called once per stage on the stack of running rows, so
+    it must be row-wise (see :func:`evaluate_rows`).  Returns, per start in
     order, its states at t = 0 and after every accepted step as a (k, n)
     array, or the :class:`FiniteEscapeError` of a start whose norm passed
     ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
@@ -390,9 +456,9 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         """Field value of each live row.  A row whose value is not finite
         records its StiffnessError, leaves ``live`` and reads zero."""
         F = np.zeros_like(Y)
-        idx = np.flatnonzero(live).tolist()
-        if idx:
-            F[idx] = [f(Y[r]) for r in idx]
+        idx = np.flatnonzero(live)
+        if idx.size:
+            F[idx] = evaluate_rows(f, Y[idx])
         for r in np.flatnonzero(live & ~np.isfinite(F).all(axis=1)).tolist():
             errors[int(rows[r])] = StiffnessError(
                 f"vector field returned non-finite values at t ~ {float(t[r]):.6g}")
@@ -443,8 +509,8 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         K[:, S] = f_new = field(t + h, y_new, live)
         # DOP853._estimate_error_norm and the controller, per row
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = _row_norms(np.matmul(KT, E5) / scale).tolist()
-        e3 = _row_norms(np.matmul(KT, E3) / scale).tolist()
+        e5 = row_norms(np.matmul(KT, E5) / scale).tolist()
+        e3 = row_norms(np.matmul(KT, E3) / scale).tolist()
         accepted = np.zeros(rows.size, dtype=bool)
         h_abs = np.abs(h)
         for r in np.flatnonzero(live).tolist():
@@ -464,10 +530,11 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         y = np.where(accepted[:, None], y_new, y)
         fy = np.where(accepted[:, None], f_new, fy)
         fresh = accepted
-        norms = _row_norms(y).tolist()
+        norms = row_norms(y).tolist()
+        finite = np.isfinite(y).all(axis=1)
         for r in np.flatnonzero(accepted).tolist():
             i = int(rows[r])
-            if not np.all(np.isfinite(y[r])):
+            if not finite[r]:
                 errors[i] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
                 live[r] = False
             elif norms[r] > opts.bound:
@@ -500,9 +567,9 @@ def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: f
         if (window_ok and value_ok) or hi - lo <= 4e-16 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        if rule(dense(mid)) != gamma:
-            hi = mid
-            x_hi = dense(hi)
+        x_mid = dense(mid)
+        if rule(x_mid) != gamma:
+            hi, x_hi = mid, x_mid
         else:
             lo = mid
     return hi, np.asarray(x_hi, dtype=float)
@@ -582,13 +649,11 @@ def check_covering_compliance(
 
     ``worst`` is the largest margin; ``details["violations"]`` lists the
     first 100 violating samples as (t, mode, margin), the first of them
-    being the witness.
+    being the witness.  A NaN margin is a violation.
     """
     modes = traj.sample_modes
-    margins = np.array([
-        covering.margin(int(g), x) for g, x in zip(modes, traj.states)
-    ])
-    bad = np.nonzero(margins > tol)[0]
+    margins = evaluate_by_mode(covering.margin, traj.states, modes)
+    bad = np.flatnonzero(~(margins <= tol))
     violations = tuple(
         (float(traj.times[i]), int(modes[i]), float(margins[i])) for i in bad[:100]
     )
@@ -610,6 +675,8 @@ def write_trajectory_csv(traj: Trajectory, path, V=None) -> None:
     if V is not None:
         header += ",V"
     modes = traj.sample_modes
+    if V is not None:
+        values = evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g), traj.states, modes)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for k in range(traj.times.size):
@@ -617,7 +684,7 @@ def write_trajectory_csv(traj: Trajectory, path, V=None) -> None:
             row += [fmt17(v) for v in traj.states[k]]
             row.append(str(int(modes[k])))
             if V is not None:
-                row.append(fmt17(V.value(traj.states[k], int(modes[k]))))
+                row.append(fmt17(values[k]))
             fh.write(",".join(row) + "\n")
 
 
@@ -634,6 +701,8 @@ __all__ = [
     "advance_starts",
     "check_covering_compliance",
     "check_equilibrium",
+    "evaluate_by_mode",
+    "evaluate_rows",
     "integrate",
     "integrate_feedback",
     "modes_containing_origin",

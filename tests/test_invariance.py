@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchcert import invariance
 from switchcert.invariance import (
     _greedy_clusters,
     check_same_mode_constancy,
@@ -256,6 +257,63 @@ def test_omega_sharp_csv(tmp_path, ex1_batch):
 
 
 # -- projection ------------------------------------------------------------------
+
+
+def _reference_omega_sharp(traj, tail_fraction, cluster_tol, r_min=None, min_hits=1):
+    """omega_sharp's (states, modes, dwells, counts) with one member norm per representative."""
+    idx = np.nonzero(traj.times >= traj.horizon * (1.0 - tail_fraction))[0]
+    if r_min is None:
+        gap = traj.signal.min_switch_gap()
+        r_min = 0.0 if math.isinf(gap) else gap / 2.0
+    gaps = traj.signal.gaps_to_next_switch(traj.times[idx])
+    keep = gaps >= r_min
+    idx, gaps = idx[keep], gaps[keep]
+    modes = traj.sample_modes[idx]
+    states_out, modes_out, dwells_out, counts_out = [], [], [], []
+    for gamma in np.unique(modes):
+        sel = modes == gamma
+        reps, counts = invariance._greedy_clusters(traj.states[idx[sel]], cluster_tol)
+        mode_gaps = gaps[sel]
+        pts = traj.states[idx[sel]]
+        for rep, cnt in zip(reps, counts):
+            if cnt < min_hits:
+                continue
+            members = np.linalg.norm(pts - rep, axis=1) <= cluster_tol
+            if not np.any(members):
+                members = np.array([np.argmin(np.linalg.norm(pts - rep, axis=1))])
+            states_out.append(rep)
+            modes_out.append(int(gamma))
+            dwells_out.append(float(np.median(mode_gaps[members])))
+            counts_out.append(int(cnt))
+    return (np.array(states_out).reshape(-1, traj.dimension), np.array(modes_out, dtype=np.int64),
+            np.array(dwells_out), np.array(counts_out, dtype=np.int64))
+
+
+def _assert_omega_sharp_matches_reference(traj, tol, min_hits=1):
+    est = omega_sharp(traj, 0.5, tol, min_hits=min_hits)
+    want = _reference_omega_sharp(traj, 0.5, tol, min_hits=min_hits)
+    for got, expected in zip((est.states, est.modes, est.dwells, est.counts), want):
+        assert np.array_equal(got.reshape(expected.shape), expected)
+
+
+@pytest.mark.parametrize("block", [invariance._DISTANCE_BLOCK, 1, 700])
+def test_omega_sharp_matches_per_representative_loop(monkeypatch, block, ex1_batch,
+                                                     two_centers_batch, zero_trajectory):
+    monkeypatch.setattr(invariance, "_DISTANCE_BLOCK", block)  # 1: one representative per block
+    trajs = list(two_centers_batch.trajectories[:4]) + list(ex1_batch.trajectories[:2])
+    for traj in trajs + [zero_trajectory]:
+        for tol, min_hits in ((TOL, 1), (1e-3, 1), (0.1, 3)):
+            _assert_omega_sharp_matches_reference(traj, tol, min_hits)
+
+
+def test_omega_sharp_drifted_centroid_takes_nearest_member(monkeypatch, two_centers_batch):
+    # a representative that no sample lies within tol of takes its nearest sample's dwell
+    def with_stray(points, tol):
+        reps, counts = _greedy_clusters(points, tol)
+        return np.vstack([reps, points[:1] + 5.0 * tol]), np.append(counts, 1)
+
+    monkeypatch.setattr(invariance, "_greedy_clusters", with_stray)
+    _assert_omega_sharp_matches_reference(two_centers_batch.trajectories[0], TOL)
 
 
 def test_project_states_dedupes():

@@ -17,7 +17,12 @@ from switchcert.lyapunov import (
     finite_difference_gradient,
     lie_derivative,
 )
-from switchcert.scenarios import builtin_scenario, rotation
+from switchcert.scenarios import (
+    builtin_scenario,
+    example2_outputs,
+    rotation,
+    squared_norm_candidate,
+)
 from switchcert.signals import ModeSet, SwitchingSignal
 from switchcert.systems import (
     Covering,
@@ -125,7 +130,7 @@ def test_class_k_radial_candidate(ex1_scenario):
 
 
 def test_class_k_offset_fails(ex1_scenario):
-    V = LyapunovCandidate(value=lambda x, g: float(np.dot(x, x)) + 1.0)
+    V = LyapunovCandidate(value=lambda x, g: np.vecdot(x, x) + 1.0)
     rep = check_class_k_bounds(V, ex1_scenario.system, REGION)
     assert not rep.passed
     assert any("origin" in r for r in rep.reasons)
@@ -134,7 +139,7 @@ def test_class_k_offset_fails(ex1_scenario):
 def test_class_k_degenerate_direction_fails(ex1_scenario):
     m = ModeSet(2)
     sys_ = SwitchedSystem(2, dict(ex1_scenario.system.fields), m, Covering.trivial(m))
-    V = LyapunovCandidate(value=lambda x, g: float(x[0] ** 2))
+    V = LyapunovCandidate(value=lambda x, g: x.T[0] * x.T[0])
     rep = check_class_k_bounds(V, sys_, REGION)
     assert not rep.passed  # vanishes on the x2 axis, which the shells hit
     assert any("positive" in r for r in rep.reasons)
@@ -247,14 +252,14 @@ def test_probe_requires_positive_delta(ex2_scenario):
 def _cubic_escape_case():
     """x' = x |x|^2 from 6 starts with 5 <= |x0| <= 10 escapes |x| > 50 at once."""
     m = ModeSet(1)
-    sys_ = SwitchedSystem(2, {1: lambda x: x * np.dot(x, x)}, m, Covering.trivial(m))
+    sys_ = SwitchedSystem(2, {1: lambda x: (x.T * np.vecdot(x, x)).T}, m, Covering.trivial(m))
     region = SampleRegion(5.0, 10.0, n_radii=2, n_directions=2, n_random=2, seed=0)
     return sys_, region, IntegratorOptions(bound=50.0, max_dx=math.inf)
 
 
 def test_probe_skips_escaping_starts():
     sys_, region, opts = _cubic_escape_case()
-    W = OutputFamily({1: lambda x: float(np.dot(x, x))})
+    W = OutputFamily({1: lambda x: np.vecdot(x, x)})
     rep = distinguishability_probe(sys_, W, 1, 5.0, region, threshold=1e-9, opts=opts)
     assert rep.skipped  # cubic growth escapes the tight bound
 
@@ -273,8 +278,7 @@ def test_probe_rejects_finite_max_dx(ex2_scenario):
                                  opts=IntegratorOptions(max_dx=0.05))
 
 
-def _first_coordinate_squared(x: np.ndarray) -> float:
-    return float(x[0]) ** 2
+_first_coordinate_squared = example2_outputs().functions[1]  # x1 ** 2, row-wise
 
 
 def _reference_probe(system, W, gamma, delta, region, threshold=None, opts=None):
@@ -355,6 +359,275 @@ def test_probe_matches_per_start_integrate_escaping_cubic():
     # a window short enough that part of the starts stay inside the bound
     _assert_probe_matches_reference(sys_, OutputFamily({1: _first_coordinate_squared}), 1,
                                     0.01, region, 1e-9, opts)
+
+
+# -- batched region and trajectory checks against per-point loops -------------------------
+
+
+def _reference_fd_gradient(value, x, gamma):
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (value(x + e, gamma) - value(x - e, gamma)) / (2.0 * h)
+    return grad
+
+
+def _reference_grad(V, x, gamma):
+    if V.gradient is not None:
+        return np.asarray(V.gradient(x, gamma), dtype=float)
+    return _reference_fd_gradient(V.value, x, gamma)
+
+
+def _reference_lie(V, system, x, gamma):
+    return float(np.dot(_reference_grad(V, x, gamma), np.asarray(system.fields[gamma](x))))
+
+
+def _inside(system, gamma, x):
+    return float(system.covering.boundaries[gamma](x)) <= 0.0
+
+
+def _reference_gradient_consistency(V, system, region):
+    """(worst, witness, n_points) of check_gradient_consistency, one point at a time."""
+    worst, witness = 0.0, None
+    pts = region.all_points(system.dimension)
+    for gamma in system.modes.labels:
+        for x in pts:
+            g_sup = _reference_grad(V, x, gamma)
+            g_fd = _reference_fd_gradient(V.value, x, gamma)
+            err = float(np.linalg.norm(g_sup - g_fd) / max(1.0, np.linalg.norm(g_sup)))
+            if err > worst:
+                worst, witness = err, (np.array(x), gamma)
+    return worst, witness, len(pts) * system.modes.size
+
+
+def _reference_decrease_on_covering(V, system, region):
+    """(worst, witness, n_checked) of check_decrease_on_covering, one point at a time."""
+    worst, witness, n_checked = -math.inf, None, 0
+    for gamma in system.modes.labels:
+        for x in region.all_points(system.dimension):
+            if _inside(system, gamma, x):
+                n_checked += 1
+                ld = _reference_lie(V, system, x, gamma)
+                if ld > worst:
+                    worst, witness = ld, (np.array(x), gamma)
+    return worst, witness, n_checked
+
+
+def _reference_shell_tables(V, system, region):
+    """Per shell: min and max of V, and the largest Lie derivative, one point at a time."""
+    lower, upper, lie = [], [], []
+    for _, pts in region.shell_points(system.dimension):
+        pairs = [(gamma, x) for gamma in system.modes.labels for x in pts
+                 if _inside(system, gamma, x)]
+        vals = [float(V.value(x, gamma)) for gamma, x in pairs]
+        lower.append(min(vals) if vals else math.nan)
+        upper.append(max(vals) if vals else math.nan)
+        w = -math.inf
+        for gamma, x in pairs:
+            w = max(w, _reference_lie(V, system, x, gamma))
+        lie.append(w)
+    return np.array(lower), np.array(upper), np.array(lie)
+
+
+def _reference_return_monotonicity(V, traj, tol):
+    """(worst, witness) of both sub-checks of check_return_monotonicity, sample by sample."""
+    sig = traj.signal
+    edge_times = np.concatenate([[0.0], sig.switch_times])
+    worst_a, witness_a = -math.inf, None
+    end_min = {}
+    for i in range(edge_times.size):
+        gamma = int(sig.modes[i])
+        if gamma in end_min:
+            rise = float(V.value(traj.state_at_sample(float(edge_times[i])), gamma)) - end_min[gamma]
+            if rise > worst_a:
+                worst_a, witness_a = rise, (float(edge_times[i]), gamma)
+        if i + 1 < edge_times.size:
+            v_end = float(V.value(traj.state_at_sample(float(edge_times[i + 1])), gamma))
+            end_min[gamma] = min(end_min.get(gamma, math.inf), v_end)
+    worst_b, witness_b = -math.inf, None
+    run_min = {}
+    for k in range(traj.times.size):
+        gamma = int(traj.sample_modes[k])
+        v, t = float(V.value(traj.states[k], gamma)), float(traj.times[k])
+        if gamma in run_min:
+            v_min, t_min = run_min[gamma]
+            if v - v_min > worst_b:
+                worst_b, witness_b = v - v_min, (t_min, t, gamma)
+            if v < v_min:
+                run_min[gamma] = (v, t)
+        else:
+            run_min[gamma] = (v, t)
+    worst_a, worst_b = (0.0 if w == -math.inf else w for w in (worst_a, worst_b))
+    return ((worst_a, None if worst_a <= tol else witness_a),
+            (worst_b, None if worst_b <= tol else witness_b))
+
+
+def _three_d_field(x):
+    a, b, c = x.T
+    return np.array([-a + 0.5 * b * c, -b - 0.5 * a * c, 0.1 * a - c]).T
+
+
+def _below_slab(x):
+    return x.T[2] - 0.5
+
+
+def _above_slab(x):
+    return -0.5 - x.T[2]
+
+
+def _region_check_cases():
+    ex1 = builtin_scenario("example1")
+    m = ModeSet(2)
+    flipped = SwitchedSystem(2, {1: lambda x: -ex1.system.fields[1](x), 2: rotation}, m,
+                             ex1.system.covering)
+    bare = LyapunovCandidate(value=ex1.V.value)  # finite differences
+    slabs = SwitchedSystem(3, {1: _three_d_field, 2: lambda x: -_three_d_field(x)}, m,
+                           Covering({1: _below_slab, 2: _above_slab}))
+    cases = [(builtin_scenario(name).V, builtin_scenario(name).system)
+             for name in ("example1", "example2", "two_centers")]
+    return cases + [(ex1.V, flipped), (bare, ex1.system), (ex1.V, slabs), (bare, slabs)]
+
+
+def _assert_same_witness(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("region", [REGION, SampleRegion(0.1, 3.0),
+                                    SampleRegion(0.2, 2.0, n_radii=6, n_directions=5, seed=7)],
+                         ids=["small", "default", "odd"])
+def test_region_checks_match_per_point_reference(region):
+    cases = _region_check_cases()
+    for V, system in cases:
+        rep = check_gradient_consistency(V, system, region)
+        if V.gradient is not None:
+            worst, witness, n_points = _reference_gradient_consistency(V, system, region)
+            assert (rep.worst, rep.details["n_points"]) == (worst, n_points)
+            _assert_same_witness(rep.witness, None if rep.passed else witness)
+        rep = check_decrease_on_covering(V, system, region)
+        worst, witness, n_checked = _reference_decrease_on_covering(V, system, region)
+        assert (rep.worst, rep.details["n_checked"]) == (worst, n_checked)
+        _assert_same_witness(rep.witness, None if rep.passed else witness)
+        lower, upper, lie = _reference_shell_tables(V, system, region)
+        classk = check_class_k_bounds(V, system, region)
+        assert np.array_equal(classk.lower, lower, equal_nan=True)
+        assert np.array_equal(classk.upper, upper, equal_nan=True)
+        assert np.array_equal(check_strict_decrease(V, system, region).worst, lie)
+    # the flipped focus is the failing case, with a witness
+    assert not check_decrease_on_covering(*cases[3], region).passed
+
+
+def test_return_monotonicity_matches_per_sample_reference(ex1_batch, ex2_batch,
+                                                          two_centers_batch, center_orbit):
+    ex1, ex2 = builtin_scenario("example1"), builtin_scenario("example2")
+    cases = [(ex1.V, t) for t in ex1_batch.trajectories[:6]]
+    cases += [(ex2.V, t) for t in ex2_batch.trajectories[:3]]
+    cases += [(ex1.V, t) for t in two_centers_batch.trajectories[:3]]
+    cases += [(ex1.V, center_orbit), (ex1.V, reverse_trajectory(ex1_batch.trajectories[0])),
+              (ex2.V, reverse_trajectory(ex2_batch.trajectories[0]))]
+    failing = 0
+    for V, traj in cases:
+        for tol in (1e-7, 0.0):
+            rep = check_return_monotonicity(V, traj, tol)
+            want = _reference_return_monotonicity(V, traj, tol)
+            for key, (worst, witness) in zip(("across_switches", "across_samples"), want):
+                sub = rep.details[key]
+                assert (sub.worst, sub.witness, sub.passed) == (worst, witness, worst <= tol)
+            failing += not rep.passed
+    assert failing > 0
+
+
+# -- NaN fails the sampled checks --------------------------------------------------------------
+
+
+def _nan_left_field(x):
+    """x' = -x, but NaN on x1 <= 0.5."""
+    return np.where((x.T[0] <= 0.5)[..., None], np.nan, -x)
+
+
+def _nan_left_gradient(x, gamma):
+    return np.where((x.T[0] <= 0.5)[..., None], np.nan, 2.0 * x)
+
+
+def _nan_case():
+    m = ModeSet(1)
+    system = SwitchedSystem(2, {1: _nan_left_field}, m, Covering.trivial(m))
+    return system, LyapunovCandidate(squared_norm_candidate().value, _nan_left_gradient)
+
+
+def test_nan_fails_gradient_and_decrease_checks_with_first_nan_witness():
+    system, V = _nan_case()
+    pts = REGION.all_points(2)
+    first_nan = pts[int(np.argmax(pts[:, 0] <= 0.5))]
+    for check in (check_gradient_consistency, check_decrease_on_covering):
+        rep = check(V, system, REGION)
+        assert not rep.passed and math.isnan(rep.worst)
+        assert np.array_equal(rep.witness[0], first_nan) and rep.witness[1] == 1
+
+
+def test_nan_fails_strict_decrease_on_every_shell():
+    system, V = _nan_case()
+    rep = check_strict_decrease(V, system, REGION)
+    assert not rep.passed  # every shell has points with x1 <= 0.5
+    assert np.all(np.isnan(rep.worst))
+
+
+def _nan_left_value(x, gamma):
+    return np.where(x.T[0] < 0.0, np.nan, np.vecdot(x, x))
+
+
+def test_nan_fails_class_k_and_monotonicity(ex1_scenario, center_orbit):
+    V = LyapunovCandidate(_nan_left_value)
+    classk = check_class_k_bounds(V, ex1_scenario.system, REGION)
+    assert not classk.passed and any("NaN" in r for r in classk.reasons)
+    rep = check_return_monotonicity(V, center_orbit, tol=1e-7)
+    first = int(np.argmax(center_orbit.states[:, 0] < 0.0))
+    assert not rep.passed and math.isnan(rep.worst)
+    assert rep.witness[1:] == (float(center_orbit.times[first]), 2)
+
+
+def _nan_left_output(x):
+    return np.where(x.T[0] <= 0.5, np.nan, 1.0)
+
+
+def test_nan_output_fails_the_probe(ex2_scenario):
+    small = SampleRegion(0.1, 1.0, n_radii=3, n_directions=4, n_random=8, seed=6)
+    rep = distinguishability_probe(ex2_scenario.system, OutputFamily({1: _nan_left_output}),
+                                   1, 0.1, small, threshold=1e-12)
+    assert not rep.passed and math.isnan(rep.min_peak)
+    assert np.array_equal(rep.witness, small.all_points(2)[0])  # (0.1, 0) reads NaN at once
+
+
+# -- per-point functions are rejected -------------------------------------------------------------
+
+
+def _per_point_rotation(x):
+    return np.array([-x[1], x[0]])
+
+
+def test_per_point_field_raises_type_error_in_batched_callers():
+    m = ModeSet(1)
+    system = SwitchedSystem(2, {1: _per_point_rotation}, m, Covering.trivial(m))
+    W = OutputFamily({1: _first_coordinate_squared})
+    with pytest.raises(TypeError, match="_per_point_rotation is not row-wise"):
+        distinguishability_probe(system, W, 1, 0.1, REGION)
+    with pytest.raises(TypeError, match="_per_point_rotation is not row-wise"):
+        check_decrease_on_covering(squared_norm_candidate(), system, REGION)
+    # one state at a time it is a valid field
+    assert abs(lie_derivative(squared_norm_candidate(), system, np.array([0.3, 0.4]), 1)) < 1e-15
+
+
+def test_finite_difference_gradient_rowwise_matches_per_point():
+    V = builtin_scenario("example2").V
+    pts = SampleRegion(0.1, 3.0).all_points(2)
+    for value in (V.value, _nan_left_value):
+        got = finite_difference_gradient(value, pts, 1)
+        want = np.array([_reference_fd_gradient(value, x, 1) for x in pts])
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 # -- sample region determinism ------------------------------------------------------------

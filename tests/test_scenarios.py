@@ -98,3 +98,41 @@ def test_scenarios_pickle_and_simulate_alike(tmp_path):
             assert np.array_equal(traj.states, b.states) and traj.signal == b.signal
             for array in (traj.times, traj.states, traj.signal.switch_times, traj.signal.modes):
                 assert not array.flags.writeable
+
+
+# -- row-wise contract ----------------------------------------------------------
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _rowwise_functions(scenario):
+    """(label, function, extra arguments) of every row-wise function a scenario holds."""
+    sys_ = scenario.system
+    for g in sys_.modes.labels:
+        yield f"field {g}", sys_.fields[g], ()
+        yield f"boundary {g}", sys_.covering.boundaries[g], ()
+        yield f"V {g}", scenario.V.value, (g,)
+        yield f"gradient {g}", scenario.V.gradient, (g,)
+        if scenario.W is not None:
+            yield f"W {g}", scenario.W.functions[g], ()
+
+
+@pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
+                                                 ("example2", "ex2_batch"),
+                                                 ("two_centers", "two_centers_batch")])
+def test_builtin_functions_are_rowwise(request, name, batch_fixture):
+    from switchcert.lyapunov import SampleRegion
+    from switchcert.systems import evaluate_rows
+
+    scenario = builtin_scenario(name)
+    region = SampleRegion(0.1, 3.0).all_points(2)
+    states = np.vstack([t.states for t in request.getfixturevalue(batch_fixture).trajectories[:2]])
+    for pts in (region, states, region[:1], region[:2], states[-2:]):
+        for label, fn, args in _rowwise_functions(scenario):
+            want = np.array([np.asarray(fn(x, *args), dtype=float) for x in pts])
+            # the function itself, on every row, and through the guarded helper
+            got = np.broadcast_to(np.asarray(fn(pts, *args), dtype=float), want.shape)
+            assert np.array_equal(_bits(got), _bits(want)), (label, len(pts))
+            assert np.array_equal(_bits(evaluate_rows(fn, pts, *args)), _bits(want))

@@ -199,6 +199,21 @@ def test_simulate_batch_propagates_blow_up():
 # -- aggregate verdict -----------------------------------------------------------------
 
 
+def _nan_far_left_value(x, gamma):
+    return np.where(x.T[0] < -1.0, np.nan, np.vecdot(x, x))
+
+
+def test_guas_report_keeps_a_nan_worst(ex1_scenario, ex1_batch):
+    # V reads NaN on part of the batch: the entry fails and says so, rather
+    # than quoting the largest finite rise of the other trajectories
+    from switchcert.lyapunov import LyapunovCandidate
+
+    rep = guas_report(replace(ex1_scenario, V=LyapunovCandidate(_nan_far_left_value)), ex1_batch)
+    entry = next(e for e in rep.entries if e.name == "return-monotonicity")
+    assert not entry.passed and math.isnan(entry.data["worst"])
+    assert "rise nan" in entry.summary
+
+
 def test_guas_report_example1(ex1_scenario, ex1_batch):
     rep = guas_report(ex1_scenario, ex1_batch)
     assert rep.hypotheses_ok

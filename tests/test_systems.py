@@ -23,6 +23,7 @@ from switchcert.systems import (
     advance_starts,
     check_covering_compliance,
     check_equilibrium,
+    evaluate_rows,
     integrate,
     integrate_feedback,
     modes_containing_origin,
@@ -55,7 +56,7 @@ def test_covering_membership_and_union():
     assert cov.contains(2, np.array([0.0, 5.0]))
     pts = np.array([[1.0, 1.0], [-2.0, 0.3], [0.0, 0.0]])
     assert cov.check_union(pts).passed
-    holey = Covering({1: lambda x: x[0] + 1.0, 2: lambda x: 1.0 - x[0]})  # |x0| >= 1 only
+    holey = Covering({1: lambda x: x.T[0] + 1.0, 2: lambda x: 1.0 - x.T[0]})  # |x0| >= 1 only
     assert holey.check_union(np.array([[-2.0, 0.0], [3.0, 0.0]])).passed
     rep = holey.check_union(np.array([[-2.0, 0.0], [0.0, 0.0]]))
     assert not rep.passed and rep.worst == pytest.approx(1.0)
@@ -152,7 +153,7 @@ def test_stiffness_error_on_nonfinite_field():
                          ids=["at-start", "mid-run"])
 def test_stiffness_error_on_each_nonfinite_component(bad, x0, t_bad):
     # unit speed along x1; the field turns non-finite once x1 reaches 1
-    sys_ = single_mode_system(lambda x: np.array(bad) if x[0] >= 1.0 else np.array([1.0, 0.0]))
+    sys_ = single_mode_system(lambda x: np.where((x.T[0] >= 1.0)[..., None], bad, [1.0, 0.0]))
     rule = FeedbackRule(lambda x: 1, {1: lambda x: -1.0})
     opts = IntegratorOptions(max_dx=math.inf)
     runs = [
@@ -331,6 +332,99 @@ def test_compliance_swapped_modes_violates():
     assert mode == 1 and margin > 0.0
 
 
+def _reference_compliance(traj, covering, tol):
+    """check_covering_compliance's (worst, violations), one margin call per sample."""
+    margins = np.array([float(covering.boundaries[int(g)](x))
+                        for g, x in zip(traj.sample_modes, traj.states)])
+    bad = np.nonzero(margins > tol)[0]
+    violations = tuple((float(traj.times[i]), int(traj.sample_modes[i]), float(margins[i]))
+                       for i in bad[:100])
+    return float(np.max(margins)), violations
+
+
+def _reference_check_union(covering, points):
+    """Covering.check_union's (worst, witness), one margin call per point and mode."""
+    worst, witness = -math.inf, None
+    for x in np.atleast_2d(points):
+        m = min(float(covering.boundaries[g](x)) for g in covering.boundaries)
+        if m > worst:
+            worst, witness = m, np.array(x)
+    return worst, witness
+
+
+def test_compliance_matches_per_sample_reference(ex1_batch, two_centers_batch):
+    sys_ = builtin_scenario("example1").system
+    swapped = integrate(sys_, [1.0, 0.0], SwitchingSignal(np.array([0.7, 2.0]),
+                                                          np.array([1, 2, 1]), 4.0))
+    trajs = list(ex1_batch.trajectories[:4]) + list(two_centers_batch.trajectories[:4]) + [swapped]
+    for traj in trajs:
+        for cov, tol in ((half_plane_covering(), 1e-6), (half_plane_covering(), 0.0),
+                         (Covering.trivial(ModeSet(2)), 0.0)):
+            rep = check_covering_compliance(traj, cov, tol)
+            worst, violations = _reference_compliance(traj, cov, tol)
+            assert (rep.worst, rep.details["violations"]) == (worst, violations)
+            assert rep.details["n_checked"] == traj.times.size
+            assert rep.witness == (violations[0] if violations else None)
+    assert not check_covering_compliance(swapped, half_plane_covering(), 1e-6).passed
+
+
+def test_check_union_matches_per_point_reference():
+    from switchcert.lyapunov import SampleRegion
+
+    holey = Covering({1: lambda x: x.T[0] + 1.0, 2: lambda x: 1.0 - x.T[0]})
+    for region in (SampleRegion(0.1, 3.0), SampleRegion(0.5, 2.0, n_directions=7, seed=4)):
+        pts = region.all_points(2)
+        for cov in (half_plane_covering(), Covering.trivial(ModeSet(2)), holey):
+            rep = cov.check_union(pts)
+            worst, witness = _reference_check_union(cov, pts)
+            assert rep.worst == worst and rep.passed == (worst <= 0.0)
+            assert rep.witness is None if rep.passed else np.array_equal(rep.witness, witness)
+    assert not holey.check_union(pts).passed
+
+
+def _nan_left_margin(x):
+    """Whole-space region whose boundary reads NaN left of x1 = 0."""
+    return np.where(x.T[0] < 0.0, np.nan, -1.0)
+
+
+def test_nan_margin_fails_compliance_and_union(center_orbit):
+    cov = Covering({1: _nan_left_margin, 2: _nan_left_margin})
+    rep = check_covering_compliance(center_orbit, cov, tol=1e-6)
+    first = int(np.argmax(center_orbit.states[:, 0] < 0.0))
+    assert not rep.passed and math.isnan(rep.worst)
+    assert rep.witness[:2] == (float(center_orbit.times[first]), 2)
+    pts = np.array([[1.0, 0.0], [-1.0, 0.5], [-2.0, 0.0]])
+    union = cov.check_union(pts)
+    assert not union.passed and math.isnan(union.worst)
+    assert np.array_equal(union.witness, pts[1])
+
+
+# -- the row-wise helper ----------------------------------------------------------------
+
+
+def _per_point_rotation(x):
+    return np.array([-x[1], x[0]])
+
+
+def test_evaluate_rows_rejects_per_point_functions():
+    for k in (2, 3):  # k = n = 2 gives wrong numbers of the right shape; k = 3 raises inside
+        stack = np.arange(2.0 * k).reshape(k, 2) + 1.0
+        with pytest.raises(TypeError, match="_per_point_rotation is not row-wise"):
+            evaluate_rows(_per_point_rotation, stack)
+    x = np.array([0.3, -0.2])
+    assert np.array_equal(evaluate_rows(_per_point_rotation, x), rotation(x))
+
+
+def test_evaluate_rows_broadcasts_constants_and_keeps_rows():
+    stack = np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 5.0]])
+    assert np.array_equal(evaluate_rows(lambda x: -1.0, stack), [-1.0, -1.0, -1.0])
+    assert np.array_equal(evaluate_rows(lambda x: np.array([1.0, 0.0]), stack),
+                          np.tile([1.0, 0.0], (3, 1)))
+    out = evaluate_rows(rotation, stack)
+    assert out.flags.c_contiguous and np.array_equal(out, [rotation(x) for x in stack])
+    assert np.array_equal(evaluate_rows(lambda x, g: g * x.T[0], stack, 2.0), [2.0, 6.0, 0.0])
+
+
 # -- trajectory export ------------------------------------------------------------------
 
 
@@ -346,6 +440,15 @@ def test_trajectory_csv_roundtrip(tmp_path, ex1_scenario):
     assert float(cells[1]) == traj.states[-1, 0]
     assert int(cells[3]) == 2
     assert float(cells[4]) == pytest.approx(np.dot(traj.states[-1], traj.states[-1]), rel=1e-15)
+
+
+def test_trajectory_csv_values_match_per_sample_calls(tmp_path, ex1_scenario, ex1_batch):
+    traj = ex1_batch.trajectories[0]
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, V=ex1_scenario.V)
+    column = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+    assert column == [format(float(ex1_scenario.V.value(x, int(g))), ".17g")
+                      for x, g in zip(traj.states, traj.sample_modes)]
 
 
 def test_feedback_integration_deterministic(ex1_scenario):
