@@ -184,14 +184,6 @@ class SwitchingSignal:
         padded = np.concatenate([self.switch_times, [INFINITY]])
         return padded[idx] - np.asarray(ts, dtype=float)
 
-    def switch_count(self, a: float, b: float) -> int:
-        """Number of switch times strictly inside the open interval (a, b)."""
-        if not 0.0 <= a < b:
-            raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-        lo = int(np.searchsorted(self.switch_times, a, side="right"))
-        hi = int(np.searchsorted(self.switch_times, b, side="left"))
-        return hi - lo
-
     def min_switch_gap(self) -> float:
         """Smallest gap between consecutive switch times (+inf if < 2 switches)."""
         if self.n_switches < 2:

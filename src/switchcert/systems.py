@@ -7,19 +7,23 @@ and membership margins are available for compliance checking and event
 location (b == -1 encodes the whole space).
 
 Integration is piecewise: switch times are mandatory mesh points, each
-constancy interval is integrated with an adaptive embedded Runge-Kutta
-stepper (scipy's DOP853), and accepted steps are subdivided
-through the dense interpolant until consecutive samples differ by at
-most ``max_dx``.  State-feedback switching locates region crossings by
-bisection on the active boundary function over the step interpolant.
-The interpolant costs extra field evaluations, so a step builds it only
-when it is split or a crossing is located in it.
+constancy interval is integrated with switchcert's own adaptive DOP853,
+the Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.4-II.6), and accepted steps are
+subdivided through the dense interpolant until consecutive samples differ
+by at most ``max_dx``.  Its tableau values equal those of
+``scipy.integrate.DOP853`` (a test compares them), and its initial step,
+stage sums, error norm, step controller and interpolant take scipy's
+steps and samples bit for bit.  State-feedback switching locates region
+crossings by bisection on the active boundary function over the step
+interpolant.  The interpolant costs extra field evaluations, so a step
+builds it only when it is split or a crossing is located in it.
 
 :func:`advance_starts` steps many starts of one mode over one window
-together, as rows of a single DOP853 whose stage sums, error norms and
-step controller reproduce scipy's per-start solve bit for bit, so that
-every row takes the steps :func:`integrate` would take for it alone.
-It samples accepted steps only and has no interpolant.
+together, as rows of one DOP853 with the same tableau, initial step and
+controller, so that every row takes the steps :func:`integrate` would
+take for it alone.  It samples accepted steps only and has no
+interpolant.
 
 Scenario functions are row-wise: a vector field, covering boundary,
 Lyapunov value or gradient, or output takes one state (n,) or a stack
@@ -41,13 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
 
-from .reports import CheckReport, fmt17, reduce_via_constructor, require_ranges
+from .reports import CheckReport, reduce_via_constructor, require_ranges
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -290,6 +293,170 @@ class Trajectory:
         return self.states[idx]
 
 
+# -- DOP853 -----------------------------------------------------------------
+
+# The Dormand-Prince 8(5,3) tableau with its dense-output extension, to the
+# last bit as scipy's DOP853 holds it.  Stages 0..11 make a step; stage 12
+# is the field at the step's end, and its row of _A holds the weights _B
+# of the step's solution; stages 13..15 are built for the interpolant only,
+# whose coefficients beyond the cubic Hermite part are h * _D . K.
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = np.zeros((16, 16))  # row s holds stage s's weights on stages 0..s-1
+for _s, _row in enumerate([
+        [0.05260015195876773],
+        [0.0197250569845379, 0.0591751709536137],
+        [0.02958758547680685, 0.0, 0.08876275643042054],
+        [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+        [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+        [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023],
+        [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+         20.154067550477894, -43.48988418106996],
+        [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627],
+        [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+         -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+        [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+         27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+         0.6433927460157636],
+        [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+         0.04471061572777259],
+        [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+         -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+         -0.008298],
+        [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+         -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+         -0.00034046500868740456, 0.1413124436746325],
+        [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+         4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+         2.9475147891527724, -9.15095847217987],
+], start=1):
+    _A[_s, :_s] = _row
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+                -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+                0.02265179219836082, 0.0])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+                -0.022355307863886294, 0.0])
+_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+del _s, _row
+_N_STAGES = 12
+_B = _A[_N_STAGES, :_N_STAGES]
+_STAGES = tuple((s, float(_C[s]), _A[s, :s]) for s in range(1, _N_STAGES))
+_EXTRA_STAGES = tuple((s, float(_C[s]), _A[s, :s]) for s in range(_N_STAGES + 1, len(_C)))
+_EXPONENT = 1 / 8  # 1 / (error estimator order + 1)
+_RTOL_FLOOR = 100 * 2.0 ** -52  # 100 eps: a smaller rtol is raised to this
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _norm(z: np.ndarray) -> float:
+    """np.linalg.norm of a vector, to the last bit: the root of its dot product."""
+    return math.sqrt(np.dot(z, z))
+
+
+def row_norms(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, to the last bit (unlike ``norm(axis=1)``)."""
+    return np.sqrt(np.vecdot(z, z))
+
+
+def _rms(z: np.ndarray) -> np.ndarray:
+    """The RMS norm of a vector, or of each row of a stack."""
+    return row_norms(z) / z.shape[-1] ** 0.5
+
+
+def _trial_step(d0: float, d1: float, interval: float) -> float:
+    """The initial step selection's trial step h0, from the RMS norms of the
+    start state and of its field value over the tolerance scale."""
+    return min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+
+
+def _initial_step(h0: float, d1: float, d2: float, interval: float) -> float:
+    """The initial step (Hairer, Norsett & Wanner, II.4), where d2 is the RMS
+    norm over the scale of the field's change across the trial step, over h0."""
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** _EXPONENT)
+    return min(100 * h0, h1, interval)
+
+
+def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tuple[float, bool]:
+    """Error norm of an attempt of size h_abs, and the step-size controller.
+
+    ``e5`` and ``e3`` are the norms of the 5th- and 3rd-order error
+    estimates over the tolerance scale.  Powers are Python float powers,
+    libm ``pow`` as in scipy's scalar arithmetic: ``e ** 2`` is not always
+    ``e * e``.  Returns the next step size and whether the attempt is
+    accepted; once an attempt of a step was rejected, the size may not grow.
+    """
+    n5, n3 = e5 ** 2, e3 ** 2
+    error_norm = 0.0 if n5 == 0 and n3 == 0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * n)
+    if error_norm < 1:
+        factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -_EXPONENT)
+        return h_abs * (min(1, factor) if rejected else factor), True
+    return h_abs * max(0.2, 0.9 * error_norm ** -_EXPONENT), False
+
+
+def _stages(rhs, K: np.ndarray, t: float, y: np.ndarray, h: float, stages) -> None:
+    """K[s] = rhs(t + c h, y + h a.K[:s]) for each (s, c, a) of ``stages``,
+    each stage sum one np.dot over the first s rows of K."""
+    for s, c, a in stages:
+        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+
+
+def _dense_output(rhs, K: np.ndarray, t_old: float, y_old: np.ndarray, y_new: np.ndarray,
+                  h: float):
+    """The interpolant of the step of size h from (t_old, y_old) to y_new.
+
+    K holds the step's stages; the three extra ones are added here, at
+    three more field calls.  The interpolant is a Horner sum in powers of
+    x and 1 - x, x = (t - t_old) / h, taken per component in Python floats
+    in scipy's order, which is elementwise and so equal to the last bit.
+    """
+    _stages(rhs, K, t_old, y_old, h, _EXTRA_STAGES)
+    f_old = K[0]
+    delta_y = y_new - y_old
+    F = np.empty((7, len(y_old)))
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[_N_STAGES] + f_old)
+    F[3:] = h * np.dot(_D, K)
+    coefficients = F[::-1].T.tolist()  # per component, the highest power first
+    base = y_old.tolist()
+
+    def dense(t: float) -> np.ndarray:
+        x = (t - t_old) / h
+        weights = (x, 1 - x) * 3 + (x,)
+        out = []
+        for cs, b in zip(coefficients, base):
+            v = 0.0
+            for c, w in zip(cs, weights):
+                v = (v + c) * w
+            out.append(v + b)
+        return np.array(out)
+
+    return dense
+
+
 # -- integration core -----------------------------------------------------
 
 
@@ -318,7 +485,7 @@ def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     while stack:
         ta, xa, tb, xb = stack.pop()
         if (
-            float(np.linalg.norm(xb - xa)) <= max_dx
+            _norm(xb - xa) <= max_dx
             or tb - ta < 1e-13 * max(1.0, tb)
             or budget <= 0
         ):
@@ -341,52 +508,79 @@ def _start(system: SwitchedSystem, x0: Sequence[float]):
     return x0, IntegratorStats(), [0.0], [x0.copy()]
 
 
-def _check_bounds(t: float, x: np.ndarray, opts: IntegratorOptions) -> None:
-    if not np.all(np.isfinite(x)):
-        raise StiffnessError(f"non-finite state at t ~ {t:.6g}")
-    if float(np.linalg.norm(x)) > opts.bound:
-        raise FiniteEscapeError(t, np.array(x), opts.bound)
-
-
 def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
               opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
               rule: FeedbackRule | None = None):
-    """Advance mode gamma from (t0, x0) to t_end, sampling as we go.
+    """Advance mode gamma from (t0, x0) to t_end > t0, sampling as we go.
 
-    With a feedback ``rule``, the run stops at the first accepted step
-    whose end the rule assigns to another mode, at the crossing located
-    inside that step.  Returns (t, x, stopped_at_crossing).
+    One adaptive DOP853 solve: the field is called once for the start
+    state and once for the initial step selection, twelve times per
+    attempt (eleven stages and the step's end), and three more times for
+    each step whose interpolant is built.  With a feedback ``rule``, the
+    run stops at the first accepted step whose end the rule assigns to
+    another mode, at the crossing located inside that step.  Returns
+    (t, x, stopped_at_crossing).
     """
     f = system.field(gamma)
+    n = system.dimension
+    rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
+    nfev = 0
 
     def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
         out = np.asarray(f(y), dtype=float)
         if not all(map(math.isfinite, out.tolist())):
-            # raised from the field itself so that the solver's constructor,
-            # which evaluates it at the start state, is covered too
             raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
         return out
 
-    solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end,
-                    rtol=opts.rtol, atol=opts.atol)
-    t_prev, x_prev = t0, np.asarray(x0, dtype=float)
+    t, y = t0, np.asarray(x0, dtype=float)
+    fy = rhs(t, y)
+    scale = atol + np.abs(y) * rtol
+    d1 = float(_rms(fy / scale))
+    h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
+    d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
+    h_abs = _initial_step(h0, d1, d2, t_end - t0)
+    K = np.empty((len(_C), n))  # stage s in row s
     crossed = False
-    while solver.status == "running" and not crossed:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(f"stepper failed at t ~ {solver.t:.6g}: {message}")
+    while t < t_end and not crossed:
+        # one step: attempts from h_abs down until one is accepted
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(f"stepper failed at t ~ {t:.6g}: {_TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            K[0] = fy
+            _stages(rhs, K, t, y, h, _STAGES)
+            y_new = y + h * np.dot(K[:_N_STAGES].T, _B)
+            K[_N_STAGES] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            errors = K[:_N_STAGES + 1].T
+            h_abs, accepted = _control(abs(h), _norm(np.dot(errors, _E5) / scale),
+                                       _norm(np.dot(errors, _E3) / scale), n, rejected)
+            if accepted:
+                break
+            rejected = True
         stats.n_steps += 1
-        stats.error_bound_sum += opts.atol + opts.rtol * float(np.linalg.norm(solver.y, np.inf))
-        _check_bounds(solver.t, solver.y, opts)
-        t_new, x_new, make_dense = solver.t, solver.y, solver.dense_output
-        if rule is not None and rule(x_new) != gamma:
-            dense = solver.dense_output()
-            t_new, x_new = _locate_crossing(dense, rule, gamma, t_prev, t_new, opts.event_tol)
+        values = y_new.tolist()
+        stats.error_bound_sum += opts.atol + opts.rtol * max(map(abs, values))
+        if not all(map(math.isfinite, values)):
+            raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
+        if _norm(y_new) > opts.bound:
+            raise FiniteEscapeError(t_new, np.array(y_new), opts.bound)
+        make_dense = partial(_dense_output, rhs, K, t, y, y_new, h)
+        if rule is not None and rule(y_new) != gamma:
+            dense = make_dense()
+            t_new, y_new = _locate_crossing(dense, rule, gamma, t, t_new, opts.event_tol)
             make_dense, crossed = (lambda: dense), True
-        _subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
-        t_prev, x_prev = t_new, x_new
-    stats.n_rhs += solver.nfev
-    return t_prev, x_prev, crossed
+        _subdivide(make_dense, t, y, t_new, y_new, opts.max_dx, ts, xs)
+        t, y, fy = t_new, y_new, f_new
+    stats.n_rhs += nfev
+    return t, y, crossed
 
 
 def integrate(
@@ -409,25 +603,14 @@ def integrate(
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
 
-def row_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, to the last bit (unlike ``norm(axis=1)``)."""
-    return np.sqrt(np.vecdot(z, z))
-
-
-def _rms(z: np.ndarray) -> np.ndarray:
-    """scipy's RMS norm of each row."""
-    return row_norms(z) / z.shape[1] ** 0.5
-
-
 def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
                    opts: IntegratorOptions) -> list:
     """Advance every start under mode gamma over [0, t_end] as rows of one DOP853.
 
     Each row takes exactly the steps that :func:`integrate` takes for that
-    start alone under the constant signal with ``max_dx = inf``: scipy's
-    initial-step selection, stage sums, error norm and step controller,
-    mirrored line by line, with every scalar power taken per row as a
-    Python float power (libm ``pow``, as in scipy's scalar arithmetic).
+    start alone under the constant signal with ``max_dx = inf``: the same
+    tableau, initial step and controller, with each stage sum one matmul
+    per row and every scalar power taken per row as a Python float power.
     The field is called once per stage on the stack of running rows, so
     it must be row-wise (see :func:`evaluate_rows`).  Returns, per start in
     order, its states at t = 0 and after every accepted step as a (k, n)
@@ -443,9 +626,8 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     if y.ndim != 2 or y.shape[1] != system.dimension or not np.all(np.isfinite(y)):
         raise ValueError(f"starts must be finite rows of length {system.dimension}")
     f = system.field(gamma)
-    A, B, C, E3, E5, S = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5, DOP853.n_stages
-    exponent = 1 / (DOP853.error_estimator_order + 1)
-    rtol, atol = max(opts.rtol, 100 * np.finfo(float).eps), opts.atol  # validate_tol
+    S = _N_STAGES
+    rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
     n_rows, n = y.shape
     rows = np.arange(n_rows)  # start index of each row still running
     out: list = [None] * n_rows
@@ -465,20 +647,16 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
             live[r], F[r] = False, 0.0
         return F
 
-    # select_initial_step, with t0 = 0 and direction +1
+    # the initial step of each row, from t = 0
     live = np.ones(n_rows, dtype=bool)
     t = np.zeros(n_rows)
     fy = field(t, y, live)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale).tolist(), _rms(fy / scale).tolist()
-    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, t_end)
-                   for a, b in zip(d0, d1)])
+    h0 = np.array([_trial_step(a, b, t_end) for a, b in zip(d0, d1)])
     f1 = field(h0, y + h0[:, None] * fy, live)
     d2 = (_rms((f1 - fy) / scale) / h0).tolist()
-    h_abs = np.array([
-        min(100 * h, max(1e-6, h * 1e-3) if b <= 1e-15 and c <= 1e-15
-            else (0.01 / max(b, c)) ** exponent, t_end)
-        for h, b, c in zip(h0.tolist(), d1, d2)])
+    h_abs = np.array([_initial_step(h, b, c, t_end) for h, b, c in zip(h0.tolist(), d1, d2)])
     fresh = np.ones(n_rows, dtype=bool)  # a row whose next attempt starts a new step
     rejected = np.zeros(n_rows, dtype=bool)
 
@@ -488,43 +666,34 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         if not rows.size:
             break
         live = np.ones(rows.size, dtype=bool)
-        # RungeKutta._step_impl: one attempt per row, at its own t and step size
+        # one attempt per row, at its own t and step size
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
         rejected &= ~fresh
         for r in np.flatnonzero(h_abs < min_step).tolist():
             errors[int(rows[r])] = StiffnessError(
-                f"stepper failed at t ~ {float(t[r]):.6g}: {DOP853.TOO_SMALL_STEP}")
+                f"stepper failed at t ~ {float(t[r]):.6g}: {_TOO_SMALL_STEP}")
             live[r] = False
         t_new = np.where(t + h_abs - t_end > 0, t_end, t + h_abs)
         h = t_new - t
-        # rk_step, with stage s in K[:, s] and each stage sum one matmul per row
+        # the stages, with stage s in K[:, s]
         K = np.empty((rows.size, S + 1, n))
         KT = K.transpose(0, 2, 1)
         K[:, 0] = fy
         for s in range(1, S):
-            dy = np.matmul(KT[:, :, :s], A[s, :s]) * h[:, None]
-            K[:, s] = field(t + C[s] * h, y + dy, live)
-        y_new = y + h[:, None] * np.matmul(KT[:, :, :S], B)
+            dy = np.matmul(KT[:, :, :s], _A[s, :s]) * h[:, None]
+            K[:, s] = field(t + _C[s] * h, y + dy, live)
+        y_new = y + h[:, None] * np.matmul(KT[:, :, :S], _B)
         K[:, S] = f_new = field(t + h, y_new, live)
-        # DOP853._estimate_error_norm and the controller, per row
+        # the error norm and the controller, per row
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = row_norms(np.matmul(KT, E5) / scale).tolist()
-        e3 = row_norms(np.matmul(KT, E3) / scale).tolist()
+        e5 = row_norms(np.matmul(KT, _E5) / scale).tolist()
+        e3 = row_norms(np.matmul(KT, _E3) / scale).tolist()
         accepted = np.zeros(rows.size, dtype=bool)
         h_abs = np.abs(h)
         for r in np.flatnonzero(live).tolist():
-            h_r = float(h_abs[r])
-            n5, n3 = e5[r] ** 2, e3[r] ** 2
-            error_norm = (0.0 if n5 == 0 and n3 == 0
-                          else h_r * n5 / math.sqrt((n5 + 0.01 * n3) * n))
-            if error_norm < 1:
-                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -exponent)
-                h_abs[r] = h_r * (min(1, factor) if rejected[r] else factor)
-                accepted[r] = True
-            else:
-                h_abs[r] = h_r * max(0.2, 0.9 * error_norm ** -exponent)
-                rejected[r] = True
+            h_abs[r], accepted[r] = _control(float(h_abs[r]), e5[r], e3[r], n, rejected[r])
+        rejected |= live & ~accepted
         # an accepted row moves to the step's end and meets integrate's state guards
         t = np.where(accepted, t_new, t)
         y = np.where(accepted[:, None], y_new, y)
@@ -669,23 +838,25 @@ def check_covering_compliance(
 
 
 def write_trajectory_csv(traj: Trajectory, path, V=None) -> None:
-    """CSV with header ``t,x1,...,xn,sigma[,V]``, one row per sample."""
+    """CSV with header ``t,x1,...,xn,sigma[,V]``, one row per sample.
+
+    Floats are written as ``%.17g``, the text of
+    :func:`~switchcert.reports.fmt17`, one ``%`` format per row.
+    """
     n = traj.dimension
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",sigma"
-    if V is not None:
-        header += ",V"
+    header = ["t", *(f"x{i + 1}" for i in range(n)), "sigma"]
+    row = ",".join(["%.17g"] * (n + 1) + ["%d"])
     modes = traj.sample_modes
+    columns = [traj.times.tolist(), *traj.states.T.tolist(), modes.tolist()]
     if V is not None:
+        header.append("V")
+        row += ",%.17g"
         values = evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g), traj.states, modes)
+        columns.append(values.tolist())
+    row += "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k in range(traj.times.size):
-            row = [fmt17(traj.times[k])]
-            row += [fmt17(v) for v in traj.states[k]]
-            row.append(str(int(modes[k])))
-            if V is not None:
-                row.append(fmt17(values[k]))
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % cells for cells in zip(*columns))
 
 
 __all__ = [

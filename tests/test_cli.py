@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +443,21 @@ def test_perfbench_tracer_wraps_resolve(small_scenario):
     cli_spans = {name for module, _, name, _ in tracing.WRAPS if module == "switchcert.cli"}
     assert cli_spans <= called, cli_spans - called
     assert tracer.counts["systems.write_trajectory_csv.bytes"] > 0
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """``switchcert run`` needs numpy only: no scipy module is ever imported."""
+    code = (
+        "import sys\n"
+        "from switchcert.cli import main\n"
+        f"assert main(['run', 'example1', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "guas_report.txt").exists()
 
 
 def test_run_file_signal_source(tmp_path):

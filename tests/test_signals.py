@@ -160,28 +160,6 @@ def test_next_switch_monotone(s, n, t):
         assert a > t
 
 
-# -- switch_count ----------------------------------------------------------------
-
-
-def test_switch_count_basic():
-    s = sig([1.0, 2.5], [1, 2, 1], 5.0)
-    assert s.switch_count(0.5, 2.6) == 2
-    assert s.switch_count(1.0, 2.5) == 0  # open interval excludes endpoints
-
-
-def test_switch_count_four():
-    s = sig([1.0, 2.0, 3.0, 4.0], [1, 2, 1, 2, 1], 5.0)
-    assert s.switch_count(0.9, 3.1) == 3
-
-
-def test_switch_count_domain_error():
-    s = sig([1.0], [1, 2], 5.0)
-    with pytest.raises(ValueError):
-        s.switch_count(2.0, 2.0)
-    with pytest.raises(ValueError):
-        s.switch_count(-1.0, 2.0)
-
-
 # -- ADT validation ---------------------------------------------------------------
 
 

@@ -1,17 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 
+from switchcert import systems
+from switchcert.reports import fmt17
 from switchcert.scenarios import (
     builtin_scenario,
+    damped_rotation,
     half_plane_covering,
     half_plane_rule,
     rotation,
     saturating_pull,
+    spiral_focus,
 )
-from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, validate_adt
+from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, generate_adt, validate_adt
 from switchcert.systems import (
     ChatteringError,
     Covering,
@@ -20,6 +28,7 @@ from switchcert.systems import (
     IntegratorOptions,
     StiffnessError,
     SwitchedSystem,
+    Trajectory,
     advance_starts,
     check_covering_compliance,
     check_equilibrium,
@@ -198,6 +207,224 @@ def test_unsplit_steps_skip_the_interpolant():
     assert coarse.stats.n_steps == fine.stats.n_steps
     # and the interpolant's extra field evaluations are paid only by split steps
     assert coarse.stats.n_rhs < fine.stats.n_rhs
+
+
+# -- the DOP853 step loop against scipy's -----------------------------------------------
+
+
+def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=None):
+    """``systems._run_mode`` as it was when it stepped scipy's DOP853 solver object."""
+    f = system.field(gamma)
+
+    def rhs(t, y):
+        out = np.asarray(f(y), dtype=float)
+        if not all(map(math.isfinite, out.tolist())):
+            raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
+        return out
+
+    solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end, rtol=opts.rtol, atol=opts.atol)
+    t_prev, x_prev = t0, np.asarray(x0, dtype=float)
+    crossed = False
+    while solver.status == "running" and not crossed:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(f"stepper failed at t ~ {solver.t:.6g}: {message}")
+        stats.n_steps += 1
+        stats.error_bound_sum += opts.atol + opts.rtol * float(np.linalg.norm(solver.y, np.inf))
+        if not np.all(np.isfinite(solver.y)):
+            raise StiffnessError(f"non-finite state at t ~ {solver.t:.6g}")
+        if float(np.linalg.norm(solver.y)) > opts.bound:
+            raise FiniteEscapeError(solver.t, np.array(solver.y), opts.bound)
+        t_new, x_new, make_dense = solver.t, solver.y, solver.dense_output
+        if rule is not None and rule(x_new) != gamma:
+            dense = solver.dense_output()
+            t_new, x_new = systems._locate_crossing(dense, rule, gamma, t_prev, t_new,
+                                                    opts.event_tol)
+            make_dense, crossed = (lambda: dense), True
+        systems._subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
+        t_prev, x_prev = t_new, x_new
+    stats.n_rhs += solver.nfev
+    return t_prev, x_prev, crossed
+
+
+def _outcome(run):
+    """The trajectory a run returns, or the type, text and data of the error it raises."""
+    try:
+        return run()
+    except (StiffnessError, FiniteEscapeError, ChatteringError) as exc:
+        state = getattr(exc, "state", None)
+        return (type(exc), str(exc), getattr(exc, "escape_time", None),
+                None if state is None else state.tolist())
+
+
+def _assert_matches_scipy(run):
+    """``run()`` gives the same samples, counts and errors as with scipy's DOP853 stepping."""
+    got = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "At least one element of `rtol` is too small")
+        mp.setattr(systems, "_run_mode", _reference_run_mode)
+        want = _outcome(run)
+    if not isinstance(want, Trajectory):
+        assert got == want
+        return
+    assert isinstance(got, Trajectory), got
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+    assert got.stats == want.stats  # n_steps, n_rhs, n_events and error_bound_sum, exactly
+    assert got.signal == want.signal
+
+
+def test_tableau_equals_scipy():
+    same = [
+        (systems._A[:12, :12], DOP853.A), (systems._B, DOP853.B), (systems._C[:12], DOP853.C),
+        (systems._E3, DOP853.E3), (systems._E5, DOP853.E5), (systems._D, DOP853.D),
+        (systems._A[13:], DOP853.A_EXTRA), (systems._C[13:], DOP853.C_EXTRA),
+    ]
+    for ours, theirs in same:
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    assert systems._N_STAGES == DOP853.n_stages
+    assert systems._EXPONENT == 1 / (DOP853.error_estimator_order + 1)
+    assert systems._RTOL_FLOOR == 100 * np.finfo(float).eps
+    assert systems._TOO_SMALL_STEP == DOP853.TOO_SMALL_STEP
+
+
+def test_error_norm_and_controller_match_scipy():
+    # about 0.1% of squares e ** 2 (libm pow) differ from e * e in the last bit,
+    # so twenty thousand draws catch a square taken the other way
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+
+    rng = np.random.default_rng(5)
+    exponent = -1 / (DOP853.error_estimator_order + 1)
+    for _ in range(20_000):
+        n = int(rng.integers(1, 4))
+        K = rng.normal(size=(13, n))
+        scale = rng.uniform(0.5, 2.0, n)
+        h = float(10.0 ** rng.uniform(-2.5, 0.5))
+        rejected = bool(rng.integers(2))
+        error_norm = DOP853._estimate_error_norm(DOP853, K, h, scale)
+        if error_norm < 1:
+            factor = (MAX_FACTOR if error_norm == 0
+                      else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
+            want = (h * (min(1, factor) if rejected else factor), True)
+        else:
+            want = (h * max(MIN_FACTOR, SAFETY * error_norm ** exponent), False)
+        e5, e3 = (systems._norm(np.dot(K.T, E) / scale) for E in (systems._E5, systems._E3))
+        assert systems._control(h, e5, e3, n, rejected) == want
+
+
+_BUILTIN_FIELDS = (spiral_focus, rotation, damped_rotation, saturating_pull)
+_OPTIONS = st.builds(
+    IntegratorOptions,
+    rtol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
+    atol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    max_dx=st.sampled_from([0.05, 0.5, math.inf]),
+    max_switches=st.just(200),
+)
+
+
+@st.composite
+def _planar_pairs(draw):
+    m = ModeSet(2)
+    fields = {g: draw(st.sampled_from(_BUILTIN_FIELDS)) for g in m.labels}
+    return SwitchedSystem(2, fields, m, Covering.trivial(m))
+
+
+_STARTS = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planar_pairs(), _STARTS, st.integers(0, 2**32 - 1),
+       st.sampled_from([AdtClass(0.5, 2), AdtClass(0.2, 1), AdtClass(1.5, 3)]), _OPTIONS)
+def test_integrate_matches_scipy_under_adt_signals(system, x0, seed, adt, opts):
+    signal = generate_adt(seed, adt, system.modes, 10.0)
+    _assert_matches_scipy(lambda: integrate(system, x0, signal, opts))
+
+
+def _line_side(x, normal, offset):
+    return normal[0] * x[0] + normal[1] * x[1] - offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planar_pairs(), _STARTS, st.floats(0.0, 2 * math.pi), st.floats(-0.5, 0.5), _OPTIONS)
+def test_integrate_feedback_matches_scipy(system, x0, angle, offset, opts):
+    # mode 1 on the open side {n.x < offset} of a line, mode 2 on the closed other side
+    normal = (math.cos(angle), math.sin(angle))
+    rule = FeedbackRule(lambda x: 1 if _line_side(x, normal, offset) < 0 else 2,
+                        {1: lambda x: _line_side(x, normal, offset),
+                         2: lambda x: -_line_side(x, normal, offset)})
+    _assert_matches_scipy(lambda: integrate_feedback(system, x0, rule, 10.0, opts))
+
+
+def _van_der_pol(x):
+    return np.array([x[1], 5.0 * (1.0 - x[0] ** 2) * x[1] - x[0]])
+
+
+def test_steps_with_rejections_match_scipy():
+    sys_ = single_mode_system(_van_der_pol)
+    opts = IntegratorOptions(rtol=1e-6, atol=1e-9, max_dx=math.inf)
+    traj = integrate(sys_, [2.0, 0.0], SwitchingSignal.constant(1, 20.0), opts)
+    attempts = (traj.stats.n_rhs - 2) // 12  # two calls to start, twelve per attempt
+    assert attempts > traj.stats.n_steps  # some attempts were rejected
+    for max_dx in (math.inf, 0.1):
+        opts = IntegratorOptions(rtol=1e-6, atol=1e-9, max_dx=max_dx)
+        _assert_matches_scipy(
+            lambda: integrate(sys_, [2.0, 0.0], SwitchingSignal.constant(1, 20.0), opts))
+
+
+def test_rtol_below_its_floor_matches_scipy():
+    sys_ = builtin_scenario("example2").system
+    opts = IntegratorOptions(rtol=1e-17, atol=1e-20)
+    _assert_matches_scipy(
+        lambda: integrate(sys_, [1.3, -0.7], SwitchingSignal.constant(1, 3.0), opts))
+
+
+def _jump_above_one(x):
+    return np.array([1.0]) if x[0] <= 1.0 else np.array([1e10])
+
+
+def test_window_shorter_than_min_step_matches_scipy():
+    # x stays at 1 until t = 1; the window [1, 1 + 2 ulp] is below the 10 ulp minimum
+    # step, and its stages see the jump, so every attempt is rejected
+    m = ModeSet(2)
+    sys_ = SwitchedSystem(1, {1: lambda x: 0.0 * x, 2: _jump_above_one}, m, Covering.trivial(m))
+    end = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    signal = SwitchingSignal(np.array([1.0, end]), np.array([1, 2, 1]), 2.0)
+    with pytest.raises(StiffnessError, match="Required step size is less than spacing"):
+        integrate(sys_, [1.0], signal)
+    _assert_matches_scipy(lambda: integrate(sys_, [1.0], signal))
+
+
+def _nan_from(threshold):
+    return lambda x: np.array([1.0]) if x[0] < threshold else np.array([math.nan])
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.7], ids=["at-start", "mid-stage"])
+def test_nonfinite_field_matches_scipy(threshold):
+    sys_ = single_mode_system(_nan_from(threshold), dim=1)
+    rule = FeedbackRule(lambda x: 1, {1: lambda x: -1.0})
+    for max_dx in (math.inf, 0.05):
+        opts = IntegratorOptions(max_dx=max_dx)
+        _assert_matches_scipy(lambda: integrate(sys_, [0.0], SwitchingSignal.constant(1, 2.0),
+                                                opts))
+        _assert_matches_scipy(lambda: integrate_feedback(sys_, [0.0], rule, 2.0, opts))
+
+
+@pytest.mark.parametrize("bound, max_dx", [(50.0, 0.05), (50.0, math.inf), (1e9, math.inf)])
+def test_escaping_cubic_matches_scipy(bound, max_dx):
+    # x' = x^3 from 1 escapes at t = 1/2: past |x| = 50, or, under the default
+    # bound, through a step-size collapse first
+    sys_ = single_mode_system(lambda x: x ** 3, dim=1)
+    opts = IntegratorOptions(bound=bound, max_dx=max_dx)
+    _assert_matches_scipy(lambda: integrate(sys_, [1.0], SwitchingSignal.constant(1, 2.0), opts))
+
+
+def test_builtin_batches_match_scipy(ex1_scenario, two_centers_scenario):
+    ex2 = builtin_scenario("example2")
+    signal = generate_adt(3, ex2.source.adt, ex2.system.modes, 20.0)
+    _assert_matches_scipy(lambda: integrate(ex2.system, [1.0, -2.0], signal, ex2.integrator))
+    for scenario in (ex1_scenario, two_centers_scenario):
+        _assert_matches_scipy(lambda: integrate_feedback(
+            scenario.system, [1.3, -0.4], scenario.source.rule, 20.0, scenario.integrator))
 
 
 # -- feedback integration -----------------------------------------------------------
@@ -449,6 +676,56 @@ def test_trajectory_csv_values_match_per_sample_calls(tmp_path, ex1_scenario, ex
     column = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
     assert column == [format(float(ex1_scenario.V.value(x, int(g))), ".17g")
                       for x, g in zip(traj.states, traj.sample_modes)]
+
+
+def _reference_write_trajectory_csv(traj, path, V=None):
+    """The per-cell CSV writer: one fmt17 call per float cell."""
+    n = traj.dimension
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",sigma"
+    if V is not None:
+        header += ",V"
+    modes = traj.sample_modes
+    if V is not None:
+        values = systems.evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g),
+                                          traj.states, modes)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(traj.times.size):
+            row = [fmt17(traj.times[k])]
+            row += [fmt17(v) for v in traj.states[k]]
+            row.append(str(int(modes[k])))
+            if V is not None:
+                row.append(fmt17(values[k]))
+            fh.write(",".join(row) + "\n")
+
+
+_SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
+
+
+class _LastCoordinate:
+    """A stand-in for a Lyapunov candidate: V(x, gamma) = x_n, row-wise."""
+
+    @staticmethod
+    def value(x, gamma):
+        return x.T[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("with_V", [False, True], ids=["no-V", "V"])
+def test_trajectory_csv_matches_per_cell_writer(tmp_path, n, with_V):
+    rng = np.random.default_rng(n)
+    k = 40
+    bits = rng.integers(0, 2**64, size=(k, n), dtype=np.uint64).view(float)
+    specials = np.resize(np.array(_SPECIAL_VALUES), k * n).reshape(k, n)
+    states = np.where(rng.random((k, n)) < 0.5, bits, specials)
+    times = np.concatenate([[0.0, 5e-324, 1e-300], np.cumsum(rng.random(k - 3)) + 1e-300])
+    signal = SwitchingSignal(np.array([times[5], times[20]]), np.array([1, 2, 1]), times[-1] + 1)
+    traj = Trajectory(times, states, signal, systems.IntegratorStats())
+    V = _LastCoordinate() if with_V else None
+    write_trajectory_csv(traj, tmp_path / "new.csv", V=V)
+    _reference_write_trajectory_csv(traj, tmp_path / "ref.csv", V=V)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_feedback_integration_deterministic(ex1_scenario):
