@@ -12,36 +12,51 @@ by the window and tolerance that produced it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .reports import CheckReport, fmt17
+from .reports import CheckReport, fmt17, write_rows
 from .systems import Trajectory
 
 
 _DISTANCE_BLOCK = 1 << 16  # state-distance entries per block of omega_sharp's member test
+_PAIR_BLOCK = 1 << 13  # distance entries per block of the clustering's seed and merge tests
+_PYTHON_MEMBERS = 64  # a seed with more neighbours than this takes them with numpy
 
 # Relative band around tol in which a vectorised distance is not trusted:
-# there the decision is made by the scalar test itself.  Row-wise and
+# there the decision is made by the scalar test itself.  Vectorised and
 # scalar norms differ by a few ulps, far inside this band.
 _TIE_SLACK = 1e-9
 
 
-def _within(x: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the rows b of ``block`` with ``np.linalg.norm(b - x) <= tol``.
+def _within(xs: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
+    """Mask whose entry (r, c) is ``np.linalg.norm(block[c] - xs[r]) <= tol``.
 
-    A row-wise norm decides the rows outside a narrow band around tol;
-    the rows inside it are decided by that scalar test, so every decision
-    equals it bit for bit.
+    A distance summed coordinate by coordinate decides the pairs outside
+    a narrow band around tol; the pairs inside it are decided by that
+    scalar test, so every decision equals it bit for bit.  Negating a
+    difference changes no bit of its norm, so the decision is symmetric.
     """
-    diff = block - x
-    dist = np.linalg.norm(diff, axis=1)
+    sq = (block[:, 0] - xs[:, 0, None]) ** 2
+    for a in range(1, block.shape[1]):
+        sq += (block[:, a] - xs[:, a, None]) ** 2
+    dist = np.sqrt(sq, out=sq)
     mask = dist < tol * (1.0 - _TIE_SLACK)
-    for k in np.flatnonzero(~mask & (dist <= tol * (1.0 + _TIE_SLACK))):
-        mask[k] = np.linalg.norm(diff[k]) <= tol
+    band = dist <= tol * (1.0 + _TIE_SLACK)
+    band ^= mask
+    for r, c in map(divmod, np.flatnonzero(band).tolist(), itertools.repeat(len(block))):
+        mask[r, c] = np.linalg.norm(block[c] - xs[r]) <= tol
     return mask
+
+
+def _centroid(rows: np.ndarray) -> list[float]:
+    """Mean of the rows, summed in row order (``np.cumsum``'s order)."""
+    return (np.cumsum(rows, axis=0)[-1] / len(rows)).tolist()
 
 
 def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -54,57 +69,114 @@ def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     are merged until all representatives are pairwise more than tol
     apart.  Returns (representatives, member counts).
 
-    The seeds are swept one at a time rather than the points.  Seeds are
-    created in point order, so the next seed is always the first point no
-    earlier seed reached, and every earlier point already has its
-    cluster; one vectorised test then takes all later unassigned points
-    within tol of the new seed, which is exactly the set that would pick
-    it as their first seed within tol.  Member sums are accumulated left
-    to right (``np.cumsum``), the order of a running ``+=``.
+    The seeds are swept rather than the points.  Seeds are created in
+    point order, so the next seed is always the first point no earlier
+    seed reached, and it takes every later point within tol that is still
+    unassigned: exactly the points that would pick it as their first seed
+    within tol.  The seeds are swept in blocks: one distance call gives
+    the neighbours of the next few unassigned points (the candidates)
+    among all unassigned points, and a Python sweep in point order makes
+    each candidate no earlier candidate took a seed of its later
+    unassigned neighbours.  Blocks start at one candidate and double, up
+    to ``_PAIR_BLOCK`` distance entries, so a tail that collapses into
+    one cluster costs one distance row.  A centroid is the running sum of
+    its members in point order (``np.cumsum``'s order) over the count; a
+    seed with more than ``_PYTHON_MEMBERS`` neighbours takes its members
+    and their sum with numpy, the others with Python lists.
 
     Merging takes the lexicographically first pair (i, j), i < j, of
     representatives within tol and moves j into i by the count-weighted
-    centroid, until no pair is left.  A row pointer i finds the same
-    pairs without rescanning: rows before i have no partner, and a merge
-    into i changes only i, so the next pair is (a, i) for the first row
-    a < i that the new centroid reaches (merged the same way, the
-    pointer moving to a), else the first partner right of i.
+    centroid, until no pair is left.  The within-tol adjacency of the
+    initial centroids is built once, in blocks of rows, and a row
+    pointer i walks it without rescanning: rows before i have no
+    partner, and a merge into i changes only i, so the next pair is
+    (a, i) for the first row a < i that the new centroid reaches (merged
+    the same way, the pointer moving to a), else the first partner right
+    of i.  Rows keep their order; a merged-away row is marked dead, and
+    only the centroid a merge moved is measured again, with one
+    vectorised call against all rows.
 
-    Work is O(k) vectorised distance calls in the seed phase and
-    O(k + merges) in the merge phase, for k clusters, each O(N d) or
-    O(k d); memory is O(N d).  Distances decided near tol use the scalar
-    test (see ``_within``), so the output is the same, bit for bit, as a
+    Work is O(blocks) vectorised distance calls to seed and
+    O(blocks + merges) to merge, plus Python work linear in the number
+    of within-tol pairs; every temporary holds at most ``_PAIR_BLOCK``
+    distances.  Distances decided near tol use the scalar test (see
+    ``_within``), so the output is the same, bit for bit, as a
     point-by-point loop with a full rescan after every merge.
     """
-    unassigned = np.arange(len(points))
-    centroids: list[np.ndarray] = []
+    taken = bytearray(len(points))  # 1 once a point has its cluster
+    is_taken = np.frombuffer(taken, dtype=bool)  # the same bytes, for numpy
+    centroids: list[list[float]] = []
     counts: list[int] = []
-    while unassigned.size:
-        rest = unassigned[1:]
-        near = _within(points[unassigned[0]], points[rest], tol)
-        members = np.concatenate((unassigned[:1], rest[near]))
-        centroids.append(np.cumsum(points[members], axis=0)[-1] / members.size)
-        counts.append(int(members.size))
-        unassigned = rest[~near]
+    free = np.arange(len(points))
+    rows = 1
+    while free.size:
+        seeds = free[:max(1, min(rows, _PAIR_BLOCK // free.size))]
+        near = _within(points[seeds], points[free], tol)
+        degree = near.sum(axis=1)
+        small = degree <= _PYTHON_MEMBERS
+        # neighbours of the small rows and their coordinates, row after
+        # row, each row in point order
+        neighbours = free[np.flatnonzero(near[small]) % free.size]
+        coords = points[neighbours].tolist()
+        neighbours = neighbours.tolist()
+        end = 0
+        for r, (seed, n_near, is_small) in enumerate(zip(seeds.tolist(), degree.tolist(),
+                                                          small.tolist())):
+            if is_small:
+                start, end = end, end + n_near
+            if taken[seed]:
+                continue
+            if is_small:
+                members = [q for q in range(start, end) if not taken[neighbours[q]]]
+                for q in members:
+                    taken[neighbours[q]] = 1
+                centroids.append([reduce(operator.add, column) / len(members)
+                                  for column in zip(*[coords[q] for q in members])])
+                counts.append(len(members))
+            else:
+                members = free[near[r] & ~is_taken[free]]
+                is_taken[members] = True
+                centroids.append(_centroid(points[members]))
+                counts.append(int(members.size))
+        free = free[~is_taken[free]]
+        rows *= 2
     reps = np.array(centroids)
+    k = len(counts)
+    partners: list[set[int]] = [set() for _ in range(k)]
+    step = max(1, _PAIR_BLOCK // max(k, 1))
+    for lo in range(0, k - 1, step):  # rows lo.. against the rows after lo
+        flat = np.flatnonzero(_within(reps[lo:lo + step], reps[lo + 1:], tol)).tolist()
+        for a, b in map(divmod, flat, itertools.repeat(k - lo - 1)):
+            a, b = a + lo, b + lo + 1
+            if a < b:
+                partners[a].add(b)
+                partners[b].add(a)
+    alive = [True] * k
     i = 0
-    while i < len(counts):
-        partners = np.flatnonzero(_within(reps[i], reps[i + 1:], tol))
-        if partners.size == 0:
+    while i < k:
+        later = [b for b in partners[i] if b > i]
+        if not later:
             i += 1
             continue
-        j = i + 1 + int(partners[0])
+        j = min(later)
         while True:
             total = counts[i] + counts[j]
             reps[i] = (reps[i] * counts[i] + reps[j] * counts[j]) / total
             counts[i] = total
-            reps = np.delete(reps, j, axis=0)
-            del counts[j]
-            earlier = np.flatnonzero(_within(reps[i], reps[:i], tol))
-            if earlier.size == 0:
+            alive[j] = False
+            for b in partners[j] | partners[i]:
+                partners[b] -= {i, j}
+            partners[j] = set()
+            partners[i] = {b for b in np.flatnonzero(_within(reps[i:i + 1], reps, tol)).tolist()
+                           if alive[b] and b != i}
+            for b in partners[i]:
+                partners[b].add(i)
+            earlier = [a for a in partners[i] if a < i]
+            if not earlier:
                 break
-            i, j = int(earlier[0]), i
-    return reps, np.array(counts)
+            i, j = min(earlier), i
+    keep = [a for a in range(k) if alive[a]]
+    return reps[keep], np.array([counts[a] for a in keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +189,9 @@ class OmegaEstimate:
     counts: np.ndarray
 
     def to_csv(self, path) -> None:
-        dim = self.points.shape[1]
-        with open(path, "w") as fh:
-            fh.write(",".join(f"xi_{i + 1}" for i in range(dim)) + "\n")
-            for p in self.points:
-                fh.write(",".join(fmt17(v) for v in p) + "\n")
+        """Header ``xi_1,...,xi_n``, one ``%.17g`` row per point."""
+        write_rows(path, [f"xi_{i + 1}" for i in range(self.points.shape[1])],
+                    ["%.17g"] * self.points.shape[1], self.points.T.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +227,12 @@ class OmegaSharpEstimate:
         return self.modes.size == 0
 
     def to_csv(self, path) -> None:
-        dim = self.states.shape[1] if self.states.size else 0
-        with open(path, "w") as fh:
-            fh.write(",".join(f"xi_{i + 1}" for i in range(dim)) + ",gamma,r_hat\n")
-            for i in range(self.modes.size):
-                row = [fmt17(v) for v in self.states[i]]
-                row.append(str(int(self.modes[i])))
-                row.append("inf" if math.isinf(self.dwells[i]) else fmt17(self.dwells[i]))
-                fh.write(",".join(row) + "\n")
+        """Header ``xi_1,...,xi_n,gamma,r_hat``, one row per pair; an
+        infinite dwell (always +inf) is written ``inf``."""
+        dim = self.states.shape[1]
+        write_rows(path, [*(f"xi_{i + 1}" for i in range(dim)), "gamma", "r_hat"],
+                    ["%.17g"] * dim + ["%d", "%.17g"],
+                    [*self.states.T.tolist(), self.modes.tolist(), self.dwells.tolist()])
 
 
 def _tail_indices(traj: Trajectory, tail_fraction: float) -> tuple[np.ndarray, float]:
@@ -175,6 +243,13 @@ def _tail_indices(traj: Trajectory, tail_fraction: float) -> tuple[np.ndarray, f
     if idx.size == 0:
         raise ValueError("tail window contains no samples")
     return idx, t_start
+
+
+def _sorted_median(values: list[float]) -> float:
+    """``np.median`` of a sorted list, to the last bit: the middle value, or
+    the mean (a + b) / 2 of the middle two."""
+    mid = len(values) // 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
 
 
 def omega_limit(traj: Trajectory, tail_fraction: float, cluster_tol: float) -> OmegaEstimate:
@@ -205,7 +280,9 @@ def omega_sharp(
     The members behind each kept cluster are the mode's samples within
     ``cluster_tol`` of its representative (or, if the centroid drifted
     away from all of them, the nearest one), found for a block of
-    representatives at once.
+    representatives at once.  The dwell is the median of their gaps,
+    taken from a sorted Python list: the middle value, or (a + b) / 2 of
+    the middle two, which are ``np.median``'s bits.
     """
     if not cluster_tol > 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
@@ -230,13 +307,16 @@ def omega_sharp(
     idx = idx[keep]
     gaps = gaps[keep]
     modes = traj.sample_modes[idx]
-    states_out, modes_out, dwells_out, counts_out = [], [], [], []
+    states_out, modes_out, counts_out, dwells_out = [], [], [], []
     for gamma in np.unique(modes):
         sel = modes == gamma
         pts = traj.states[idx[sel]]
         reps, counts = _greedy_clusters(pts, cluster_tol)
         mode_gaps = gaps[sel]
         kept = np.flatnonzero(counts >= min_hits)
+        states_out.append(reps[kept])
+        modes_out.append(np.full(kept.size, gamma, dtype=np.int64))
+        counts_out.append(counts[kept])
         block = max(1, _DISTANCE_BLOCK // len(pts))
         for lo in range(0, kept.size, block):
             rows = kept[lo:lo + block]
@@ -244,20 +324,17 @@ def omega_sharp(
             # np.linalg.norm(pts - rep, axis=1) would take them
             diff = (pts[None, :, :] - reps[rows][:, None, :]).reshape(-1, pts.shape[1])
             dist = np.linalg.norm(diff, axis=1).reshape(rows.size, len(pts))
-            for j, d in zip(rows.tolist(), dist):
-                members = d <= cluster_tol
-                if not np.any(members):  # centroid drifted; fall back to nearest member
-                    members = np.array([np.argmin(d)])
-                states_out.append(reps[j])
-                modes_out.append(int(gamma))
-                dwells_out.append(float(np.median(mode_gaps[members])))
-                counts_out.append(int(counts[j]))
+            near = dist <= cluster_tol
+            member_gaps = mode_gaps[np.flatnonzero(near) % len(pts)].tolist()  # row after row
+            end = 0
+            for r, n_members in enumerate(near.sum(axis=1).tolist()):
+                start, end = end, end + n_members
+                # a centroid that drifted from all its members takes the nearest one
+                dwells_out.append(_sorted_median(sorted(member_gaps[start:end])) if n_members
+                                  else float(mode_gaps[np.argmin(dist[r])]))
     return OmegaSharpEstimate(
-        np.array(states_out) if states_out else np.empty((0, traj.dimension)),
-        np.array(modes_out, dtype=np.int64),
-        np.array(dwells_out),
-        window, cluster_tol, r_min, min_hits,
-        np.array(counts_out, dtype=np.int64),
+        np.concatenate(states_out), np.concatenate(modes_out), np.array(dwells_out, dtype=float),
+        window, cluster_tol, r_min, min_hits, np.concatenate(counts_out),
     )
 
 

@@ -20,6 +20,15 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_rows(path, header: list[str], cells: list[str], columns: list[list]) -> None:
+    """CSV of ``columns`` under ``header``, one ``%`` format per row: the
+    ``cells`` formats joined by commas, ``%.17g`` writing :func:`fmt17`'s text."""
+    row = ",".join(cells) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
+
+
 def require_ranges(settings: Any, positive: tuple[str, ...] = (),
                    nonnegative: tuple[str, ...] = ()) -> None:
     """Raise ValueError naming the first field of ``settings`` out of range.

@@ -50,7 +50,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .reports import CheckReport, reduce_via_constructor, require_ranges
+from .reports import CheckReport, reduce_via_constructor, require_ranges, write_rows
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -409,7 +409,11 @@ def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tupl
     accepted; once an attempt of a step was rejected, the size may not grow.
     """
     n5, n3 = e5 ** 2, e3 ** 2
-    error_norm = 0.0 if n5 == 0 and n3 == 0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * n)
+    denom = math.sqrt((n5 + 0.01 * n3) * n)
+    if n5 == 0 and n3 == 0:
+        error_norm = 0.0
+    else:  # denom is 0 only when n5 is and 0.01 * n3 underflows: scipy's 0 / 0 is NaN
+        error_norm = h_abs * n5 / denom if denom else math.nan
     if error_norm < 1:
         factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -_EXPONENT)
         return h_abs * (min(1, factor) if rejected else factor), True
@@ -732,7 +736,7 @@ def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: f
     x_hi = dense(hi)
     for _ in range(200):
         window_ok = hi - lo <= event_tol
-        value_ok = abs(float(b(x_hi))) <= 0.5 * event_tol * (1.0 + float(np.linalg.norm(x_hi)))
+        value_ok = abs(float(b(x_hi))) <= 0.5 * event_tol * (1.0 + _norm(x_hi))
         if (window_ok and value_ok) or hi - lo <= 4e-16 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
@@ -845,18 +849,15 @@ def write_trajectory_csv(traj: Trajectory, path, V=None) -> None:
     """
     n = traj.dimension
     header = ["t", *(f"x{i + 1}" for i in range(n)), "sigma"]
-    row = ",".join(["%.17g"] * (n + 1) + ["%d"])
+    cells = ["%.17g"] * (n + 1) + ["%d"]
     modes = traj.sample_modes
     columns = [traj.times.tolist(), *traj.states.T.tolist(), modes.tolist()]
     if V is not None:
         header.append("V")
-        row += ",%.17g"
+        cells.append("%.17g")
         values = evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g), traj.states, modes)
         columns.append(values.tolist())
-    row += "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % cells for cells in zip(*columns))
+    write_rows(path, header, cells, columns)
 
 
 __all__ = [

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from switchcert import invariance
 from switchcert.invariance import (
+    OmegaEstimate,
+    OmegaSharpEstimate,
     _greedy_clusters,
     check_same_mode_constancy,
     hausdorff_distance,
@@ -16,8 +18,9 @@ from switchcert.invariance import (
     omega_sharp,
     project_states,
 )
+from switchcert.reports import fmt17
 from switchcert.signals import INFINITY, SwitchingSignal
-from switchcert.systems import IntegratorOptions, integrate
+from switchcert.systems import IntegratorOptions, IntegratorStats, Trajectory, integrate
 
 TOL = 1e-2
 
@@ -144,6 +147,70 @@ def test_greedy_clusters_matches_reference_on_circle(center_orbit):
     _assert_matches_reference(center_orbit.states[center_orbit.times >= 50.0], TOL)
 
 
+# (_PAIR_BLOCK, _PYTHON_MEMBERS) away from the defaults: one candidate seed
+# and one merge row per distance call, small odd blocks, and members taken
+# all by numpy (every seed neighbours itself) or all by Python lists
+_BLOCKINGS = [(1, invariance._PYTHON_MEMBERS), (1, 0), (5, 1 << 30), (333, 3), (333, 0)]
+
+
+@pytest.mark.parametrize("pair_block, python_members", _BLOCKINGS)
+@settings(max_examples=25, deadline=None)
+@given(clouds())
+def test_greedy_clusters_matches_reference_blocked(pair_block, python_members, cloud):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariance, "_PAIR_BLOCK", pair_block)
+        mp.setattr(invariance, "_PYTHON_MEMBERS", python_members)
+        _assert_matches_reference(*cloud)
+
+
+@pytest.mark.parametrize("pair_block, python_members", _BLOCKINGS)
+def test_greedy_clusters_matches_reference_on_circle_blocked(monkeypatch, pair_block,
+                                                             python_members, center_orbit):
+    monkeypatch.setattr(invariance, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(invariance, "_PYTHON_MEMBERS", python_members)
+    _assert_matches_reference(center_orbit.states[center_orbit.times >= 50.0], TOL)
+    _assert_matches_reference(np.full((200, 2), 0.5), TOL)
+
+
+def _count_work(monkeypatch):
+    """Rows of each distance call and length of each numpy centroid sum."""
+    rows, centroids = [], []
+    within, centroid = invariance._within, invariance._centroid
+    monkeypatch.setattr(invariance, "_within",
+                        lambda xs, block, tol: rows.append(len(xs)) or within(xs, block, tol))
+    monkeypatch.setattr(invariance, "_centroid",
+                        lambda members: centroids.append(len(members)) or centroid(members))
+    return rows, centroids
+
+
+def test_collapsed_tail_costs_one_distance_row(monkeypatch):
+    # 3,000 samples within tol of the first: one seed row takes them all,
+    # with one vectorised centroid, and one cluster leaves nothing to merge
+    points = 0.25 + np.random.default_rng(5).uniform(-3e-3, 3e-3, (3000, 2))
+    rows, centroids = _count_work(monkeypatch)
+    reps, counts = _greedy_clusters(points, TOL)
+    assert counts.tolist() == [3000]
+    assert rows == [1] and centroids == [3000]
+    _assert_matches_reference(points, TOL)
+
+
+def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_batch):
+    # a two_centers tail of 1,111 samples seeds 318 clusters and merges 5
+    # pairs.  One distance call per seed, per merge-pointer row and per
+    # merge side would be about 318 + 313 + 10 calls; blocked, it is 23
+    # seed blocks of doubling candidates, 13 adjacency blocks over the 318
+    # centroids (8,192 // 318 = 25 rows each), and one call per merge
+    traj = two_centers_batch.trajectories[5]
+    tail = traj.states[traj.times >= traj.horizon * 0.5]
+    rows, centroids = _count_work(monkeypatch)
+    reps, counts = _greedy_clusters(tail, TOL)
+    assert (len(tail), len(counts)) == (1111, 313)
+    assert rows == ([1, 2, 4, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 11, 12, 13, 14, 16, 20, 25, 33, 66, 50]
+                    + [25] * 12 + [18] + [1] * 5)
+    assert centroids == []  # no seed has more than _PYTHON_MEMBERS neighbours
+    _assert_matches_reference(tail, TOL)
+
+
 # -- omega limit --------------------------------------------------------------
 
 
@@ -256,6 +323,45 @@ def test_omega_sharp_csv(tmp_path, ex1_batch):
     assert len(lines) == est.modes.size + 1
 
 
+def test_omega_sharp_csv_empty_keeps_state_columns(tmp_path, ex1_batch):
+    est = omega_sharp(ex1_batch.trajectories[0], 0.5, TOL, r_min=math.inf)
+    assert est.empty
+    est.to_csv(tmp_path / "sharp.csv")
+    assert (tmp_path / "sharp.csv").read_text() == "xi_1,xi_2,gamma,r_hat\n"
+
+
+def _reference_csv(est) -> str:
+    """The estimates' CSV text, formatted cell by cell."""
+    if isinstance(est, OmegaEstimate):
+        lines = [",".join(f"xi_{i + 1}" for i in range(est.points.shape[1]))]
+        lines += [",".join(fmt17(v) for v in p) for p in est.points]
+    else:
+        lines = [",".join(f"xi_{i + 1}" for i in range(est.states.shape[1])) + ",gamma,r_hat"]
+        for i in range(est.modes.size):
+            row = [fmt17(v) for v in est.states[i]]
+            row.append(str(int(est.modes[i])))
+            row.append("inf" if math.isinf(est.dwells[i]) else fmt17(est.dwells[i]))
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_estimate_csv_matches_cell_by_cell_writer(tmp_path, ex1_batch, two_centers_batch,
+                                                   center_orbit):
+    odd = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-300], [0.1, 1 / 3]])
+    estimates = [
+        omega_limit(center_orbit, 0.5, TOL),
+        omega_limit(two_centers_batch.trajectories[0], 0.5, TOL),
+        OmegaEstimate(odd, (0.0, 1.0), TOL, np.array([1, 2, 3])),
+        omega_sharp(ex1_batch.trajectories[0], 0.5, TOL),
+        omega_sharp(two_centers_batch.trajectories[0], 0.5, TOL),
+        OmegaSharpEstimate(odd, np.array([1, 2, 3]), np.array([math.inf, 0.30000000000000004, 2.0]),
+                           (0.0, 1.0), TOL, 0.0, 1, np.array([1, 2, 3])),
+    ]
+    for est in estimates:
+        est.to_csv(tmp_path / "est.csv")
+        assert (tmp_path / "est.csv").read_text() == _reference_csv(est)
+
+
 # -- projection ------------------------------------------------------------------
 
 
@@ -306,6 +412,49 @@ def test_omega_sharp_matches_per_representative_loop(monkeypatch, block, ex1_bat
             _assert_omega_sharp_matches_reference(traj, tol, min_hits)
 
 
+@st.composite
+def cloud_trajectories(draw):
+    """A drawn cloud as the samples of a trajectory at times 0, 1/4, 1/2, ...
+    under drawn switches: on that grid (tied gaps) or off it, with or
+    without a last segment past the final switch (infinite gaps)."""
+    points, tol = draw(clouds())
+    times = 0.25 * np.arange(len(points))
+    horizon = times[-1]  # so the last sample is in every tail
+    switches = np.unique(np.concatenate([
+        draw(st.lists(st.sampled_from(times[1:].tolist() or [horizon]), max_size=40)),
+        draw(st.lists(st.floats(0.01, max(horizon, 0.01)), max_size=5)),
+    ]))
+    switches = switches[(switches > 0) & (switches <= horizon)]
+    if draw(st.booleans()) and switches.size:  # no switch in the last tenth
+        switches = switches[switches < 0.9 * horizon]
+    modes = [draw(st.sampled_from([1, 2, 3]))]
+    for _ in switches:
+        modes.append(draw(st.sampled_from([g for g in (1, 2, 3) if g != modes[-1]])))
+    signal = SwitchingSignal(switches, np.array(modes), horizon)
+    traj = Trajectory(times, points, signal, IntegratorStats())
+    return traj, tol, draw(st.integers(1, 3)), draw(st.sampled_from([None, 0.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cloud_trajectories())
+def test_omega_sharp_matches_reference_on_drawn_trajectories(case):
+    traj, tol, min_hits, r_min = case
+    est = omega_sharp(traj, 0.5, tol, r_min=r_min, min_hits=min_hits)
+    want = _reference_omega_sharp(traj, 0.5, tol, r_min=r_min, min_hits=min_hits)
+    for got, expected in zip((est.states, est.modes, est.dwells, est.counts), want):
+        assert np.array_equal(got.reshape(expected.shape), expected)
+
+
+def test_sorted_median_is_numpy_median():
+    rng = np.random.default_rng(9)
+    for n in range(1, 12):
+        for values in (rng.exponential(size=n), rng.integers(0, 3, n) * 0.25,
+                       np.append(rng.exponential(size=n - 1), math.inf),
+                       np.full(n, math.inf), np.full(n, 1.7e308)):
+            with np.errstate(over="ignore"):  # the mean of two 1.7e308 overflows in both
+                assert invariance._sorted_median(sorted(values.tolist())) == np.median(values)
+
+
 def test_omega_sharp_drifted_centroid_takes_nearest_member(monkeypatch, two_centers_batch):
     # a representative that no sample lies within tol of takes its nearest sample's dwell
     def with_stray(points, tol):
@@ -317,8 +466,6 @@ def test_omega_sharp_drifted_centroid_takes_nearest_member(monkeypatch, two_cent
 
 
 def test_project_states_dedupes():
-    from switchcert.invariance import OmegaSharpEstimate
-
     est = OmegaSharpEstimate(
         states=np.array([[0.0, 0.0], [0.001, 0.0]]),
         modes=np.array([1, 2]),
@@ -335,8 +482,6 @@ def test_project_states_dedupes():
 
 
 def test_project_states_empty():
-    from switchcert.invariance import OmegaSharpEstimate
-
     est = OmegaSharpEstimate(
         states=np.empty((0, 2)), modes=np.empty(0, dtype=np.int64),
         dwells=np.empty(0), tail_window=(0.0, 1.0), cluster_tol=TOL,

@@ -312,6 +312,41 @@ def test_error_norm_and_controller_match_scipy():
         assert systems._control(h, e5, e3, n, rejected) == want
 
 
+def test_control_rejects_when_the_denominator_underflows():
+    # e5 = 0 and 0.01 * e3**2 below the least subnormal: scipy's numpy
+    # arithmetic gives 0 / 0 = NaN, which rejects with the smallest factor
+    e3 = 2.2227587494850775e-162
+    n5, n3 = np.float64(0.0) ** 2, np.float64(e3) ** 2
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.abs(0.7) * n5 / np.sqrt((n5 + 0.01 * n3) * 2))
+    assert systems._control(0.7, 0.0, e3, 2, False) == (0.7 * 0.2, False)
+
+
+def test_integrate_matches_scipy_from_a_subnormal_start():
+    # the ADT sampling above once drew this start, whose first error
+    # estimate underflowed to a zero denominator
+    system = SwitchedSystem(2, {1: spiral_focus, 2: spiral_focus}, ModeSet(2),
+                            Covering.trivial(ModeSet(2)))
+    signal = generate_adt(0, AdtClass(0.5, 2), system.modes, 10.0)
+    opts = IntegratorOptions(rtol=1e-3, atol=1e-6, max_dx=0.05, max_switches=200)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "invalid value encountered", RuntimeWarning)
+        _assert_matches_scipy(lambda: integrate(system, [0.0, 4.5251053249142664e-166], signal,
+                                                opts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norm_is_numpy_norm_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    vectors = [np.zeros(n), -np.zeros(n), np.full(n, 1e-320), np.full(n, 5e-324),
+               np.full(n, 1e154), np.full(n, 1.7e308), np.full(n, -1e200)]
+    vectors += [rng.normal(size=n) * 10.0 ** rng.uniform(-320, 308) for _ in range(500)]
+    with np.errstate(over="ignore"):
+        for v in vectors:
+            got, want = systems._norm(v), float(np.linalg.norm(v))
+            assert got == want, v
+
+
 _BUILTIN_FIELDS = (spiral_focus, rotation, damped_rotation, saturating_pull)
 _OPTIONS = st.builds(
     IntegratorOptions,
