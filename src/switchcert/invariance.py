@@ -34,18 +34,30 @@ _PYTHON_MEMBERS = 64  # a seed with more neighbours than this takes them with nu
 _TIE_SLACK = 1e-9
 
 
-def _within(xs: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
-    """Mask whose entry (r, c) is ``np.linalg.norm(block[c] - xs[r]) <= tol``.
+def _distances(xs: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Entry (r, c) is ``np.linalg.norm(block - xs[r], axis=1)[c]``, to the last bit.
 
-    A distance summed coordinate by coordinate decides the pairs outside
-    a narrow band around tol; the pairs inside it are decided by that
-    scalar test, so every decision equals it bit for bit.  Negating a
-    difference changes no bit of its norm, so the decision is symmetric.
+    Below 8 coordinates numpy's row reduction adds the squares in column
+    order, so the root of a sum taken coordinate by coordinate equals it;
+    from 8 on it sums pairwise, and the norm itself is taken.
     """
+    if block.shape[1] >= 8:
+        return np.linalg.norm(block[None, :, :] - xs[:, None, :], axis=2)
     sq = (block[:, 0] - xs[:, 0, None]) ** 2
     for a in range(1, block.shape[1]):
         sq += (block[:, a] - xs[:, a, None]) ** 2
-    dist = np.sqrt(sq, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _within(xs: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
+    """Mask whose entry (r, c) is ``np.linalg.norm(block[c] - xs[r]) <= tol``.
+
+    A row-wise distance (:func:`_distances`) decides the pairs outside a
+    narrow band around tol; the pairs inside it are decided by that
+    scalar test, so every decision equals it bit for bit.  Negating a
+    difference changes no bit of its norm, so the decision is symmetric.
+    """
+    dist = _distances(xs, block)
     mask = dist < tol * (1.0 - _TIE_SLACK)
     band = dist <= tol * (1.0 + _TIE_SLACK)
     band ^= mask
@@ -320,10 +332,7 @@ def omega_sharp(
         block = max(1, _DISTANCE_BLOCK // len(pts))
         for lo in range(0, kept.size, block):
             rows = kept[lo:lo + block]
-            # one norm call over the stacked differences, row by row as
-            # np.linalg.norm(pts - rep, axis=1) would take them
-            diff = (pts[None, :, :] - reps[rows][:, None, :]).reshape(-1, pts.shape[1])
-            dist = np.linalg.norm(diff, axis=1).reshape(rows.size, len(pts))
+            dist = _distances(reps[rows], pts)  # np.linalg.norm(pts - rep, axis=1) per row
             near = dist <= cluster_tol
             member_gaps = mode_gaps[np.flatnonzero(near) % len(pts)].tolist()  # row after row
             end = 0

@@ -11,13 +11,14 @@ constancy interval is integrated with switchcert's own adaptive DOP853,
 the Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
 Norsett & Wanner, *Solving ODEs I*, II.4-II.6), and accepted steps are
 subdivided through the dense interpolant until consecutive samples differ
-by at most ``max_dx``.  Its tableau values equal those of
-``scipy.integrate.DOP853`` (a test compares them), and its initial step,
-stage sums, error norm, step controller and interpolant take scipy's
-steps and samples bit for bit.  State-feedback switching locates region
-crossings by bisection on the active boundary function over the step
-interpolant.  The interpolant costs extra field evaluations, so a step
-builds it only when it is split or a crossing is located in it.
+by at most ``max_dx``.  Its tableau equals ``scipy.integrate.DOP853``'s
+(a test compares them), and it takes scipy's steps and samples bit for
+bit.  The interpolant returns a list of Python floats, and a chord is
+measured by ``math.dist``, or by np.linalg.norm's value within 1e-9 of
+max_dx, so sampling makes no numpy call per sample.  State-feedback
+switching locates region crossings by bisection on the active boundary
+over the interpolant, which costs three field calls, so a step builds it
+only when it is split or a crossing is located in it.
 
 :func:`advance_starts` steps many starts of one mode over one window
 together, as rows of one DOP853 with the same tableau, initial step and
@@ -420,79 +421,76 @@ def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tupl
     return h_abs * max(0.2, 0.9 * error_norm ** -_EXPONENT), False
 
 
-def _stages(rhs, K: np.ndarray, t: float, y: np.ndarray, h: float, stages) -> None:
+def _stages(rhs, K: np.ndarray, views: list, t: float, y: np.ndarray, h: float, stages) -> None:
     """K[s] = rhs(t + c h, y + h a.K[:s]) for each (s, c, a) of ``stages``,
-    each stage sum one np.dot over the first s rows of K."""
+    each stage sum one np.dot over ``views[s]``, the prebuilt view K[:s].T."""
     for s, c, a in stages:
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+        K[s] = rhs(t + c * h, y + np.dot(views[s], a) * h)
 
 
-def _dense_output(rhs, K: np.ndarray, t_old: float, y_old: np.ndarray, y_new: np.ndarray,
-                  h: float):
+def _dense_output(rhs, K: np.ndarray, views: list, t_old: float, y_old: np.ndarray,
+                  y_new: np.ndarray, h: float):
     """The interpolant of the step of size h from (t_old, y_old) to y_new.
 
     K holds the step's stages; the three extra ones are added here, at
-    three more field calls.  The interpolant is a Horner sum in powers of
-    x and 1 - x, x = (t - t_old) / h, taken per component in Python floats
-    in scipy's order, which is elementwise and so equal to the last bit.
+    three more field calls.  The interpolant returns a list: per component,
+    a Horner sum in powers of x and 1 - x, x = (t - t_old) / h, in Python
+    floats in scipy's order, which is elementwise and so equal to the bit.
     """
-    _stages(rhs, K, t_old, y_old, h, _EXTRA_STAGES)
-    f_old = K[0]
-    delta_y = y_new - y_old
+    _stages(rhs, K, views, t_old, y_old, h, _EXTRA_STAGES)
+    f_old, delta_y = K[0], y_new - y_old
     F = np.empty((7, len(y_old)))
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[_N_STAGES] + f_old)
+    F[0], F[1], F[2] = delta_y, h * f_old - delta_y, 2 * delta_y - h * (K[_N_STAGES] + f_old)
     F[3:] = h * np.dot(_D, K)
-    coefficients = F[::-1].T.tolist()  # per component, the highest power first
-    base = y_old.tolist()
+    return partial(_interpolant, list(zip(*F[::-1].tolist(), y_old.tolist())), t_old, h)
 
-    def dense(t: float) -> np.ndarray:
-        x = (t - t_old) / h
-        weights = (x, 1 - x) * 3 + (x,)
-        out = []
-        for cs, b in zip(coefficients, base):
-            v = 0.0
-            for c, w in zip(cs, weights):
-                v = (v + c) * w
-            out.append(v + b)
-        return np.array(out)
 
-    return dense
+def _interpolant(rows: list, t_old: float, h: float, t: float) -> list:
+    """Per row (c0, ..., c6, b): (((0.0 + c0) x + c1) z ... + c6) x + b, scipy's sum from zeros."""
+    x = (t - t_old) / h
+    z = 1 - x
+    return [((((((((0.0 + c0) * x + c1) * z + c2) * x + c3) * z + c4) * x + c5) * z + c6) * x) + b
+            for c0, c1, c2, c3, c4, c5, c6, b in rows]
 
 
 # -- integration core -----------------------------------------------------
 
 
-def _emit(ts: list, xs: list, t: float, x: np.ndarray) -> None:
-    if ts and t <= ts[-1]:
-        return
-    ts.append(t)
-    xs.append(np.array(x, dtype=float))
+def _emit(ts: list, xs: list, t: float, x) -> None:
+    if not ts or t > ts[-1]:
+        ts.append(t)
+        xs.append(x)
 
 
 _SUBDIVISION_BUDGET = 4096  # per accepted step; guards runaway motion
+_CHORD_BAND = 1e-9  # chords this close to max_dx, relatively, are decided by _norm
 
 
 def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     """Append samples on (t0, t1] so consecutive states differ <= max_dx.
 
     ``make_dense`` builds the step's interpolant; it is called once, at
-    the first split, and not at all for a step that needs none.
-    Splitting is budgeted per step: a step whose displacement exceeds
-    the budget times max_dx (escaping solutions, or a wildly small
-    max_dx) is emitted at budget resolution rather than ground to dust.
+    the first split, and not at all for a step that needs none.  x0 and x1
+    are arrays; samples are appended as lists, or as an interpolant's arrays.
+    A chord is measured by ``math.dist``, and by ``_norm`` of the array
+    difference within ``_CHORD_BAND`` of max_dx, or always for a max_dx
+    outside [1e-140, 1e140] but inf: elsewhere the two agree to a few ulp,
+    so every decision (a NaN chord splits) is ``_norm``'s.  Splitting is
+    budgeted per step: a step whose displacement exceeds the budget times
+    max_dx (escaping solutions, or a wildly small max_dx) is emitted at
+    budget resolution rather than ground to dust.
     """
+    below, above = 0.0, math.inf
+    if 1e-140 <= max_dx <= 1e140 or max_dx == math.inf:
+        below, above = max_dx * (1 - _CHORD_BAND), max_dx * (1 + _CHORD_BAND)
     budget = _SUBDIVISION_BUDGET
     dense = None
-    stack = [(t0, x0, t1, x1)]
+    stack = [(t0, x0.tolist(), t1, x1.tolist())]
     while stack:
         ta, xa, tb, xb = stack.pop()
-        if (
-            _norm(xb - xa) <= max_dx
-            or tb - ta < 1e-13 * max(1.0, tb)
-            or budget <= 0
-        ):
+        if ((d := math.dist(xa, xb)) < below
+                or (d <= above and _norm(np.array(xb) - np.array(xa)) <= max_dx)
+                or tb - ta < 1e-13 * max(1.0, tb) or budget <= 0):
             _emit(ts, xs, tb, xb)
             continue
         budget -= 1
@@ -546,6 +544,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
     d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
     h_abs = _initial_step(h0, d1, d2, t_end - t0)
     K = np.empty((len(_C), n))  # stage s in row s
+    views = [K[:s].T for s in range(len(_C) + 1)]  # stage sums read these
     crossed = False
     while t < t_end and not crossed:
         # one step: attempts from h_abs down until one is accepted
@@ -559,11 +558,11 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             K[0] = fy
-            _stages(rhs, K, t, y, h, _STAGES)
-            y_new = y + h * np.dot(K[:_N_STAGES].T, _B)
+            _stages(rhs, K, views, t, y, h, _STAGES)
+            y_new = y + h * np.dot(views[_N_STAGES], _B)
             K[_N_STAGES] = f_new = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            errors = K[:_N_STAGES + 1].T
+            errors = views[_N_STAGES + 1]
             h_abs, accepted = _control(abs(h), _norm(np.dot(errors, _E5) / scale),
                                        _norm(np.dot(errors, _E3) / scale), n, rejected)
             if accepted:
@@ -576,7 +575,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
             raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
         if _norm(y_new) > opts.bound:
             raise FiniteEscapeError(t_new, np.array(y_new), opts.bound)
-        make_dense = partial(_dense_output, rhs, K, t, y, y_new, h)
+        make_dense = partial(_dense_output, rhs, K, views, t, y, y_new, h)
         if rule is not None and rule(y_new) != gamma:
             dense = make_dense()
             t_new, y_new = _locate_crossing(dense, rule, gamma, t, t_new, opts.event_tol)
@@ -729,15 +728,16 @@ def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: f
 
     Precondition: rule(dense(t_lo)) == gamma != rule(dense(t_hi)).
     Returns the earliest bracketed time at which the rule output changes,
-    refined until the boundary value is small relative to event_tol.
+    refined until the boundary value is small relative to event_tol, which
+    is read only once the window is.  ``dense`` may return lists or arrays.
     """
     b = rule.boundaries[gamma]
     lo, hi = t_lo, t_hi
     x_hi = dense(hi)
     for _ in range(200):
-        window_ok = hi - lo <= event_tol
-        value_ok = abs(float(b(x_hi))) <= 0.5 * event_tol * (1.0 + _norm(x_hi))
-        if (window_ok and value_ok) or hi - lo <= 4e-16 * max(1.0, abs(hi)):
+        if (hi - lo <= 4e-16 * max(1.0, abs(hi)) or hi - lo <= event_tol
+                and abs(float(b(np.asarray(x_hi, dtype=float))))
+                <= 0.5 * event_tol * (1.0 + _norm(x_hi))):
             break
         mid = 0.5 * (lo + hi)
         x_mid = dense(mid)

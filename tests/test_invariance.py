@@ -455,6 +455,26 @@ def test_sorted_median_is_numpy_median():
                 assert invariance._sorted_median(sorted(values.tolist())) == np.median(values)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_distances_are_row_norms_to_the_bit(n):
+    # below 8 columns a sum taken coordinate by coordinate; from 8 on the norm itself
+    rng = np.random.default_rng(100 + n)
+    rows = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-200, 150, size=(300, 1))
+    specials = [np.full(n, 5e-324), np.full(n, 1e-310), np.full(n, 1e200), np.full(n, 1.7e308),
+                np.full(n, math.inf), np.full(n, -math.inf), np.full(n, math.nan),
+                np.zeros(n), -np.zeros(n)]
+    for k, v in enumerate(specials):  # whole special rows, and one special coordinate
+        rows[k] = v
+        rows[len(specials) + k, k % n] = v[0]
+    xs, block = rows[::7], rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.stack([np.linalg.norm(block - x, axis=1) for x in xs])
+        got = invariance._distances(xs, block)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 def test_omega_sharp_drifted_centroid_takes_nearest_member(monkeypatch, two_centers_batch):
     # a representative that no sample lies within tol of takes its nearest sample's dwell
     def with_stray(points, tol):

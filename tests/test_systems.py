@@ -212,8 +212,58 @@ def test_unsplit_steps_skip_the_interpolant():
 # -- the DOP853 step loop against scipy's -----------------------------------------------
 
 
+def _reference_emit(ts, xs, t, x):
+    if ts and t <= ts[-1]:
+        return
+    ts.append(t)
+    xs.append(np.array(x, dtype=float))
+
+
+def _reference_subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs):
+    """``systems._subdivide`` as it was with one numpy chord norm per sample."""
+    budget = systems._SUBDIVISION_BUDGET
+    dense = None
+    stack = [(t0, x0, t1, x1)]
+    while stack:
+        ta, xa, tb, xb = stack.pop()
+        if (
+            systems._norm(np.asarray(xb) - np.asarray(xa)) <= max_dx
+            or tb - ta < 1e-13 * max(1.0, tb)
+            or budget <= 0
+        ):
+            _reference_emit(ts, xs, tb, xb)
+            continue
+        budget -= 1
+        if dense is None:
+            dense = make_dense()
+        tm = 0.5 * (ta + tb)
+        xm = dense(tm)
+        stack.append((tm, xm, tb, xb))
+        stack.append((ta, xa, tm, xm))
+
+
+def _reference_locate_crossing(dense, rule, gamma, t_lo, t_hi, event_tol):
+    """``systems._locate_crossing`` as it was, reading the boundary at every bisection step."""
+    b = rule.boundaries[gamma]
+    lo, hi = t_lo, t_hi
+    x_hi = np.asarray(dense(hi), dtype=float)
+    for _ in range(200):
+        window_ok = hi - lo <= event_tol
+        value_ok = abs(float(b(x_hi))) <= 0.5 * event_tol * (1.0 + systems._norm(x_hi))
+        if (window_ok and value_ok) or hi - lo <= 4e-16 * max(1.0, abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        x_mid = np.asarray(dense(mid), dtype=float)
+        if rule(x_mid) != gamma:
+            hi, x_hi = mid, x_mid
+        else:
+            lo = mid
+    return hi, x_hi
+
+
 def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=None):
-    """``systems._run_mode`` as it was when it stepped scipy's DOP853 solver object."""
+    """``systems._run_mode`` as it was when it stepped scipy's DOP853 solver object,
+    sampling and locating crossings with the references above."""
     f = system.field(gamma)
 
     def rhs(t, y):
@@ -238,10 +288,10 @@ def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=
         t_new, x_new, make_dense = solver.t, solver.y, solver.dense_output
         if rule is not None and rule(x_new) != gamma:
             dense = solver.dense_output()
-            t_new, x_new = systems._locate_crossing(dense, rule, gamma, t_prev, t_new,
-                                                    opts.event_tol)
+            t_new, x_new = _reference_locate_crossing(dense, rule, gamma, t_prev, t_new,
+                                                      opts.event_tol)
             make_dense, crossed = (lambda: dense), True
-        systems._subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
+        _reference_subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
         t_prev, x_prev = t_new, x_new
     stats.n_rhs += solver.nfev
     return t_prev, x_prev, crossed
@@ -335,16 +385,30 @@ def test_integrate_matches_scipy_from_a_subnormal_start():
                                                 opts))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_norm_is_numpy_norm_to_the_bit(n):
+def _norm_vectors(n):
+    """Vectors of length n: zero, -0, subnormal, huge, overflowing, and random over 1e-320..1e308."""
     rng = np.random.default_rng(n)
     vectors = [np.zeros(n), -np.zeros(n), np.full(n, 1e-320), np.full(n, 5e-324),
                np.full(n, 1e154), np.full(n, 1.7e308), np.full(n, -1e200)]
-    vectors += [rng.normal(size=n) * 10.0 ** rng.uniform(-320, 308) for _ in range(500)]
+    return vectors + [rng.normal(size=n) * 10.0 ** rng.uniform(-320, 308) for _ in range(500)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_norm_is_numpy_norm_to_the_bit(n):
     with np.errstate(over="ignore"):
-        for v in vectors:
+        for v in _norm_vectors(n):
             got, want = systems._norm(v), float(np.linalg.norm(v))
             assert got == want, v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_norms_are_norm_to_the_bit(n):
+    # advance_starts' bound check reads row_norms where integrate reads _norm
+    vectors = _norm_vectors(n)
+    with np.errstate(over="ignore"):
+        got = systems.row_norms(np.array(vectors))
+        want = np.array([systems._norm(v) for v in vectors])
+    assert systems._same_bits(got, want)
 
 
 _BUILTIN_FIELDS = (spiral_focus, rotation, damped_rotation, saturating_pull)
@@ -460,6 +524,178 @@ def test_builtin_batches_match_scipy(ex1_scenario, two_centers_scenario):
     for scenario in (ex1_scenario, two_centers_scenario):
         _assert_matches_scipy(lambda: integrate_feedback(
             scenario.system, [1.3, -0.4], scenario.source.rule, 20.0, scenario.integrator))
+
+
+# -- the sampler, the interpolant and the bisection against their references ---------
+
+
+def _assert_same_samples(got, want):
+    """Equal times, and states equal to the bit (-0.0 differs from 0.0; NaN matches NaN)."""
+    assert np.array_equal(got[0], want[0])
+    assert systems._same_bits(np.array(got[1], dtype=float), np.array(want[1], dtype=float))
+
+
+def _assert_sampler_matches_reference(run):
+    """``run()`` gives the same samples, stats, signal or error to the bit when
+    ``_subdivide`` and ``_locate_crossing`` are the references above."""
+    got = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_subdivide", _reference_subdivide)
+        mp.setattr(systems, "_locate_crossing", _reference_locate_crossing)
+        want = _outcome(run)
+    if not isinstance(want, Trajectory):
+        assert got == want
+        return
+    _assert_same_samples((got.times, got.states), (want.times, want.states))
+    assert got.stats == want.stats and got.signal == want.signal
+
+
+def _line(ta, xa, tb, xb):
+    """make_dense for the straight chord from (ta, xa) to (tb, xb), returning lists."""
+    return lambda: lambda t: (xa + (t - ta) / (tb - ta) * (xb - xa)).tolist()
+
+
+def _chord_samples(subdivide, xa, xb, max_dx, make_dense=None):
+    ts, xs = [1.0], [np.array(xa)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        subdivide(make_dense or _line(1.0, xa, 2.0, xb), 1.0, xa, 2.0, xb, max_dx, ts, xs)
+    return ts, xs
+
+
+def _assert_chord_matches_reference(xa, xb, max_dx, make_dense=None):
+    got = _chord_samples(systems._subdivide, xa, xb, max_dx, make_dense)
+    want = _chord_samples(_reference_subdivide, xa, xb, max_dx, make_dense)
+    _assert_same_samples(got, want)
+    return len(want[0]) - 1  # samples appended
+
+
+def _odd_chord(seed):
+    """Seeded endpoints whose math.dist and _norm chord lengths differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    while True:
+        xa, xb = rng.normal(size=(2, 2))
+        if math.dist(xa, xb) != systems._norm(xb - xa):
+            return xa, xb
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -400, 2.0 ** 400, 2.0 ** -520, 2.0 ** 520],
+                         ids=["1", "2^-400", "2^400", "2^-520", "2^520"])
+def test_subdivide_matches_reference_at_chords_near_max_dx(scale):
+    # max_dx on either side of the chord, within the 1e-9 band and just
+    # outside it; math.dist and _norm differ in the last bit, so a decision
+    # by math.dist alone, or a strict < in the band, splits where _norm emits
+    xa, xb = (scale * v for v in _odd_chord(4))
+    with np.errstate(over="ignore"):
+        lengths = (math.dist(xa, xb), systems._norm(xb - xa))
+    counts = set()
+    for length in lengths:
+        for max_dx in (length, math.nextafter(length, 0.0), math.nextafter(length, math.inf),
+                       *(length * (1 + k * 1e-10) for k in (-20, -11, -9, -5, 5, 9, 11, 20))):
+            counts.add(_assert_chord_matches_reference(xa, xb, max_dx))
+    assert 1 in counts and len(counts) > 1  # emitted whole, and split
+
+
+def test_subdivide_matches_reference_on_random_chords():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        xa, xb = rng.normal(size=(2, int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-3, 1)
+        _assert_chord_matches_reference(xa, xb, float(10.0 ** rng.uniform(-3, 1)))
+
+
+@pytest.mark.parametrize("xb", [[math.nan, 0.0], [math.inf, 0.0], [-math.inf, 1.0],
+                                [1e200, 1e200], [1e-170, 0.0], [0.0, 0.0], [-0.0, 0.0]])
+@pytest.mark.parametrize("max_dx", [0.05, math.inf, 1e-171, 1e300, 1e-140, 1e140])
+def test_subdivide_matches_reference_on_extreme_chords(xb, max_dx):
+    # non-finite, overflowing, underflowing and zero chords, at max_dx inside
+    # and outside the range where math.dist may decide
+    _assert_chord_matches_reference(np.array([0.0, 0.0]), np.array(xb), max_dx)
+    _assert_chord_matches_reference(np.array([math.inf, 0.0]), np.array(xb), max_dx)
+
+
+def test_subdivide_exhausts_its_budget_like_the_reference():
+    # a chord of 10 at max_dx = 1e-9 would need 1e10 samples; the budget stops it
+    n = _assert_chord_matches_reference(np.array([0.0, 0.0]), np.array([6.0, 8.0]), 1e-9)
+    assert n == systems._SUBDIVISION_BUDGET + 1
+    sys_ = single_mode_system(lambda x: 0.0 * x + 1.0, dim=1)  # few long steps
+    _assert_sampler_matches_reference(
+        lambda: integrate(sys_, [0.0], SwitchingSignal.constant(1, 10.0),
+                          IntegratorOptions(max_dx=1e-9)))
+
+
+@pytest.mark.parametrize("horizon, bound, max_dx", [(0.4999, 1e9, 0.05), (0.4999, 1e9, 1e-3),
+                                                     (2.0, 50.0, 0.05), (2.0, 1e9, 0.05)])
+def test_escaping_cubic_samples_match_reference(horizon, bound, max_dx):
+    # x' = x^3 from 1 reaches 70 by t = 0.4999, where steps exhaust the budget
+    # at max_dx = 1e-3, and escapes at 1/2: past |x| = 50, or through a
+    # step-size collapse under the default bound
+    sys_ = single_mode_system(lambda x: x ** 3, dim=1)
+    opts = IntegratorOptions(bound=bound, max_dx=max_dx)
+    _assert_sampler_matches_reference(
+        lambda: integrate(sys_, [1.0], SwitchingSignal.constant(1, horizon), opts))
+
+
+@pytest.mark.parametrize("max_dx", [0.05, 0.01, 1e-3, math.inf])
+def test_feedback_samples_match_reference(max_dx, ex1_scenario, two_centers_scenario):
+    for scenario in (ex1_scenario, two_centers_scenario):
+        opts = IntegratorOptions(max_dx=max_dx)
+        for x0 in ([1.3, -0.4], [-0.02, 0.7], [0.0, 0.0]):
+            _assert_sampler_matches_reference(lambda: integrate_feedback(
+                scenario.system, x0, scenario.source.rule, 15.0, opts))
+    ex2 = builtin_scenario("example2")
+    signal = generate_adt(5, ex2.source.adt, ex2.system.modes, 20.0)
+    _assert_sampler_matches_reference(
+        lambda: integrate(ex2.system, [1.0, -2.0], signal, IntegratorOptions(max_dx=max_dx)))
+
+
+def _reference_horner(rows, t_old, h, t):
+    """The interpolant's sum as a loop from 0.0, as the dense output first took it."""
+    x = (t - t_old) / h
+    weights = (x, 1 - x) * 3 + (x,)
+    out = []
+    for *cs, b in rows:
+        v = 0.0
+        for c, w in zip(cs, weights):
+            v = (v + c) * w
+        out.append(v + b)
+    return out
+
+
+def test_interpolant_is_the_horner_loop_to_the_bit():
+    # all -0.0 with b = -0.0: the loop's sum from 0.0 gives +0.0, a sum started
+    # at the leading coefficient -0.0.  A step never builds that row (its last
+    # coefficient is y_new - y_old, +0.0 when both are zeros), so only a direct
+    # call pins the leading 0.0 +
+    rng = np.random.default_rng(12)
+    rows = [(-0.0,) * 8, (-0.0,) * 7 + (0.0,), (-0.0, *[0.0] * 6, -0.0), (0.0,) * 8,
+            (math.inf, *[0.0] * 7), (math.nan, *[1.0] * 7)]
+    rows += [tuple(rng.normal(size=8) * 10.0 ** rng.uniform(-5, 5)) for _ in range(50)]
+    for t in (0.3, 0.3 + 1e-9, 0.55, 0.7):
+        got = systems._interpolant(rows, 0.3, 0.4, t)
+        assert isinstance(got, list)
+        assert systems._same_bits(np.array(got), np.array(_reference_horner(rows, 0.3, 0.4, t)))
+    assert math.copysign(1.0, systems._interpolant(rows[:1], 0.3, 0.4, 0.5)[0]) == 1.0
+
+
+def test_sampler_and_bisection_take_array_interpolants():
+    # scipy's DenseOutput returns arrays, the step's own interpolant lists
+    solver = DOP853(lambda t, y: rotation(y), 0.0, np.array([1.0, 0.0]), 10.0)
+    while solver.t < 1.0:
+        solver.step()
+    dense = solver.dense_output()
+    t0, t1 = solver.t_old, solver.t
+    x0, x1 = dense(t0), dense(t1)
+    for max_dx in (0.05, 1e-3):
+        _assert_chord_matches_reference(x0, x1, max_dx, lambda: dense)
+    level = 0.5 * (x0[1] + x1[1])
+    rule = FeedbackRule(lambda x: 1 if x[1] < level else 2,
+                        {1: lambda x: x.T[1] - level, 2: lambda x: level - x.T[1]})
+    as_lists = lambda t: dense(t).tolist()  # noqa: E731
+    assert rule(x0) != rule(x1)
+    for d in (dense, as_lists):
+        for event_tol in (1e-10, 1e-3, 1e-16):
+            t, x = systems._locate_crossing(d, rule, rule(x0), t0, t1, event_tol)
+            t_ref, x_ref = _reference_locate_crossing(dense, rule, rule(x0), t0, t1, event_tol)
+            assert t == t_ref and isinstance(x, np.ndarray) and systems._same_bits(x, x_ref)
 
 
 # -- feedback integration -----------------------------------------------------------
