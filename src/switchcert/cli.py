@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -58,44 +59,77 @@ class SchemaError(ValueError):
     """Scenario file violates the documented schema."""
 
 
-_SCENARIO_KEYS = {"system", "horizon", "output", "seed"}
-_IC_KEYS = {"radii", "angles", "points"}
-_SIGNAL_KEYS = {"source", "tau_d", "n0", "count", "paths"}
-# every IntegratorOptions and CheckSettings field; their ranges are checked there
-_TOL_KEYS = {f.name for cls in (IntegratorOptions, CheckSettings) for f in fields(cls)}
+def _number(text: str, kind=float, noun: str = "a number"):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"must be {noun}, got {text!r}") from None
+    if math.isnan(value):
+        raise ValueError("must not be NaN")
+    return value
 
 
-def _locate(text: str, token: str) -> int:
-    """1-based line number of the first line defining or naming ``token``."""
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith(f"[{token}]") or stripped.split("=")[0].strip() == token:
-            return i
-    return 0
+_integer = partial(_number, kind=int, noun="an integer")
 
 
-def _fail_schema(path: str, text: str, token: str, message: str) -> None:
-    line = _locate(text, token)
-    raise SchemaError(f"{path}:{line}: {message}")
+def _points(text: str) -> np.ndarray:
+    try:
+        return np.array([[float(v) for v in chunk.split()]
+                         for chunk in text.split(",") if chunk.strip()])
+    except ValueError:
+        raise ValueError("must be ','-separated coordinate lists") from None
 
 
-def _required(path: str, text: str, section, key: str) -> str:
-    """Value of a required key; a missing key is reported at its section header."""
-    if key not in section:
-        _fail_schema(path, text, section.name, f"missing required key {key!r} in [{section.name}]")
-    return section[key]
+def _source(text: str) -> str:
+    if text not in ("feedback", "generate", "file"):
+        raise ValueError(f"must be feedback, generate or file, got {text!r}")
+    return text
 
 
-def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
-    """Parse an INI scenario file into (Scenario, output dir or None)."""
+# The schema: section -> key -> parser of its text, raising ValueError with a message
+# that follows the key; the classes fed check the ranges.  No key is in two sections.
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+    "scenario": {"system": str.strip, "horizon": _number, "output": str.strip,
+                 "seed": _integer},
+    "initial_conditions": {"radii": lambda text: [_number(v) for v in text.split()],
+                           "angles": _integer, "points": _points},
+    "signal": {"source": _source, "tau_d": _number, "n0": _integer, "count": _integer,
+               "paths": str.split},
+    "tolerances": {f.name: _integer if f.name == "max_switches" else _number
+                   for cls in (IntegratorOptions, CheckSettings) for f in fields(cls)},
+}
+_PARSERS = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items()}
+
+Entry = tuple[str, str, str]  # key, text, location: a file's "path:line" or "--seed"
+
+
+def _scan(path: str, text: str) -> dict:
+    """``path:line`` of each ``[section]`` header and each (section, key), the key
+    read as configparser reads it: lower-cased, before the first ``=`` or ``:``."""
+    where, section = {}, None
+    for n, line in enumerate(text.split("\n"), start=1):
+        # comment lines give keys starting with '#' or ';', which no real key does
+        line = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
+        if line.startswith("[") and "]" in line:
+            section = line[1:line.rindex("]")]
+            where.setdefault(section, f"{path}:{n}")
+        else:
+            key = re.split("[=:]", line, maxsplit=1)[0].strip().lower()
+            where.setdefault((section, key), f"{path}:{n}")
+    return where
+
+
+def _read(path: str) -> tuple[list[Entry], dict[str, str]]:
+    """Each key of an INI scenario file with its text and location, and each section's."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw[:exc.start].count(b"\n") + 1
         raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
-    # no interpolation: a value such as "out%1" is taken literally
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation ("out%1" is literal); no section is named "", so [DEFAULT] is plain
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
@@ -103,132 +137,92 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
         line = getattr(exc, "lineno", None) or getattr(exc, "errors", [(0,)])[0][0]
         raise SchemaError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
 
-    known = {"scenario": _SCENARIO_KEYS, "initial_conditions": _IC_KEYS,
-             "signal": _SIGNAL_KEYS, "tolerances": _TOL_KEYS}
+    where = _scan(path, text)
+    entries, headers = [], {}
     for section in parser.sections():
-        if section not in known:
-            _fail_schema(path, text, section, f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in known[section]:
-                _fail_schema(path, text, key, f"unknown key {key!r} in [{section}]")
-
-    if "scenario" not in parser:
+        headers[section] = where[section]
+        if section not in _SCHEMA:
+            raise SchemaError(f"{where[section]}: unknown section [{section}]")
+        for key, value in parser[section].items():
+            if key not in _SCHEMA[section]:
+                raise SchemaError(f"{where[section, key]}: unknown key {key!r} in [{section}]")
+            entries.append((key, value, where[section, key]))
+    if "scenario" not in headers:
         raise SchemaError(f"{path}:1: missing [scenario] section")
-    sec = parser["scenario"]
-    system_id = _required(path, text, sec, "system").strip()
+    return entries, headers
+
+
+def _build(entries: list[Entry], headers: dict[str, str],
+           root: Path) -> tuple[Scenario, str | None]:
+    """Scenario and output directory (or None) from keyed texts.  A later entry of a
+    key overrides an earlier one; each fault is reported where its key is."""
+    values, at = {}, {}
+    for key, text, where in entries:
+        try:
+            values[key], at[key] = _PARSERS[key](text), where
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {key} {exc}") from None
+
+    def need(section: str, key: str):
+        if key not in values:
+            raise SchemaError(f"{headers[section]}: missing required key {key!r} in [{section}]")
+        return values[key]
+
+    system = need("scenario", "system")
+    kind = need("signal", "source") if "signal" in headers else None
+    for key in {"generate": ("tau_d", "n0"), "file": ("paths",)}.get(kind, ()):
+        need("signal", key)
     try:
-        scenario = builtin_scenario(system_id)
-    except ValueError as exc:
-        _fail_schema(path, text, "system", str(exc))
-
-    overrides: dict = {}
-    if "horizon" in sec:
-        overrides["horizon"] = _parse_float(path, text, "horizon", sec["horizon"])
-
-    if "initial_conditions" in parser:
-        ic = parser["initial_conditions"]
-        if "points" in ic:
-            try:
-                pts = [[float(v) for v in chunk.split()]
-                       for chunk in ic["points"].split(",") if chunk.strip()]
-                overrides["initial_states"] = np.array(pts)
-            except ValueError:
-                _fail_schema(path, text, "points", "points must be ','-separated coordinate lists")
-        elif "radii" in ic:
-            radii = [_parse_float(path, text, "radii", v) for v in ic["radii"].split()]
-            n_angles = _parse_int(path, text, "angles", ic.get("angles", "4"))
-            overrides["initial_states"] = polar_grid(radii, n_angles)
-
-    if "signal" in parser:
-        sig = parser["signal"]
-        kind = sig.get("source", "").strip()
-        if kind == "feedback":
-            if not isinstance(scenario.source, FeedbackSource):
-                _fail_schema(path, text, "source",
-                             f"system {system_id!r} does not define a feedback rule")
-        elif kind == "generate":
-            tau_d = _parse_float(path, text, "tau_d", _required(path, text, sig, "tau_d"))
-            n0 = _parse_int(path, text, "n0", _required(path, text, sig, "n0"))
-            count = _parse_int(path, text, "count", sig.get("count", "8"))
-            base = _parse_int(path, text, "seed", sec.get("seed", "0"))
-            try:
-                overrides["source"] = GeneratedSource(
-                    AdtClass(tau_d, n0), seeds=tuple(range(base, base + count))
-                )
-            except ValueError as exc:
-                key = str(exc).split()[0]  # tau_d, n0 or seed; "seeds" is empty: count
-                _fail_schema(path, text, key if _locate(text, key) else "count", str(exc))
+        scenario = builtin_scenario(system)
+        if kind == "feedback" and not isinstance(scenario.source, FeedbackSource):
+            raise ValueError(f"source {kind!r}: system {system!r} does not define a feedback rule")
+        changes = {"horizon": values["horizon"]} if "horizon" in values else {}
+        if "points" in values:
+            changes["initial_states"] = values["points"]
+        elif "radii" in values:
+            changes["initial_states"] = polar_grid(values["radii"], values.get("angles", 4))
+        source = scenario.source
+        if kind == "generate":
+            source = GeneratedSource(AdtClass(values["tau_d"], values["n0"]),
+                                     seeds=tuple(range(values.get("count", 8))))
         elif kind == "file":
-            paths = _required(path, text, sig, "paths").split()
-            root = Path(path).parent
-            try:
-                overrides["source"] = FileSource(tuple(str(root / p) for p in paths))
-            except ValueError as exc:
-                _fail_schema(path, text, "paths", str(exc))
-        elif kind:
-            _fail_schema(path, text, "source",
-                         f"unknown signal source {kind!r} (feedback | generate | file)")
-
-    if "tolerances" in parser:
-        tol = parser["tolerances"]
-        settings = {"integrator": scenario.integrator, "checks": scenario.checks}
-        for key in tol:
-            parse = _parse_int if key == "max_switches" else _parse_float
-            value = parse(path, text, key, tol[key])
-            target = "integrator" if hasattr(scenario.integrator, key) else "checks"
-            try:
-                settings[target] = replace(settings[target], **{key: value})
-            except ValueError as exc:
-                _fail_schema(path, text, key, str(exc))
-        overrides.update(settings)
-
-    try:
-        scenario = replace(scenario, **overrides) if overrides else scenario
+            source = FileSource(tuple(str(root / p) for p in values["paths"]))
+        if "seed" in values and isinstance(source, GeneratedSource):
+            base = values["seed"]
+            source = GeneratedSource(source.adt, tuple(range(base, base + len(source.seeds))))
+        for part in ("integrator", "checks"):
+            settings = getattr(scenario, part)
+            changes[part] = replace(settings, **{f.name: values[f.name]
+                                                 for f in fields(settings) if f.name in values})
+        scenario = replace(scenario, source=source, **changes)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}")
-    out = sec.get("output", "").strip()
-    return scenario, out or None
+        # the message starts with the field at fault: a key, or one of two fields
+        # named for keys; any other message (an unknown system) is the system's
+        name = str(exc).split()[0]
+        alias = {"seeds": "count", "initial_states": "points" if "points" in values else "radii"}
+        raise SchemaError(f"{at.get(alias.get(name, name), at['system'])}: {exc}") from None
+    return scenario, values.get("output") or None
 
 
-def _parse_float(path: str, text: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        _fail_schema(path, text, key, f"{key} must be a number, got {raw!r}")
-    if math.isnan(value):
-        _fail_schema(path, text, key, f"{key} must not be NaN")
-    return value
-
-
-def _parse_int(path: str, text: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        _fail_schema(path, text, key, f"{key} must be an integer, got {raw!r}")
+def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
+    """Parse an INI scenario file into (Scenario, output dir or None)."""
+    return _build(*_read(path), Path(path).parent)
 
 
 def _resolve_scenario(args) -> tuple[Scenario, Path]:
-    """Scenario plus output directory from CLI arguments."""
+    """Scenario plus output directory from CLI arguments: a file, or a built-in id read
+    as a file holding only ``system``; ``--horizon``/``--seed`` are their keys' values."""
     name = args.scenario
     if Path(name).is_file():
-        scenario, out = load_scenario_file(name)
+        entries, headers = _read(name)
     elif name in scenario_names():
-        scenario, out = builtin_scenario(name), None
+        entries, headers = [("system", name, name)], {"scenario": name}
     else:
-        raise SchemaError(
-            f"{name}: not a readable file and not a built-in scenario "
-            f"(built-ins: {', '.join(scenario_names())})"
-        )
-    try:
-        if args.horizon is not None:
-            option = "--horizon"
-            scenario = replace(scenario, horizon=args.horizon)
-        if args.seed is not None and isinstance(scenario.source, GeneratedSource):
-            option, src = "--seed", scenario.source
-            seeds = tuple(args.seed + i for i in range(len(src.seeds)))
-            scenario = replace(scenario, source=GeneratedSource(src.adt, seeds))
-    except ValueError as exc:
-        raise SchemaError(f"{option}: {exc}") from None
+        raise SchemaError(f"{name}: not a readable file and not a built-in scenario "
+                          f"(built-ins: {', '.join(scenario_names())})")
+    entries += [(key, str(getattr(args, key)), f"--{key}")
+                for key in ("horizon", "seed") if getattr(args, key) is not None]
+    scenario, out = _build(entries, headers, Path(name).parent)
     out_dir = Path(args.out) if args.out else Path(out or f"artifacts_{scenario.name}")
     return scenario, out_dir
 

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .reports import CheckReport, fmt17, write_rows
+from .reports import CheckReport, write_rows
 from .systems import Trajectory
 
 
@@ -389,59 +389,30 @@ def check_same_mode_constancy(traj: Trajectory, V, tol: float) -> CheckReport:
                        details={"tol": tol})
 
 
-@dataclass(frozen=True, eq=False)
-class LasalleReport:
-    """Tail attraction to a candidate attracting set."""
-
-    passed: bool
-    sup_distance: float
-    tol: float
-    tail_window: tuple[float, float]
-    times: np.ndarray
-    distances: np.ndarray
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,dist\n")
-            for t, d in zip(self.times, self.distances):
-                fh.write(f"{fmt17(t)},{fmt17(d)}\n")
-
-
 def lasalle_certify(
     traj: Trajectory,
     candidate_states: np.ndarray,
     tol: float,
     tail_fraction: float,
-) -> LasalleReport:
+) -> CheckReport:
     """Certify convergence of a trajectory to a candidate state set.
 
     Passes iff every tail sample lies within tol of the candidate set;
-    the full distance-to-set series is retained for export.  The
-    candidate is user-supplied: computing a maximal weakly-invariant set
-    is out of reach numerically, so this certifies a guess, it does not
-    find one.
+    ``worst`` is the largest tail distance to it.  The candidate is
+    user-supplied: computing a maximal weakly-invariant set is out of
+    reach numerically, so this certifies a guess, it does not find one.
     """
     candidate = np.atleast_2d(np.asarray(candidate_states, dtype=float))
     if candidate.size == 0:
         raise ValueError("candidate set must be nonempty")
-    d = np.linalg.norm(traj.states[:, None, :] - candidate[None, :, :], axis=2).min(axis=1)
     idx, t_start = _tail_indices(traj, tail_fraction)
-    sup = float(d[idx].max())
-    return LasalleReport(
-        passed=sup <= tol,
-        sup_distance=sup,
-        tol=tol,
-        tail_window=(t_start, traj.horizon),
-        times=traj.times,
-        distances=d,
-    )
+    tail = traj.states[idx]
+    sup = float(np.linalg.norm(tail[:, None, :] - candidate[None, :, :], axis=2).min(axis=1).max())
+    return CheckReport("lasalle", sup <= tol, worst=sup,
+                       details={"tol": tol, "tail_window": (t_start, traj.horizon)})
 
 
 __all__ = [
-    "LasalleReport",
     "OmegaEstimate",
     "OmegaSharpEstimate",
     "check_same_mode_constancy",

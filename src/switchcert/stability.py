@@ -550,7 +550,7 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
     for traj in batch.trajectories:
         rep = lasalle_certify(traj, origin, checks.lasalle_tol, checks.tail_fraction)
         lasalle_ok &= rep.passed
-        sup_dist = max(sup_dist, rep.sup_distance)
+        sup_dist = max(sup_dist, rep.worst)
     gamma_star = modes_containing_origin(sys_.covering, sys_.modes, sys_.dimension)
     entries.append(_entry("conclusion", "lasalle-origin", lasalle_ok,
                           f"worst tail distance to origin {sup_dist:.3g} "

@@ -352,6 +352,35 @@ _LOCATED_BAD_INPUTS = [
                  "scn.ini:4: missing required key 'n0' in [signal]", id="n0_missing"),
     pytest.param(lambda tmp: [write(tmp, "# no system\n\n[scenario]\nhorizon = 5\n")],
                  "scn.ini:3: missing required key 'system' in [scenario]", id="system_missing"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n"
+                                         "[signal]\nsource = generate\ntau_d: 0\nn0 = 2\n")],
+                 "scn.ini:5:", id="tau_d_colon"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n[signal]\n"
+                                         "source = generate\ncount = 2\nTau_D = 0\nn0 = 2\n")],
+                 "scn.ini:6:", id="tau_d_upper_case"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[tolerances]\nRTOL = 0\n")],
+                 "scn.ini:4:", id="rtol_upper_case"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\nhorizon = inf\n")],
+                 "scn.ini:3:", id="horizon_file_inf"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\nhorizon = -1\n")],
+                 "scn.ini:3:", id="horizon_file_negative"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\npoints = 1 0 0\n")],
+                 "scn.ini:4:", id="points_wrong_dimension"),
+    # each fault is reported at its own key, not at an option given with it
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\npoints = 1 0 0\n"),
+                              "--horizon", "5"],
+                 "scn.ini:4:", id="points_wrong_dimension_with_horizon_option"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\nradii = 1\nangles = 0\n")],
+                 "scn.ini:4:", id="radii_no_angles"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\nseed = banana\n")],
+                 "scn.ini:3: seed must be an integer", id="seed_not_integer_feedback"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
+                                         "[signal]\ntau_d = 0.5\n")],
+                 "scn.ini:3: missing required key 'source' in [signal]", id="source_missing"),
 ]
 
 
@@ -378,6 +407,43 @@ def test_bad_input_exit_2(tmp_path, capsys, make_args):
 def test_bad_input_says_where(tmp_path, capsys, make_args, where):
     assert main(["run", *make_args(tmp_path), "--out", str(tmp_path / "out")]) == 2
     assert where in capsys.readouterr().err
+
+
+def test_file_seed_rebases_builtin_source(tmp_path):
+    """``seed`` in a file re-bases a built-in's generated source as ``--seed`` does."""
+    from switchcert.cli import _resolve_scenario, build_parser
+
+    scn = write(tmp_path, "[scenario]\nsystem = example2\nhorizon = 5\nseed = 7\n")
+    by_file = load_scenario_file(scn)[0].source
+    option = build_parser().parse_args(["run", "example2", "--horizon", "5", "--seed", "7"])
+    assert isinstance(by_file, GeneratedSource) and by_file.seeds == tuple(range(7, 39))
+    assert _resolve_scenario(option)[0].source == by_file
+
+    dirs = tmp_path / "file", tmp_path / "option"
+    assert main(["simulate", scn, "--out", str(dirs[0])]) == 0
+    assert main(["simulate", "example2", "--horizon", "5", "--seed", "7",
+                 "--out", str(dirs[1])]) == 0
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == sorted(p.name for p in dirs[1].iterdir()) and "signal_031.txt" in names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_schema_comment_lists_every_key():
+    """The schema comment of ``scenarios/example1.ini`` names exactly the keys
+    the loader accepts, section by section."""
+    import re
+
+    from switchcert.cli import _SCHEMA
+
+    documented, section = {}, None
+    for line in (REPO / "scenarios" / "example1.ini").read_text().splitlines():
+        if header := re.match(r"#   \[(\w+)\]", line):
+            section = header[1]
+            documented[section] = set()
+        elif keys := re.match(r"#     (\w+(?: \w+)*)", line):
+            documented[section] |= set(keys[1].split())
+    assert documented == {name: set(keys) for name, keys in _SCHEMA.items()}
 
 
 def test_percent_in_value_is_literal(tmp_path, capsys):

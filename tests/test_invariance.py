@@ -571,27 +571,18 @@ def test_weak_invariance_residual_shadow(ex1_scenario, ex1_batch):
 def test_lasalle_pass_on_converging(ex1_batch):
     rep = lasalle_certify(ex1_batch.trajectories[0], np.zeros((1, 2)), TOL, 0.5)
     assert rep.passed
-    assert rep.sup_distance <= TOL
+    assert rep.worst <= TOL
 
 
 def test_lasalle_fail_on_circle(center_orbit):
     rep = lasalle_certify(center_orbit, np.zeros((1, 2)), TOL, 0.5)
     assert not rep.passed
-    assert rep.sup_distance == pytest.approx(1.0, abs=1e-3)
+    assert rep.worst == pytest.approx(1.0, abs=1e-3)
 
 
 def test_lasalle_equilibrium(zero_trajectory):
     rep = lasalle_certify(zero_trajectory, np.zeros((1, 2)), TOL, 0.5)
-    assert rep.passed and rep.sup_distance == 0.0
-
-
-def test_lasalle_distance_series(tmp_path, center_orbit):
-    rep = lasalle_certify(center_orbit, np.zeros((1, 2)), TOL, 0.5)
-    assert rep.times.size == center_orbit.times.size
-    assert np.allclose(rep.distances, center_orbit.norms)
-    path = tmp_path / "dist.csv"
-    rep.to_csv(path)
-    assert path.read_text().startswith("t,dist\n")
+    assert rep.passed and rep.worst == 0.0
 
 
 def test_lasalle_empty_candidate(zero_trajectory):
