@@ -34,6 +34,7 @@ import numpy as np
 
 from .invariance import omega_limit, omega_sharp, project_states
 from .lyapunov import check_strict_decrease
+from .reports import read_utf8
 from .scenarios import (
     CheckSettings,
     FeedbackSource,
@@ -80,6 +81,15 @@ def _points(text: str) -> np.ndarray:
         raise ValueError("must be ','-separated coordinate lists") from None
 
 
+def _directory(text: str) -> str:
+    """An artifact directory: the path, or its first existing ancestor, is one."""
+    path = Path(text.strip())
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"must be a directory; {str(found)!r} is not one")
+    return text.strip()
+
+
 def _source(text: str) -> str:
     if text not in ("feedback", "generate", "file"):
         raise ValueError(f"must be feedback, generate or file, got {text!r}")
@@ -89,7 +99,7 @@ def _source(text: str) -> str:
 # The schema: section -> key -> parser of its text, raising ValueError with a message
 # that follows the key; the classes fed check the ranges.  No key is in two sections.
 _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "scenario": {"system": str.strip, "horizon": _number, "output": str.strip,
+    "scenario": {"system": str.strip, "horizon": _number, "output": _directory,
                  "seed": _integer},
     "initial_conditions": {"radii": lambda text: [_number(v) for v in text.split()],
                            "angles": _integer, "points": _points},
@@ -100,7 +110,7 @@ _SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
 }
 _PARSERS = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items()}
 
-Entry = tuple[str, str, str]  # key, text, location: a file's "path:line" or "--seed"
+Entry = tuple[str, str, str]  # key, text, location: a file's "path:line" or an option
 
 
 def _scan(path: str, text: str) -> dict:
@@ -121,12 +131,7 @@ def _scan(path: str, text: str) -> dict:
 
 def _read(path: str) -> tuple[list[Entry], dict[str, str]]:
     """Each key of an INI scenario file with its text and location, and each section's."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
-        raise SchemaError(f"{path}:{line}: not UTF-8 text") from None
+    text = read_utf8(path, SchemaError)
     # no interpolation ("out%1" is literal); no section is named "", so [DEFAULT] is plain
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
                                        default_section="")
@@ -184,23 +189,29 @@ def _build(entries: list[Entry], headers: dict[str, str],
         source = scenario.source
         if kind == "generate":
             source = GeneratedSource(AdtClass(values["tau_d"], values["n0"]),
-                                     seeds=tuple(range(values.get("count", 8))))
+                                     count=values.get("count", 8))
         elif kind == "file":
-            source = FileSource(tuple(str(root / p) for p in values["paths"]))
+            source = FileSource(tuple(load_signal(root / p)[0] for p in values["paths"]))
         if "seed" in values and isinstance(source, GeneratedSource):
-            base = values["seed"]
-            source = GeneratedSource(source.adt, tuple(range(base, base + len(source.seeds))))
+            source = replace(source, seed=values["seed"])
         for part in ("integrator", "checks"):
             settings = getattr(scenario, part)
             changes[part] = replace(settings, **{f.name: values[f.name]
                                                  for f in fields(settings) if f.name in values})
         scenario = replace(scenario, source=source, **changes)
-    except ValueError as exc:
-        # the message starts with the field at fault: a key, or one of two fields
-        # named for keys; any other message (an unknown system) is the system's
-        name = str(exc).split()[0]
-        alias = {"seeds": "count", "initial_states": "points" if "points" in values else "radii"}
-        raise SchemaError(f"{at.get(alias.get(name, name), at['system'])}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        # the message starts with the field at fault: a key, a field named for keys, or
+        # signals[i], the signal read from the i-th file of paths.  A signal file that
+        # cannot be read or parsed is a fault of paths too, and its message names the
+        # file; any other message (an unknown system) is the system's
+        text = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else str(exc)
+        if found := re.match(r"signals\[(\d+)\]", text):
+            text = f"{root / values['paths'][int(found[1])]}{text[found.end():]}"
+        if found or isinstance(exc, (OSError, SignalFormatError)):
+            text = f"paths: {text}"
+        name = re.match(r"\w*", text)[0]
+        alias = {"signals": "paths", "initial_states": "points" if "points" in values else "radii"}
+        raise SchemaError(f"{at.get(alias.get(name, name), at['system'])}: {text}") from None
     return scenario, values.get("output") or None
 
 
@@ -211,7 +222,8 @@ def load_scenario_file(path: str) -> tuple[Scenario, str | None]:
 
 def _resolve_scenario(args) -> tuple[Scenario, Path]:
     """Scenario plus output directory from CLI arguments: a file, or a built-in id read
-    as a file holding only ``system``; ``--horizon``/``--seed`` are their keys' values."""
+    as a file holding only ``system``; ``--horizon``, ``--seed`` and ``--out`` are the
+    values of the keys ``horizon``, ``seed`` and ``output``."""
     name = args.scenario
     if Path(name).is_file():
         entries, headers = _read(name)
@@ -220,11 +232,14 @@ def _resolve_scenario(args) -> tuple[Scenario, Path]:
     else:
         raise SchemaError(f"{name}: not a readable file and not a built-in scenario "
                           f"(built-ins: {', '.join(scenario_names())})")
-    entries += [(key, str(getattr(args, key)), f"--{key}")
-                for key in ("horizon", "seed") if getattr(args, key) is not None]
+    options = (("horizon", args.horizon, "--horizon"), ("seed", args.seed, "--seed"),
+               ("output", args.out, "--out"))
+    entries += [(key, str(value), where) for key, value, where in options if value is not None]
     scenario, out = _build(entries, headers, Path(name).parent)
-    out_dir = Path(args.out) if args.out else Path(out or f"artifacts_{scenario.name}")
-    return scenario, out_dir
+    try:
+        return scenario, Path(out or _directory(f"artifacts_{scenario.name}"))
+    except ValueError as exc:  # the default directory, named for the scenario
+        raise SchemaError(f"{name}: output {exc}") from None
 
 
 # artifact file name -> writer taking the file's path
@@ -305,7 +320,7 @@ def cmd_validate(args) -> int:
     try:
         signal, _modes = load_signal(args.signal_file)
         adt = AdtClass(args.tau_d, args.n0)
-    except (SignalFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdict = validate_adt(signal, adt)
@@ -352,9 +367,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except SignalFormatError as exc:
-        print(f"signal error: {exc}", file=sys.stderr)
         return 2
     except FiniteEscapeError as exc:
         print(f"simulation blow-up: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .reports import CheckReport, fmt17
+from .reports import CheckReport, write_rows
 from .systems import (
     FiniteEscapeError,
     IntegratorOptions,
@@ -259,10 +259,8 @@ class EnvelopeReport:
         return self.passed
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,m,M\n")
-            for r, m, M in zip(self.radii, self.lower, self.upper):
-                fh.write(f"{fmt17(r)},{fmt17(m)},{fmt17(M)}\n")
+        write_rows(path, ["r", "m", "M"], ["%.17g"] * 3,
+                   [self.radii.tolist(), self.lower.tolist(), self.upper.tolist()])
 
 
 def _shell_table(system: SwitchedSystem, region: SampleRegion,
@@ -351,10 +349,7 @@ class StrictDecreaseReport:
         return self.passed
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,alpha3\n")
-            for r, a in zip(self.radii, self.rate):
-                fh.write(f"{fmt17(r)},{fmt17(a)}\n")
+        write_rows(path, ["r", "alpha3"], ["%.17g"] * 2, [self.radii.tolist(), self.rate.tolist()])
 
 
 def check_strict_decrease(

@@ -20,6 +20,17 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def read_utf8(path, error: type[ValueError]) -> str:
+    """A file's text; bytes that are not UTF-8 raise ``error`` naming the file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
 def write_rows(path, header: list[str], cells: list[str], columns: list[list]) -> None:
     """CSV of ``columns`` under ``header``, one ``%`` format per row: the
     ``cells`` formats joined by commas, ``%.17g`` writing :func:`fmt17`'s text."""

@@ -48,7 +48,7 @@ import numpy as np
 
 from .lyapunov import LyapunovCandidate, OutputFamily, SampleRegion
 from .reports import reduce_via_constructor, require_ranges
-from .signals import AdtClass, ModeSet
+from .signals import AdtClass, ModeSet, SwitchingSignal
 from .systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
 
 
@@ -160,36 +160,37 @@ class FeedbackSource:
 
 @dataclass(frozen=True)
 class GeneratedSource:
-    """One trajectory per seed under pseudo-random ADT signals."""
+    """One trajectory per seed under pseudo-random ADT signals: ``count``
+    signals, the i-th drawn with seed ``seed + i``."""
 
     adt: AdtClass
-    seeds: tuple[int, ...]
+    count: int
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seed must be nonnegative, got {min(self.seeds)}")
+        require_ranges(self, positive=("count",), nonnegative=("seed",))
+
+    @property
+    def seeds(self) -> range:
+        return range(self.seed, self.seed + self.count)
 
     def describe(self) -> str:
-        return (
-            f"generated(tau_d={self.adt.tau_d:g}, n0={self.adt.n0}, "
-            f"seeds={len(self.seeds)})"
-        )
+        return f"generated(tau_d={self.adt.tau_d:g}, n0={self.adt.n0}, seeds={self.count})"
 
 
 @dataclass(frozen=True)
 class FileSource:
-    """One trajectory per signal file."""
+    """One trajectory per signal, as read from signal files; the
+    :class:`Scenario` holding it checks each signal's horizon and modes."""
 
-    paths: tuple[str, ...]
+    signals: tuple[SwitchingSignal, ...]
 
     def __post_init__(self) -> None:
-        if not self.paths:
-            raise ValueError("paths must be nonempty")
+        if not self.signals:
+            raise ValueError("signals must be nonempty")
 
     def describe(self) -> str:
-        return f"files({len(self.paths)})"
+        return f"files({len(self.signals)})"
 
 
 SignalSource = FeedbackSource | GeneratedSource | FileSource
@@ -246,6 +247,15 @@ class Scenario:
         object.__setattr__(self, "initial_states", ics)
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        # the i-th file signal's faults start "signals[i]:", which the INI loader
+        # turns into the i-th signal file of its paths line
+        for i, sig in enumerate(self.source.signals if isinstance(self.source, FileSource) else ()):
+            if sig.horizon != self.horizon:
+                raise ValueError(f"signals[{i}]: horizon {sig.horizon} differs from the "
+                                 f"scenario's {self.horizon}")
+            if foreign := [g for g in sig.modes.tolist() if g not in self.system.modes]:
+                raise ValueError(f"signals[{i}]: mode {foreign[0]} is not one of the system's "
+                                 f"modes 1..{self.system.modes.size}")
 
 
 def polar_grid(radii, n_angles: int, phase: float = math.pi / 8.0) -> np.ndarray:
@@ -271,7 +281,7 @@ _BUILTIN_TABLE = {
                      initial_states=polar_grid(np.geomspace(0.25, 2.0, 4), 4)),
     "example2": dict(fields=(damped_rotation, saturating_pull), covering=Covering.trivial(_MODES),
                      V=half_squared_norm_candidate(), W=example2_outputs(),
-                     source=GeneratedSource(AdtClass(0.5, 2), seeds=tuple(range(32))),
+                     source=GeneratedSource(AdtClass(0.5, 2), count=32),
                      initial_states=polar_grid([2.0, 3.0], 4), horizon=100.0,
                      checks=CheckSettings(attraction_eps=0.5, lasalle_tol=2e-2)),
     "two_centers": dict(_HALF_PLANE_FEEDBACK, fields=(rotation, rotation),

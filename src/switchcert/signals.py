@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reports import CheckReport, fmt17, reduce_via_constructor
+from .reports import CheckReport, fmt17, read_utf8, reduce_via_constructor
 
 INFINITY = math.inf
 
@@ -536,20 +536,20 @@ class SignalFormatError(ValueError):
 
 
 def load_signal(path) -> tuple[SwitchingSignal, ModeSet]:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    text = read_utf8(path, SignalFormatError)
+    numbered = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(n, ln) for n, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise SignalFormatError(f"{path}: empty signal file")
-    header = lines[0].split()
+    (head_no, head), *body = lines
     try:
-        fields = dict(item.split("=", 1) for item in header)
-        m = int(fields["modes"])
+        fields = dict(item.split("=", 1) for item in head.split())
+        modes = ModeSet(int(fields["modes"]))
         horizon = float(fields["horizon"])
     except (ValueError, KeyError) as exc:
-        raise SignalFormatError(f"{path}:1: bad header {lines[0]!r}") from exc
+        raise SignalFormatError(f"{path}:{head_no}: bad header {head!r}") from exc
     times, mode_vals = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise SignalFormatError(f"{path}:{lineno}: expected 't gamma', got {ln!r}")
@@ -560,9 +560,8 @@ def load_signal(path) -> tuple[SwitchingSignal, ModeSet]:
             raise SignalFormatError(f"{path}:{lineno}: bad segment line {ln!r}") from exc
     if not times or times[0] != 0.0:
         raise SignalFormatError(f"{path}: first segment must start at t=0")
-    modes = ModeSet(m)
     if any(g not in modes for g in mode_vals):
-        raise SignalFormatError(f"{path}: mode label outside 1..{m}")
+        raise SignalFormatError(f"{path}: mode label outside 1..{modes.size}")
     try:
         sig = SwitchingSignal(np.array(times[1:]), np.array(mode_vals), horizon)
     except ValueError as exc:

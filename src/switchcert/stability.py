@@ -21,8 +21,8 @@ it reports what a finite batch showed, never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from .lyapunov import (
     check_return_monotonicity,
     distinguishability_probe,
 )
-from .reports import CheckReport, fmt17
-from .signals import AdtClass, SignalFormatError, generate_adt, load_signal, validate_adt
+from .reports import CheckReport, fmt17, write_rows
+from .scenarios import FeedbackSource, FileSource, GeneratedSource, Scenario
+from .signals import generate_adt, validate_adt
 from .systems import (
     Trajectory,
     check_covering_compliance,
@@ -45,9 +46,6 @@ from .systems import (
     integrate_feedback,
     modes_containing_origin,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenarios import Scenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,40 +62,21 @@ class TrajectoryBatch:
         return len(self.trajectories)
 
 
-def simulate_batch(scenario: "Scenario") -> TrajectoryBatch:
+def simulate_batch(scenario: Scenario) -> TrajectoryBatch:
     """Run every trajectory a scenario's signal source prescribes.
 
-    Feedback sources yield one trajectory per initial condition;
-    generated and file sources yield one per signal, cycling through the
-    initial-condition grid.  A signal file that cannot be read or whose
-    horizon is not the scenario's raises :class:`SignalFormatError`.
+    A feedback source yields one trajectory per initial condition; a
+    file source one per signal and a generated source one per seed, each
+    cycling through the initial-condition grid.
     """
-    from .scenarios import FeedbackSource, FileSource, GeneratedSource
-
-    sys_, opts = scenario.system, scenario.integrator
+    sys_, opts, src = scenario.system, scenario.integrator, scenario.source
     ics = scenario.initial_states
-    trajs: list[Trajectory] = []
-    src = scenario.source
     if isinstance(src, FeedbackSource):
-        for x0 in ics:
-            trajs.append(integrate_feedback(sys_, x0, src.rule, scenario.horizon, opts))
-    elif isinstance(src, GeneratedSource):
-        for i, seed in enumerate(src.seeds):
-            sig = generate_adt(seed, src.adt, sys_.modes, scenario.horizon)
-            trajs.append(integrate(sys_, ics[i % len(ics)], sig, opts))
-    elif isinstance(src, FileSource):
-        for i, path in enumerate(src.paths):
-            try:
-                sig, _ = load_signal(path)
-            except OSError as exc:
-                raise SignalFormatError(f"{path}: {exc.strerror}") from exc
-            if sig.horizon != scenario.horizon:
-                raise SignalFormatError(
-                    f"signal file {path} has horizon {sig.horizon}, scenario wants {scenario.horizon}"
-                )
-            trajs.append(integrate(sys_, ics[i % len(ics)], sig, opts))
+        trajs = [integrate_feedback(sys_, x0, src.rule, scenario.horizon, opts) for x0 in ics]
     else:
-        raise TypeError(f"unknown signal source {src!r}")
+        signals = src.signals if isinstance(src, FileSource) else (
+            generate_adt(seed, src.adt, sys_.modes, scenario.horizon) for seed in src.seeds)
+        trajs = [integrate(sys_, ics[i % len(ics)], sig, opts) for i, sig in enumerate(signals)]
     return TrajectoryBatch(
         scenario=scenario.name,
         initial_states=ics,
@@ -131,11 +110,10 @@ class UniformEnvelope:
         return self.passed
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,alpha\n")
-            for i, a in enumerate(self.alpha):
-                if not math.isnan(a):
-                    fh.write(f"{fmt17(self.bin_edges[i + 1])},{fmt17(a)}\n")
+        """Header ``r,alpha``, one row per populated bin: its upper edge and alpha."""
+        full = np.flatnonzero(~np.isnan(self.alpha))
+        write_rows(path, ["r", "alpha"], ["%.17g"] * 2,
+                   [self.bin_edges[full + 1].tolist(), self.alpha[full].tolist()])
 
 
 _OVERSHOOT_BINS = 20  # geometric restart-radius bins
@@ -416,38 +394,30 @@ def _feedback_adt_entries(batch: TrajectoryBatch) -> list[ReportEntry]:
     signal (chatter bound 1), and the measured gaps must agree within
     10% across the batch.
     """
-    gaps = []
-    all_valid = True
-    for traj in batch.trajectories:
-        sig = traj.signal
-        gap = sig.min_switch_gap()
-        if math.isinf(gap):
-            continue  # fewer than 2 switches: nothing to bound
-        gaps.append(gap)
-        if not validate_adt(sig, AdtClass(gap / 2.0, 1)):
-            all_valid = False
+    # each signal lies in class(gap / 2, 1) of its own min gap (k + 1 switches span at
+    # least k * gap, within the bound 1 + k * gap / (gap / 2) = 1 + 2k), so the spread
+    # of the gaps alone decides; a gap is inf below 2 switches
+    gaps = [gap for traj in batch.trajectories
+            if not math.isinf(gap := traj.signal.min_switch_gap())]
     if not gaps:
         return [_entry("hypothesis", "adt-regularity", True,
                        "no realized signal switched twice; dwell-time vacuous",
                        n_signals=len(batch.trajectories))]
     spread = max(gaps) / min(gaps) - 1.0
-    stable = spread <= 0.10
     return [_entry(
-        "hypothesis", "adt-regularity", all_valid and min(gaps) > 0.0 and stable,
+        "hypothesis", "adt-regularity", spread <= 0.10,
         f"min gap {min(gaps):.6g}, max {max(gaps):.6g}, spread {100 * spread:.2f}%",
         min_gap=min(gaps), max_gap=max(gaps), spread=spread,
         tau_d=min(gaps) / 2.0, n0=1,
     )]
 
 
-def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> AggregateReport:
+def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> AggregateReport:
     """Compose all hypothesis and conclusion checks into one verdict.
 
     The tolerances a scenario's ``checks`` do not hold are fixed in the
     checks themselves.
     """
-    from .scenarios import FeedbackSource, GeneratedSource
-
     if batch is None:
         batch = simulate_batch(scenario)
     sys_, V, checks = scenario.system, scenario.V, scenario.checks
@@ -509,7 +479,8 @@ def guas_report(scenario: "Scenario", batch: TrajectoryBatch | None = None) -> A
 
     if scenario.W is not None:
         for gamma in sys_.modes.labels:
-            probe = distinguishability_probe(sys_, scenario.W, gamma, checks.probe_delta, region)
+            probe = distinguishability_probe(sys_, scenario.W, gamma, checks.probe_delta, region,
+                                             opts=replace(scenario.integrator, max_dx=math.inf))
             entries.append(_entry(
                 "hypothesis", f"distinguishability-mode{gamma}", probe.passed,
                 f"min output peak {probe.min_peak:.3g} over {probe.n_probed} starts "

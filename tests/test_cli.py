@@ -66,7 +66,7 @@ count = 3
     src = scenario.source
     assert isinstance(src, GeneratedSource)
     assert src.adt.tau_d == 0.7 and src.adt.n0 == 2
-    assert src.seeds == (5, 6, 7)
+    assert src.seeds == range(5, 8)
 
 
 def test_schema_error_reports_line(tmp_path):
@@ -286,11 +286,11 @@ horizon = 5.0
     assert not out.exists() or not any(out.iterdir())
 
 
-def _signal_ini(tmp_path, signal_horizon):
-    """Scenario of horizon 15 reading one signal file; None leaves the file absent."""
-    if signal_horizon is not None:
-        save_signal(SwitchingSignal(np.array([2.0]), np.array([1, 2]), signal_horizon),
-                    ModeSet(2), tmp_path / "sig.txt")
+def _signal_ini(tmp_path, signal_data=None):
+    """Scenario of horizon 15 whose ``paths`` (line 11) names sig.txt, a signal file
+    holding ``signal_data``; None leaves the file absent."""
+    if signal_data is not None:
+        (tmp_path / "sig.txt").write_bytes(signal_data)
     return write(tmp_path, """
 [scenario]
 system = example1
@@ -327,7 +327,14 @@ def _bytes_ini(tmp_path, data: bytes):
     return str(path)
 
 
+def _taken(tmp_path):
+    """A file standing where an artifact directory is asked for."""
+    (tmp_path / "taken").write_text("not a directory\n")
+    return tmp_path / "taken"
+
+
 # bad inputs whose message must say where the fault is: a file line or an option
+# ("{tmp}" stands for the test's directory)
 _LOCATED_BAD_INPUTS = [
     pytest.param(lambda tmp: [_generate_ini(tmp, tau_d="0")], "scn.ini:9:", id="tau_d_zero"),
     pytest.param(lambda tmp: [_generate_ini(tmp, n0="0")], "scn.ini:10:", id="n0_zero"),
@@ -381,6 +388,35 @@ _LOCATED_BAD_INPUTS = [
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
                                          "[signal]\ntau_d = 0.5\n")],
                  "scn.ini:3: missing required key 'source' in [signal]", id="source_missing"),
+    # a signal file is read and checked with the scenario, its faults located at paths
+    pytest.param(lambda tmp: [_signal_ini(tmp)],
+                 "scn.ini:11: paths: {tmp}/sig.txt: No such file or directory",
+                 id="signal_file_missing"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=2 horizon=15\n0 1\n2 2 2\n")],
+                 "scn.ini:11: paths: {tmp}/sig.txt:3: expected 't gamma'",
+                 id="signal_file_malformed"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=2 horizon=10\n0 1\n2 2\n")],
+                 "scn.ini:11: paths: {tmp}/sig.txt: horizon 10.0 differs from the scenario's 15.0",
+                 id="signal_horizon_mismatch"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=2 horizon=15\n0 1\n2 2\n"),
+                              "--horizon", "10"],
+                 "scn.ini:11: paths: {tmp}/sig.txt: horizon 15.0 differs from the scenario's 10.0",
+                 id="signal_horizon_option_mismatch"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=3 horizon=15\n0 1\n2 3\n")],
+                 "scn.ini:11: paths: {tmp}/sig.txt: mode 3 is not one of the system's modes",
+                 id="signal_mode_foreign"),
+    pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=2 horizon=15\n0 1\n\xe9 2\n")],
+                 "scn.ini:11: paths: {tmp}/sig.txt:3: not UTF-8 text", id="signal_file_not_utf8"),
+    # an artifact directory that cannot be made is bad input, caught before simulating
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "2", "--out", str(_taken(tmp))],
+                 "--out: output must be a directory; '{tmp}/taken' is not one",
+                 id="out_is_file"),
+    pytest.param(lambda tmp: ["two_centers", "--horizon", "2", "--out", f"{_taken(tmp)}/sub"],
+                 "--out: output must be a directory; '{tmp}/taken' is not one",
+                 id="out_under_file"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         f"output = {_taken(tmp)}\n")],
+                 "scn.ini:3: output must be a directory", id="output_key_is_file"),
 ]
 
 
@@ -389,24 +425,33 @@ _LOCATED_BAD_INPUTS = [
     pytest.param(lambda tmp: ["two_centers", "--horizon", "-1"], id="horizon_negative"),
     pytest.param(lambda tmp: ["two_centers", "--horizon", "nan"], id="horizon_nan"),
     pytest.param(lambda tmp: ["two_centers", "--horizon", "inf"], id="horizon_inf"),
-    pytest.param(lambda tmp: [_signal_ini(tmp, None)], id="signal_file_missing"),
-    pytest.param(lambda tmp: [_signal_ini(tmp, 10.0)], id="signal_horizon_mismatch"),
     *[pytest.param(p.values[0], id=p.id) for p in _LOCATED_BAD_INPUTS],
 ])
 def test_bad_input_exit_2(tmp_path, capsys, make_args):
     argv = make_args(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     for command in ("run", "simulate", "omega"):
-        out = tmp_path / f"{command}_out"
-        assert main([command, *argv, "--out", str(out)]) == 2
+        # an --out in argv, after this one, wins
+        assert main([command, "--out", str(tmp_path / f"{command}_out"), *argv]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        assert not out.exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("make_args, where", _LOCATED_BAD_INPUTS)
 def test_bad_input_says_where(tmp_path, capsys, make_args, where):
-    assert main(["run", *make_args(tmp_path), "--out", str(tmp_path / "out")]) == 2
-    assert where in capsys.readouterr().err
+    assert main(["run", "--out", str(tmp_path / "out"), *make_args(tmp_path)]) == 2
+    assert where.format(tmp=tmp_path) in capsys.readouterr().err
+
+
+def test_default_output_dir_taken_exit_2(tmp_path, monkeypatch, capsys):
+    """The default artifact directory is checked before simulating, like --out."""
+    monkeypatch.chdir(tmp_path)
+    _taken(tmp_path).rename(tmp_path / "artifacts_two_centers")
+    assert main(["simulate", "two_centers", "--horizon", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: two_centers: output must be a directory")
+    assert (tmp_path / "artifacts_two_centers").read_text() == "not a directory\n"
 
 
 def test_file_seed_rebases_builtin_source(tmp_path):
@@ -416,7 +461,7 @@ def test_file_seed_rebases_builtin_source(tmp_path):
     scn = write(tmp_path, "[scenario]\nsystem = example2\nhorizon = 5\nseed = 7\n")
     by_file = load_scenario_file(scn)[0].source
     option = build_parser().parse_args(["run", "example2", "--horizon", "5", "--seed", "7"])
-    assert isinstance(by_file, GeneratedSource) and by_file.seeds == tuple(range(7, 39))
+    assert isinstance(by_file, GeneratedSource) and by_file.seeds == range(7, 39)
     assert _resolve_scenario(option)[0].source == by_file
 
     dirs = tmp_path / "file", tmp_path / "option"
@@ -545,3 +590,58 @@ paths = {sig_path.name}
     out = tmp_path / "file_out"
     assert main(["simulate", scn, "--out", str(out)]) == 0
     assert (out / "trajectory_000.csv").is_file()
+
+
+def test_rerun_from_saved_signals_is_identical(tmp_path):
+    """Rerunning example2 with ``source = file`` over its own saved signal files gives
+    byte-identical trajectory, signal and omega files and the same conclusions."""
+    generated, rerun = tmp_path / "generated", tmp_path / "rerun"
+    assert main(["run", "example2", "--horizon", "20", "--out", str(generated)]) == 0
+    signals = sorted(p.name for p in generated.glob("signal_*.txt"))
+    scn = write(tmp_path, "[scenario]\nsystem = example2\nhorizon = 20\n[signal]\n"
+                          f"source = file\npaths = {' '.join(f'generated/{p}' for p in signals)}\n")
+    assert main(["run", scn, "--out", str(rerun)]) == 0
+
+    def compared(out):
+        return sorted(p.name for p in out.iterdir()
+                      if p.name.startswith(("trajectory_", "signal_", "omega")))
+
+    names = compared(generated)
+    assert len(signals) == 32 and names == compared(rerun) and "omega_sharp_031.csv" in names
+    for name in names:
+        assert (generated / name).read_bytes() == (rerun / name).read_bytes(), name
+
+    def conclusions(out):
+        return [line for line in (out / "guas_report.kv").read_text().splitlines()
+                if line.startswith("conclusion.")]
+
+    assert conclusions(generated) == conclusions(rerun) != []
+
+
+def test_perfbench_inputs_load(tmp_path, monkeypatch):
+    """Every pool input of the benchmark's workloads, at two seeds, loads as the scenario
+    its workload means: generated signals for random_adt, feedback for the others."""
+    import importlib.util
+    import re
+
+    from switchcert.scenarios import FeedbackSource
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert {"random_adt", "orbit_clusters"} <= set(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (77, 5):
+            for k, text in enumerate(workloads.make_inputs(name, seed)):
+                scenario, _ = load_scenario_file(write(tmp_path, text, f"{name}_{seed}_{k}.ini"))
+                source = scenario.source
+                assert scenario.horizon == workload.horizon
+                if name == "random_adt":
+                    base = int(re.search(r"^seed = (\d+)$", text, re.MULTILINE)[1])
+                    assert isinstance(source, GeneratedSource)
+                    assert source.seeds == range(base, base + workload.batch)
+                else:
+                    assert isinstance(source, FeedbackSource)
+                    assert len(scenario.initial_states) == workload.batch

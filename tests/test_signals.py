@@ -490,6 +490,17 @@ def test_load_signal_errors(tmp_path):
         load_signal(p)
 
 
+def test_load_signal_errors_name_the_file_line(tmp_path):
+    """Comment and blank lines count: a fault names its line in the file."""
+    p = tmp_path / "bad.txt"
+    p.write_text("# saved by hand\n\nmodes=2 horizon=5\n0 1\n1.0 2 extra\n")
+    with pytest.raises(SignalFormatError, match=r"bad\.txt:5: expected 't gamma'"):
+        load_signal(p)
+    p.write_text("# no modes\nmodes=0 horizon=5\n0 1\n")
+    with pytest.raises(SignalFormatError, match=r"bad\.txt:2: bad header"):
+        load_signal(p)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 12))
 def test_extract_postconditions_on_generated_families(base_seed, count):

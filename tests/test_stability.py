@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from switchcert.scenarios import FileSource, GeneratedSource
-from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, save_signal
+from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, load_signal, save_signal
 from switchcert.stability import (
     TrajectoryBatch,
     check_uniform_attraction,
@@ -146,7 +147,7 @@ def test_attraction_radius_filter(ex1_batch):
 
 
 def test_simulate_batch_generated_is_deterministic(ex2_scenario):
-    small = replace(ex2_scenario, source=GeneratedSource(AdtClass(0.5, 2), seeds=(0, 1)),
+    small = replace(ex2_scenario, source=GeneratedSource(AdtClass(0.5, 2), count=2),
                     horizon=10.0)
     a = simulate_batch(small)
     b = simulate_batch(small)
@@ -159,20 +160,37 @@ def test_simulate_batch_file_source(tmp_path, ex1_scenario):
     sig = SwitchingSignal(np.array([1.0, 3.0]), np.array([1, 2, 1]), 10.0)
     p = tmp_path / "sig.txt"
     save_signal(sig, ModeSet(2), p)
-    scn = replace(ex1_scenario, source=FileSource((str(p),)), horizon=10.0,
+    scn = replace(ex1_scenario, source=FileSource((load_signal(p)[0],)), horizon=10.0,
                   initial_states=np.array([[1.0, 0.0]]))
     batch = simulate_batch(scn)
     assert len(batch) == 1
     assert batch.trajectories[0].signal == sig
 
 
-def test_simulate_batch_file_horizon_mismatch(tmp_path, ex1_scenario):
+def test_simulate_batch_file_horizon_mismatch(ex1_scenario):
+    """A file signal is checked against the scenario when the scenario is built."""
     sig = SwitchingSignal(np.array([1.0]), np.array([1, 2]), 10.0)
-    p = tmp_path / "sig.txt"
-    save_signal(sig, ModeSet(2), p)
-    scn = replace(ex1_scenario, source=FileSource((str(p),)), horizon=60.0)
-    with pytest.raises(ValueError):
-        simulate_batch(scn)
+    with pytest.raises(ValueError, match=r"^signals\[0\]: horizon 10.0 differs"):
+        replace(ex1_scenario, source=FileSource((sig,)), horizon=60.0)
+    foreign = SwitchingSignal(np.array([1.0]), np.array([1, 3]), 60.0)
+    with pytest.raises(ValueError, match=r"^signals\[1\]: mode 3 is not one"):
+        replace(ex1_scenario, source=FileSource((SwitchingSignal.constant(2, 60.0), foreign)))
+
+
+def test_probe_integrates_under_scenario_tolerances(ex2_scenario):
+    """The distinguishability probe runs under the scenario's integrator options (with
+    max_dx = inf): a blow-up bound inside the sampled region drops the starts beyond
+    it, where the default options probe all 576."""
+    from switchcert.scenarios import polar_grid
+
+    small = replace(ex2_scenario, horizon=5.0, initial_states=polar_grid([0.5], 4),
+                    source=GeneratedSource(AdtClass(0.5, 2), count=2))
+    for bound, expect in ((2.0, lambda n: 0 < n < 576), (1e9, lambda n: n == 576)):
+        scn = replace(small, integrator=replace(small.integrator, bound=bound))
+        probes = [e.summary for e in guas_report(scn).entries
+                  if e.name.startswith("distinguishability")]
+        counts = [int(re.search(r"over (\d+) starts", s)[1]) for s in probes]
+        assert len(counts) == 2 and all(map(expect, counts)), (bound, counts)
 
 
 def test_simulate_batch_propagates_blow_up():
