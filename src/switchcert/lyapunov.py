@@ -22,9 +22,11 @@ escaped fails rather than passing on no evidence.
 V, its gradient and the outputs W are row-wise scenario functions (see
 :func:`~switchcert.systems.evaluate_rows`): every check here evaluates
 them, and the fields and covering boundaries, once per mode on the whole
-sample, with the same values as a loop over points.  Each check keeps
-the first worst sample in scan order, and a NaN is worse than any
-number, so it fails the check with the first NaN sample as witness.
+sample, with the same values as a loop over points.  Each check that
+reduces one value per sample to a verdict does so through
+:func:`~switchcert.reports.verdict`: it keeps the first worst sample in
+scan order, and a NaN is worse than any number, so it fails the check
+with the first NaN sample as witness.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .reports import CheckReport, write_rows
+from .reports import CheckReport, verdict, write_rows
 from .systems import (
     FiniteEscapeError,
     IntegratorOptions,
@@ -208,33 +210,27 @@ def check_gradient_consistency(
         g_fd = finite_difference_gradient(V.value, pts, gamma)
         errors.append(row_norms(g_sup - g_fd) / np.maximum(1.0, row_norms(g_sup)))
     errors = np.concatenate(errors)
-    i = int(np.argmax(errors))  # the first NaN, else the first largest error
-    worst = float(errors[i])
-    witness = (np.array(pts[i % len(pts)]), labels[i // len(pts)])
-    return CheckReport("gradient-consistency", worst <= _GRADIENT_REL_TOL, worst=worst,
-                       witness=None if worst <= _GRADIENT_REL_TOL else witness,
-                       details={"n_points": errors.size})
+    return verdict("gradient-consistency", errors, _GRADIENT_REL_TOL,
+                   lambda i: (np.array(pts[i % len(pts)]), labels[i // len(pts)]),
+                   {"n_points": errors.size})
 
 
 def check_decrease_on_covering(
     V: LyapunovCandidate, system: SwitchedSystem, region: SampleRegion
 ) -> CheckReport:
-    """Lie derivative <= the roundoff margin at every sampled point of every region."""
+    """Lie derivative <= the roundoff margin at every sampled point of every region.
+
+    With no admissible point ``worst`` reads -inf.
+    """
     pts = region.all_points(system.dimension)
     lie, where = [], []
     for gamma, inside in _admissible(system, pts).items():
         if inside.size:
             lie.append(lie_derivative(V, system, pts[inside], gamma))
             where += [(i, gamma) for i in inside.tolist()]
-    worst, witness = -math.inf, None
-    if where:
-        lie = np.concatenate(lie)
-        k = int(np.argmax(lie))  # the first NaN, else the first largest
-        i, gamma = where[k]
-        worst, witness = float(lie[k]), (np.array(pts[i]), gamma)
-    return CheckReport("decrease-on-covering", worst <= _DECREASE_MARGIN, worst=worst,
-                       witness=None if worst <= _DECREASE_MARGIN else witness,
-                       details={"n_checked": len(where), "margin": _DECREASE_MARGIN})
+    return verdict("decrease-on-covering", np.concatenate([*lie, [-math.inf]]), _DECREASE_MARGIN,
+                   lambda k: (np.array(pts[where[k][0]]), where[k][1]),
+                   {"n_checked": len(where), "margin": _DECREASE_MARGIN})
 
 
 # -- radius-indexed envelope checks ------------------------------------------
@@ -322,7 +318,7 @@ def check_class_k_bounds(
     elif not np.all(lower > 0.0):
         r_bad = float(radii[int(np.argmin(lower))])
         reasons.append(f"lower envelope not strictly positive (min at r={r_bad:g})")
-    if any(abs(v) > 1e-12 for v in origin.values()):
+    if not all(abs(v) <= 1e-12 for v in origin.values()):
         reasons.append("V does not vanish at the origin for some admissible mode")
     return EnvelopeReport(
         passed=not reasons,
@@ -391,6 +387,11 @@ def _rises(starts: np.ndarray, ends: np.ndarray, modes: np.ndarray) -> tuple[np.
     return rise, low_at
 
 
+def _paired(rise: np.ndarray) -> np.ndarray:
+    """``rise``, or a single 0 when no entry has a same-mode predecessor (all -inf)."""
+    return np.zeros(1) if np.max(rise) == -math.inf else rise
+
+
 def check_return_monotonicity(
     V: LyapunovCandidate, traj: Trajectory, tol: float = 1e-9
 ) -> CheckReport:
@@ -415,28 +416,18 @@ def check_return_monotonicity(
     edges = np.array([traj.state_at_sample(float(t)) for t in edge_times])
     ends = np.append(values(edges[1:], sig.modes[:-1]), math.inf)  # interval i ends at switch i+1
     rise_a, _ = _rises(values(edges, sig.modes), ends, sig.modes)
-    i = int(np.argmax(rise_a))  # the first NaN, else the first largest rise
-    worst_a = float(rise_a[i])
-    witness_a = (float(edge_times[i]), int(sig.modes[i]))
-    if worst_a == -math.inf:
-        worst_a = 0.0
-    rep_a = CheckReport("return-decrease-across-switches", worst_a <= tol,
-                        worst=worst_a, witness=None if worst_a <= tol else witness_a,
-                        details={"n_switches": sig.n_switches, "tol": tol})
+    rep_a = verdict("return-decrease-across-switches", _paired(rise_a), tol,
+                    lambda i: (float(edge_times[i]), int(sig.modes[i])),
+                    {"n_switches": sig.n_switches, "tol": tol})
 
     # (b) all same-mode sample pairs, running minimum per mode
     modes = traj.sample_modes
     v = values(traj.states, modes)
     rise_b, low_at = _rises(v, v, modes)
-    k = int(np.argmax(rise_b))
-    worst_b = float(rise_b[k])
-    witness_b = (float(traj.times[low_at[k]]), float(traj.times[k]), int(modes[k]))
-    if worst_b == -math.inf:
-        worst_b = 0.0
-    rep_b = CheckReport("same-mode-sample-monotonicity", worst_b <= tol,
-                        worst=worst_b, witness=None if worst_b <= tol else witness_b,
-                        details={"n_samples": int(traj.times.size), "tol": tol})
-    top = rep_b if math.isnan(worst_b) or worst_b > worst_a else rep_a
+    rep_b = verdict("same-mode-sample-monotonicity", _paired(rise_b), tol,
+                    lambda k: (float(traj.times[low_at[k]]), float(traj.times[k]), int(modes[k])),
+                    {"n_samples": int(traj.times.size), "tol": tol})
+    top = rep_b if math.isnan(rep_b.worst) or rep_b.worst > rep_a.worst else rep_a
     return CheckReport("return-monotonicity", rep_a.passed and rep_b.passed, worst=top.worst,
                        witness=top.witness,
                        details={"across_switches": rep_a, "across_samples": rep_b})

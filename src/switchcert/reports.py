@@ -5,14 +5,18 @@ boolean, so that the worst observed value and a concrete witness survive
 into logs, aggregate verdicts and exported artifacts.  A check that is a
 verdict and nothing more returns :class:`CheckReport`; only checks that
 also carry an exported table or a fit have a report class of their own.
-All floating-point values written to disk use 17 significant digits,
-which round-trips IEEE doubles exactly.
+:func:`verdict` turns one value per sample into a report, so that every
+such check decides its worst sample, NaN and witness by one rule.  All
+floating-point values written to disk use 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
+
+import numpy as np
 
 
 def fmt17(x: float) -> str:
@@ -79,3 +83,20 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def verdict(name: str, values, tol: float, witness: Callable[[int], Any],
+            details: Mapping[str, Any]) -> CheckReport:
+    """The check contract, for a check that reduces one value per sample.
+
+    ``worst`` is the first largest of ``values``, except that the first NaN
+    wins: a NaN is worse than any number.  The check passes iff
+    ``worst <= tol``, and a failing report's witness is ``witness(i)`` of
+    the sample i that gave ``worst``.
+    """
+    values = np.asarray(values, dtype=float)
+    i = int(np.argmax(values))  # the first NaN, else the first largest
+    worst = float(values[i])
+    passed = worst <= tol
+    return CheckReport(name, passed, worst=worst, witness=None if passed else witness(i),
+                       details=details)

@@ -243,6 +243,8 @@ class Scenario:
         ics = np.atleast_2d(np.asarray(self.initial_states, dtype=float))
         if ics.shape[0] == 0 or ics.shape[1] != self.system.dimension:
             raise ValueError("initial_states must be a nonempty (k, n) grid")
+        if not np.all(np.isfinite(ics)):
+            raise ValueError("initial_states must be finite")
         ics.setflags(write=False)
         object.__setattr__(self, "initial_states", ics)
         if not 0.0 < self.horizon < math.inf:

@@ -86,9 +86,17 @@ def simulate_batch(scenario: Scenario) -> TrajectoryBatch:
     )
 
 
-def _restart_grid(horizon: float) -> np.ndarray:
-    """Restart times of the overshoot table and the attraction check."""
-    return np.linspace(0.0, horizon / 2.0, 21)
+def _restarts(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The restarts behind the overshoot table and the attraction check.
+
+    For each of 21 grid times spanning the first half of the horizon: the
+    time, |x| at the first sample at or after it, and the largest |x| from
+    that sample on.
+    """
+    t0 = np.linspace(0.0, traj.horizon / 2.0, 21)
+    k = np.searchsorted(traj.times, t0)
+    suffix = np.maximum.accumulate(traj.norms[::-1])[::-1]
+    return t0, traj.norms[k], suffix[k]
 
 
 # -- uniform (overshoot) envelope ------------------------------------------------
@@ -127,26 +135,13 @@ def fit_uniform_envelope(batch: TrajectoryBatch) -> UniformEnvelope:
     ``_BIN_SLACK`` times that bin's upper edge (the sampled rendering of
     "alpha(r) -> 0 as r -> 0") and restarts at radius zero stay at zero.
     """
-    pairs_r, pairs_sup = [], []
-    zero_sup = 0.0
-    for traj in batch.trajectories:
-        norms = traj.norms
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("batch contains an unbounded trajectory")
-        suffix = np.maximum.accumulate(norms[::-1])[::-1]
-        for t0 in _restart_grid(batch.horizon):
-            if t0 > traj.horizon:
-                continue
-            k = min(traj.index_at(float(t0)), norms.size - 1)
-            r0, sup = float(norms[k]), float(suffix[k])
-            if r0 <= 1e-12:
-                zero_sup = max(zero_sup, sup)
-            else:
-                pairs_r.append(r0)
-                pairs_sup.append(sup)
-    if pairs_r:
-        r = np.array(pairs_r)
-        sup = np.array(pairs_sup)
+    if not all(np.all(np.isfinite(traj.norms)) for traj in batch.trajectories):
+        raise ValueError("batch contains an unbounded trajectory")
+    _, r, sup = (np.concatenate(column) for column in zip(*map(_restarts, batch.trajectories)))
+    zero = r <= 1e-12
+    zero_sup = float(sup[zero].max(initial=0.0))
+    r, sup = r[~zero], sup[~zero]
+    if r.size:
         lo, hi = float(r.min()), float(r.max())
         if hi <= lo:
             hi = lo * (1.0 + 1e-9)
@@ -154,10 +149,7 @@ def fit_uniform_envelope(batch: TrajectoryBatch) -> UniformEnvelope:
         edges[0] *= 1.0 - 1e-12
         which = np.clip(np.searchsorted(edges, r, side="left") - 1, 0, _OVERSHOOT_BINS - 1)
         alpha = np.full(_OVERSHOOT_BINS, math.nan)
-        for b in range(_OVERSHOOT_BINS):
-            sel = which == b
-            if np.any(sel):
-                alpha[b] = float(sup[sel].max())
+        np.fmax.at(alpha, which, sup)
         filled = np.where(np.isnan(alpha), -math.inf, alpha)
         alpha_reg = np.maximum.accumulate(filled)
         alpha_reg[np.isinf(alpha_reg)] = math.nan
@@ -177,7 +169,7 @@ def fit_uniform_envelope(batch: TrajectoryBatch) -> UniformEnvelope:
         alpha_regularized=alpha_reg,
         zero_radius_sup=zero_sup,
         margin=margin,
-        n_pairs=len(pairs_r),
+        n_pairs=int(r.size),
     )
 
 
@@ -280,22 +272,17 @@ def check_uniform_attraction(batch: TrajectoryBatch, radius: float, eps: float) 
     needed = 0.0
     details = {"radius": radius, "eps": eps, "n_restarts": 0}
     for k, traj in enumerate(batch.trajectories):
-        norms = traj.norms
-        suffix = np.maximum.accumulate(norms[::-1])[::-1]
-        settled = suffix < eps
-        first_settled = np.nonzero(settled)[0]
-        for t0 in _restart_grid(batch.horizon):
-            if t0 > traj.horizon:
-                continue
-            i0 = min(traj.index_at(float(t0)), norms.size - 1)
-            if norms[i0] >= radius:
-                continue
+        t0, r0, _ = _restarts(traj)
+        t0 = t0[~(r0 >= radius)]
+        if not t0.size:
+            continue
+        settled = np.flatnonzero(np.maximum.accumulate(traj.norms[::-1])[::-1] < eps)
+        if not settled.size:
             details["n_restarts"] += 1
-            if first_settled.size == 0:
-                return CheckReport("uniform-attraction", False, worst=math.inf,
-                                   witness=(float(t0), k), details=details)
-            t_settle = float(traj.times[first_settled[0]])
-            needed = max(needed, max(t_settle - float(t0), 0.0))
+            return CheckReport("uniform-attraction", False, worst=math.inf,
+                               witness=(float(t0[0]), k), details=details)
+        details["n_restarts"] += t0.size
+        needed = max(needed, float(traj.times[settled[0]] - t0[0]))
     grid = np.linspace(0.0, batch.horizon, 201)
     feasible = grid[grid >= needed]
     return CheckReport("uniform-attraction", feasible.size > 0,
@@ -378,9 +365,12 @@ class AggregateReport:
         return rec
 
 
-def _worse(a: float, b: float) -> float:
-    """max(a, b), except that a NaN (a failed check's worst) is kept."""
-    return a if math.isnan(a) else b if math.isnan(b) else max(a, b)
+def _fold(check, batch: TrajectoryBatch, *args) -> tuple[bool, float]:
+    """Whether ``check(traj, *args)`` passed on every trajectory, and the worst
+    of their worsts: the first NaN if there is one, else the largest."""
+    reports = [check(traj, *args) for traj in batch.trajectories]
+    worsts = np.array([-math.inf, *(rep.worst for rep in reports)])
+    return all(rep.passed for rep in reports), float(worsts[np.argmax(worsts)])
 
 
 def _entry(section: str, name: str, passed: bool, summary: str, **data) -> ReportEntry:
@@ -432,12 +422,8 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
     entries.append(_entry("hypothesis", "covering-union", union.passed,
                           f"worst membership margin {union.worst:.3g}", worst=union.worst))
 
-    worst_margin = -math.inf
-    compliant = True
-    for traj in batch.trajectories:
-        rep = check_covering_compliance(traj, sys_.covering, checks.compliance_tol)
-        worst_margin = _worse(worst_margin, rep.worst)
-        compliant &= rep.passed
+    compliant, worst_margin = _fold(check_covering_compliance, batch, sys_.covering,
+                                    checks.compliance_tol)
     entries.append(_entry("hypothesis", "covering-compliance", compliant,
                           f"worst boundary margin {worst_margin:.3g} over batch",
                           worst=worst_margin, tol=checks.compliance_tol))
@@ -458,12 +444,8 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
                           f"worst relative error {grad.worst if grad.worst is not None else 0.0:.3g}",
                           worst=grad.worst if grad.worst is not None else 0.0))
 
-    worst_rise = -math.inf
-    mono_ok = True
-    for traj in batch.trajectories:
-        rep = check_return_monotonicity(V, traj, checks.monotonicity_tol)
-        mono_ok &= rep.passed
-        worst_rise = _worse(worst_rise, rep.worst)
+    mono_ok, worst_rise = _fold(
+        lambda traj: check_return_monotonicity(V, traj, checks.monotonicity_tol), batch)
     entries.append(_entry("hypothesis", "return-monotonicity", mono_ok,
                           f"worst same-mode rise {worst_rise:.3g}",
                           worst=worst_rise, tol=checks.monotonicity_tol))
@@ -496,12 +478,10 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
     kl = fit_kl_envelope(batch)
     if kl.degenerate:
         summary = "degenerate batch (all samples at the origin)"
-    elif kl.passed and kl.table_decay is None:
+    elif kl.table_decay is None:
         summary = f"C={kl.C:.4g}, lambda={kl.lam:.4g}, slack {kl.worst_slack:.3g}"
-    elif kl.table_decay is not None:
-        summary = f"exponential fit failed (lambda={kl.lam:.3g}); late decay ratio {kl.table_decay:.3g}"
     else:
-        summary = f"lambda={kl.lam:.3g}"
+        summary = f"exponential fit failed (lambda={kl.lam:.3g}); late decay ratio {kl.table_decay:.3g}"
     entries.append(_entry("conclusion", "kl-envelope", kl.passed, summary,
                           lam=kl.lam, C=kl.C if not math.isnan(kl.C) else 0.0))
 
@@ -516,12 +496,8 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
                           eps=checks.attraction_eps))
 
     origin = np.zeros((1, sys_.dimension))
-    sup_dist = -math.inf
-    lasalle_ok = True
-    for traj in batch.trajectories:
-        rep = lasalle_certify(traj, origin, checks.lasalle_tol, checks.tail_fraction)
-        lasalle_ok &= rep.passed
-        sup_dist = max(sup_dist, rep.worst)
+    lasalle_ok, sup_dist = _fold(lasalle_certify, batch, origin, checks.lasalle_tol,
+                                 checks.tail_fraction)
     gamma_star = modes_containing_origin(sys_.covering, sys_.modes, sys_.dimension)
     entries.append(_entry("conclusion", "lasalle-origin", lasalle_ok,
                           f"worst tail distance to origin {sup_dist:.3g} "

@@ -51,7 +51,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .reports import CheckReport, reduce_via_constructor, require_ranges, write_rows
+from .reports import CheckReport, reduce_via_constructor, require_ranges, verdict, write_rows
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -160,14 +160,9 @@ class Covering:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         margins = np.array([self.margin(g, pts) for g in self.boundaries])
-        least = margins[np.argmin(margins, axis=0), np.arange(len(pts))]
-        i = int(np.argmax(least))  # argmin/argmax: the first NaN, else the first extremum
-        worst = float(least[i])
-        return CheckReport(
-            "covering-union", worst <= 0.0, worst=worst,
-            witness=None if worst <= 0.0 else np.array(pts[i]),
-            details={"n_points": len(pts)},
-        )
+        least = margins[np.argmin(margins, axis=0), np.arange(len(pts))]  # a NaN wins argmin
+        return verdict("covering-union", least, 0.0, lambda i: np.array(pts[i]),
+                       {"n_points": len(pts)})
 
     @staticmethod
     def trivial(modes: ModeSet) -> "Covering":
@@ -283,12 +278,8 @@ class Trajectory:
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.states, axis=1)
 
-    def index_at(self, t: float) -> int:
-        """Index of the first sample at or after t."""
-        return int(np.searchsorted(self.times, t, side="left"))
-
     def state_at_sample(self, t: float) -> np.ndarray:
-        idx = self.index_at(t)
+        idx = int(np.searchsorted(self.times, t))
         if idx >= self.times.size or self.times[idx] != t:
             raise KeyError(f"t={t} is not a sample time")
         return self.states[idx]
@@ -802,17 +793,17 @@ _EQUILIBRIUM_TOL = 1e-9  # largest |f(0)| accepted as vanishing
 
 
 def check_equilibrium(system: SwitchedSystem) -> CheckReport:
-    """Verify that every field whose region contains 0 vanishes there."""
+    """Verify that every field whose region contains 0 vanishes there.
+
+    The witness of a failure is the dict of modes whose residual is not
+    within tolerance; with no mode at the origin ``worst`` reads 0.
+    """
     zero = np.zeros(system.dimension)
     gamma_star = modes_containing_origin(system.covering, system.modes, system.dimension)
     residuals = {g: float(np.linalg.norm(system.rhs(zero, g))) for g in gamma_star}
-    violators = {g: r for g, r in residuals.items() if r > _EQUILIBRIUM_TOL}
-    worst = max(residuals.values()) if residuals else 0.0
-    return CheckReport(
-        "equilibrium-at-origin", not violators, worst=worst,
-        witness=violators or None,
-        details={"modes_containing_origin": gamma_star, "residuals": residuals},
-    )
+    return verdict("equilibrium-at-origin", [*residuals.values(), 0.0], _EQUILIBRIUM_TOL,
+                   lambda i: {g: r for g, r in residuals.items() if not r <= _EQUILIBRIUM_TOL},
+                   {"modes_containing_origin": gamma_star, "residuals": residuals})
 
 
 def check_covering_compliance(

@@ -383,6 +383,12 @@ _LOCATED_BAD_INPUTS = [
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
                                          "[initial_conditions]\nradii = 1\nangles = 0\n")],
                  "scn.ini:4:", id="radii_no_angles"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\npoints = nan 0\n")],
+                 "scn.ini:4: initial_states must be finite", id="points_nan"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\nradii = inf\n")],
+                 "scn.ini:4: initial_states must be finite", id="radii_inf"),
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\nseed = banana\n")],
                  "scn.ini:3: seed must be an integer", id="seed_not_integer_feedback"),
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
@@ -645,3 +651,15 @@ def test_perfbench_inputs_load(tmp_path, monkeypatch):
                 else:
                     assert isinstance(source, FeedbackSource)
                     assert len(scenario.initial_states) == workload.batch
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as written and prints one limit point at 0."""
+    import re
+
+    text = (REPO / "README.md").read_text()
+    code = re.search(r"^## Library example\n\n```python\n(.*?)^```", text, re.S | re.M)[1]
+    exec(compile(code, "README.md", "exec"), {})
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 1
+    assert max(abs(float(v)) for v in rows[0].strip(" []").split()) <= 1e-6

@@ -580,6 +580,18 @@ def _nan_left_value(x, gamma):
     return np.where(x.T[0] < 0.0, np.nan, np.vecdot(x, x))
 
 
+def _norm_value(x, gamma):
+    """x.x / sqrt(x.x) = |x|, read as 0/0, NaN, at the origin."""
+    with np.errstate(invalid="ignore"):
+        return np.vecdot(x, x) / np.sqrt(np.vecdot(x, x))
+
+
+def test_nan_at_origin_fails_class_k(ex1_scenario):
+    classk = check_class_k_bounds(LyapunovCandidate(_norm_value), ex1_scenario.system, REGION)
+    assert not classk.passed
+    assert any("does not vanish at the origin" in r for r in classk.reasons)
+
+
 def test_nan_fails_class_k_and_monotonicity(ex1_scenario, center_orbit):
     V = LyapunovCandidate(_nan_left_value)
     classk = check_class_k_bounds(V, ex1_scenario.system, REGION)

@@ -68,7 +68,7 @@ def test_uniform_envelope_restart_consistency(ex1_scenario, ex1_batch):
     # restarting the clock equals starting fresh from the restart state
     traj = ex1_batch.trajectories[-1]
     t0 = 7.0
-    k = traj.index_at(t0)
+    k = np.searchsorted(traj.times, t0)
     suffix_sup = float(traj.norms[k:].max())
     fresh = integrate(ex1_scenario.system, traj.states[k],
                       traj.signal.shift(float(traj.times[k])), ex1_scenario.integrator)
@@ -114,6 +114,16 @@ def test_kl_envelope_fails_on_circles(two_centers_batch):
 def test_kl_envelope_degenerate_zero_batch(zero_batch):
     env = fit_kl_envelope(zero_batch)
     assert env.passed and env.degenerate
+
+
+def test_kl_fallback_skips_a_start_at_the_origin(two_centers_batch, zero_batch):
+    # the circles fail the fit; a start at the origin joins neither the fit
+    # nor the late-window decay table
+    alone = fit_kl_envelope(two_centers_batch)
+    mixed = fit_kl_envelope(replace(two_centers_batch, trajectories=(
+        zero_batch.trajectories[0], *two_centers_batch.trajectories)))
+    assert not mixed.passed and mixed.table_decay == alone.table_decay
+    assert mixed.n_samples == alone.n_samples
 
 
 # -- uniform attraction --------------------------------------------------------------
@@ -230,6 +240,12 @@ def test_guas_report_keeps_a_nan_worst(ex1_scenario, ex1_batch):
     entry = next(e for e in rep.entries if e.name == "return-monotonicity")
     assert not entry.passed and math.isnan(entry.data["worst"])
     assert "rise nan" in entry.summary
+
+
+def test_guas_report_degenerate_kl_summary(ex1_scenario, zero_batch):
+    rep = guas_report(ex1_scenario, zero_batch)
+    entry = next(e for e in rep.entries if e.name == "kl-envelope")
+    assert entry.passed and entry.summary == "degenerate batch (all samples at the origin)"
 
 
 def test_guas_report_example1(ex1_scenario, ex1_batch):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -91,6 +92,20 @@ def test_check_equilibrium_builtin_and_shifted():
     assert rep.worst == pytest.approx(1.0)
 
 
+def _unit_pull(x):
+    """-x/|x|: a field with no value at the origin (0/0 reads NaN there)."""
+    with np.errstate(invalid="ignore"):
+        return -x / np.linalg.norm(x)
+
+
+def test_check_equilibrium_nan_residual_fails():
+    m = ModeSet(2)
+    sys_ = SwitchedSystem(2, {1: _unit_pull, 2: rotation}, m, Covering.trivial(m))
+    rep = check_equilibrium(sys_)
+    assert not rep.passed and math.isnan(rep.worst)
+    assert list(rep.witness) == [1] and math.isnan(rep.witness[1])
+
+
 # -- prescribed-signal integration ------------------------------------------------
 
 
@@ -175,6 +190,57 @@ def test_stiffness_error_on_each_nonfinite_component(bad, x0, t_bad):
             run()
         t = float(str(err.value).rsplit("~", 1)[1])
         assert t_bad <= t <= t_bad + 0.5
+
+
+def _huge_drift(x):
+    return np.full_like(x, 1e300)
+
+
+@pytest.mark.parametrize("x0, message", [
+    (1e307, "non-finite state at t ~ 1.98434e+08"),
+    (0.0, "stepper failed at t ~ 0: Required step size is less than spacing"),
+], ids=["state-overflows", "step-underflows"])
+def test_stiffness_error_on_state_overflow_and_step_underflow(x0, message):
+    # a constant field of 1e300 with no blow-up bound: from 1e307 the state leaves the
+    # doubles, and from 0 the error scale of the first step admits no step size
+    m = ModeSet(1)
+    sys_ = SwitchedSystem(1, {1: _huge_drift}, m, Covering.trivial(m))
+    opts = IntegratorOptions(max_dx=math.inf, bound=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StiffnessError, match=re.escape(message)):
+            integrate(sys_, [x0], SwitchingSignal.constant(1, 1e9), opts)
+        with pytest.raises(StiffnessError, match=re.escape(message)):
+            advance_starts(sys_, 1, np.array([[x0]]), 1e9, opts)
+
+
+def test_advance_starts_raises_the_first_failing_starts_error():
+    # start 0's error comes late in time and start 1's in the first step: the
+    # error raised is that of the first start in order, as a loop over starts
+    m = ModeSet(1)
+    sys_ = SwitchedSystem(1, {1: _huge_drift}, m, Covering.trivial(m))
+    opts = IntegratorOptions(max_dx=math.inf, bound=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for starts, message in (([[1e307], [0.0]], "non-finite state"),
+                                ([[0.0], [1e307]], "stepper failed")):
+            with pytest.raises(StiffnessError, match=message):
+                advance_starts(sys_, 1, np.array(starts), 1e9, opts)
+
+
+def test_feedback_grazing_contact_is_no_switch(monkeypatch):
+    # a located crossing whose state rounds back into the old mode is grazing
+    # contact: the run goes on in that mode, with no switch and no event
+    calls = []
+
+    def same_mode_crossing(dense, rule, gamma, t_lo, t_hi, event_tol):
+        calls.append(t_hi)
+        return t_hi, np.asarray(dense(t_lo), dtype=float)  # dense(t_lo) lies in gamma
+
+    monkeypatch.setattr(systems, "_locate_crossing", same_mode_crossing)
+    sys_ = builtin_scenario("example1").system
+    traj = integrate_feedback(sys_, [1.0, 0.0], half_plane_rule(), 10.0)
+    assert calls
+    assert traj.signal.n_switches == 0 and traj.stats.n_events == 0
+    assert traj.times[-1] == 10.0
 
 
 def test_integration_consistency_with_error_budget():
