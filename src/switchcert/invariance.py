@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .reports import CheckReport, write_rows
+from .reports import CheckReport, verdict, write_rows
 from .systems import Trajectory
 
 
@@ -320,7 +320,8 @@ def omega_sharp(
     gaps = gaps[keep]
     modes = traj.sample_modes[idx]
     states_out, modes_out, counts_out, dwells_out = [], [], [], []
-    for gamma in np.unique(modes):
+    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
+    for gamma in sorted(set(modes.tolist())):
         sel = modes == gamma
         pts = traj.states[idx[sel]]
         reps, counts = _greedy_clusters(pts, cluster_tol)
@@ -370,23 +371,20 @@ def check_same_mode_constancy(traj: Trajectory, V, tol: float) -> CheckReport:
 
     Zero spread (up to tol) is what membership in the equal-value
     trajectory family demands; a strictly dissipative arc produces a
-    positive residual with the extremal sample times as witness.
+    positive residual with the extremal sample times as witness.  A NaN
+    value of V makes its mode's spread NaN, which fails the check.
     """
     modes = traj.sample_modes
-    worst = 0.0
-    witness = None
-    for gamma in np.unique(modes):
-        sel = np.nonzero(modes == gamma)[0]
-        vals = np.array([V.value(traj.states[k], int(gamma)) for k in sel])
-        spread = float(vals.max() - vals.min())
-        if spread > worst:
-            worst = spread
-            witness = (float(traj.times[sel[int(np.argmax(vals))]]),
-                       float(traj.times[sel[int(np.argmin(vals))]]),
-                       int(gamma))
-    return CheckReport("same-mode-value-constancy", worst <= tol, worst=worst,
-                       witness=None if worst <= tol else witness,
-                       details={"tol": tol})
+    spreads, witnesses = [], []
+    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
+    for gamma in sorted(set(modes.tolist())):
+        sel = np.flatnonzero(modes == gamma)
+        vals = np.array([V.value(traj.states[k], gamma) for k in sel])
+        spreads.append(vals.max() - vals.min())  # NaN if any value is
+        witnesses.append((float(traj.times[sel[np.argmax(vals)]]),
+                          float(traj.times[sel[np.argmin(vals)]]), gamma))
+    return verdict("same-mode-value-constancy", spreads, tol, witnesses.__getitem__,
+                   {"tol": tol})
 
 
 def lasalle_certify(

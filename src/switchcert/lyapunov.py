@@ -377,7 +377,8 @@ def _rises(starts: np.ndarray, ends: np.ndarray, modes: np.ndarray) -> tuple[np.
     its mode NaN."""
     rise = np.full(starts.size, -math.inf)
     low_at = np.zeros(starts.size, dtype=np.int64)
-    for gamma in np.unique(modes).tolist():
+    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
+    for gamma in sorted(set(modes.tolist())):
         idx = np.flatnonzero(modes == gamma)
         low = np.minimum.accumulate(ends[idx])
         rise[idx[1:]] = starts[idx[1:]] - low[:-1]

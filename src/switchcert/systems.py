@@ -13,7 +13,11 @@ Norsett & Wanner, *Solving ODEs I*, II.4-II.6), and accepted steps are
 subdivided through the dense interpolant until consecutive samples differ
 by at most ``max_dx``.  Its tableau equals ``scipy.integrate.DOP853``'s
 (a test compares them), and it takes scipy's steps and samples bit for
-bit.  The interpolant returns a list of Python floats, and a chord is
+bit.  The first interval of a prescribed signal and every interval of a
+feedback run select an initial step; each later prescribed interval
+starts from the step size the controller proposed at the end of the one
+before, at most its own length, which is scipy's ``first_step``.  The
+interpolant returns a list of Python floats, and a chord is
 measured by ``math.dist``, or by np.linalg.norm's value within 1e-9 of
 max_dx, so sampling makes no numpy call per sample.  State-feedback
 switching locates region crossings by bisection on the active boundary
@@ -132,7 +136,8 @@ def evaluate_by_mode(evaluate: Callable[[int, np.ndarray], np.ndarray], states: 
     """``evaluate(gamma, rows)`` on the rows of each mode, one call per mode,
     returned in row order; ``evaluate`` gives one value per row."""
     out = np.empty(len(modes))
-    for gamma in np.unique(modes).tolist():
+    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
+    for gamma in sorted(set(modes.tolist())):
         sel = modes == gamma
         out[sel] = evaluate(gamma, states[sel])
     return out
@@ -503,16 +508,19 @@ def _start(system: SwitchedSystem, x0: Sequence[float]):
 
 def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
               opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
-              rule: FeedbackRule | None = None):
+              rule: FeedbackRule | None = None, first_step: float | None = None):
     """Advance mode gamma from (t0, x0) to t_end > t0, sampling as we go.
 
-    One adaptive DOP853 solve: the field is called once for the start
-    state and once for the initial step selection, twelve times per
+    One adaptive DOP853 solve, which starts from ``first_step`` (at most
+    t_end - t0, as scipy's ``first_step``) or, when it is None, from the
+    initial step selection.  The field is called once for the start
+    state, once more if the initial step is selected, twelve times per
     attempt (eleven stages and the step's end), and three more times for
     each step whose interpolant is built.  With a feedback ``rule``, the
     run stops at the first accepted step whose end the rule assigns to
     another mode, at the crossing located inside that step.  Returns
-    (t, x, stopped_at_crossing).
+    (t, x, stopped_at_crossing, h), h being the step size the controller
+    proposed after the last accepted step.
     """
     f = system.field(gamma)
     n = system.dimension
@@ -529,11 +537,13 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
 
     t, y = t0, np.asarray(x0, dtype=float)
     fy = rhs(t, y)
-    scale = atol + np.abs(y) * rtol
-    d1 = float(_rms(fy / scale))
-    h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
-    d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
-    h_abs = _initial_step(h0, d1, d2, t_end - t0)
+    h_abs = first_step
+    if h_abs is None:
+        scale = atol + np.abs(y) * rtol
+        d1 = float(_rms(fy / scale))
+        h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
+        d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
+        h_abs = _initial_step(h0, d1, d2, t_end - t0)
     K = np.empty((len(_C), n))  # stage s in row s
     views = [K[:s].T for s in range(len(_C) + 1)]  # stage sums read these
     crossed = False
@@ -574,7 +584,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
         _subdivide(make_dense, t, y, t_new, y_new, opts.max_dx, ts, xs)
         t, y, fy = t_new, y_new, f_new
     stats.n_rhs += nfev
-    return t, y, crossed
+    return t, y, crossed, h_abs
 
 
 def integrate(
@@ -585,14 +595,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate under a prescribed switching signal.
 
-    Every switch time is an exact mesh point (the stepper restarts
-    there), so downstream checks can read states at switch times without
-    interpolation.
+    Every switch time is an exact mesh point (each constancy interval is
+    one solve that ends there), so downstream checks can read states at
+    switch times without interpolation.  Only the first interval selects
+    an initial step; each later one starts from the step size the
+    controller proposed at the end of the one before, at most its own
+    length, so a switch costs one field call for the new mode's start.
     """
     x, stats, ts, xs = _start(system, x0)
+    h = None
     for ta, tb, gamma in signal.segments():
         if tb > ta:
-            _, x, _ = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs)
+            _, x, _, h = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs,
+                                   first_step=None if h is None else min(h, tb - ta))
     _emit(ts, xs, signal.horizon, x)
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
@@ -751,7 +766,8 @@ def integrate_feedback(
     The active mode runs until the rule's output changes across an
     accepted step; the crossing is then located by bisection on the
     active region's boundary function.  Crossings that do not change the
-    rule output are not switches.
+    rule output are not switches.  Each mode's run selects its own initial
+    step.
     """
     x0, stats, ts, xs = _start(system, x0)
     if not horizon > 0:
@@ -762,7 +778,7 @@ def integrate_feedback(
     t, x = 0.0, x0
 
     while t < horizon:
-        t, x, crossed = _run_mode(system, gamma, t, x, horizon, opts, stats, ts, xs, rule)
+        t, x, crossed, _ = _run_mode(system, gamma, t, x, horizon, opts, stats, ts, xs, rule)
         if not crossed:
             break
         new_gamma = rule(x)

@@ -577,6 +577,21 @@ def test_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "guas_report.txt").exists()
 
 
+def test_run_loads_no_numpy_ma(tmp_path):
+    """No built-in's ``switchcert run`` imports numpy.ma (about 1 MB of memory)."""
+    code = (
+        "import sys\n"
+        "from switchcert.cli import main\n"
+        "for name in ('example1', 'example2', 'two_centers'):\n"
+        f"    assert main(['run', name, '--horizon', '5', '--out', {str(tmp_path)!r} + '/' + name]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "two_centers" / "guas_report.txt").exists()
+
+
 def test_run_file_signal_source(tmp_path):
     sig_path = tmp_path / "sig.txt"
     save_signal(SwitchingSignal(np.array([2.0, 7.0]), np.array([1, 2, 1]), 15.0),

@@ -18,6 +18,7 @@ from switchcert.invariance import (
     omega_sharp,
     project_states,
 )
+from switchcert.lyapunov import LyapunovCandidate
 from switchcert.reports import fmt17
 from switchcert.signals import INFINITY, SwitchingSignal
 from switchcert.systems import IntegratorOptions, IntegratorStats, Trajectory, integrate
@@ -540,6 +541,18 @@ def test_constancy_equilibrium(zero_trajectory, ex1_scenario):
 def test_constancy_conserving_arc(center_orbit, ex1_scenario):
     rep = check_same_mode_constancy(center_orbit, ex1_scenario.V, tol=1e-6)
     assert rep.passed
+
+
+def _square_nan_left(x, gamma):
+    """x.x, NaN where x1 < 0."""
+    return np.where(x[..., 0] < 0.0, math.nan, np.sum(x * x, axis=-1))
+
+
+def test_constancy_fails_on_nan_value(center_orbit):
+    rep = check_same_mode_constancy(center_orbit, LyapunovCandidate(_square_nan_left), tol=1e-6)
+    assert not rep.passed and math.isnan(rep.worst)
+    first_nan = float(center_orbit.times[np.argmax(center_orbit.states[:, 0] < 0.0)])
+    assert rep.witness == (first_nan, first_nan, 2)
 
 
 def test_constancy_fails_on_dissipative_trajectory(ex1_batch, ex1_scenario):

@@ -327,9 +327,11 @@ def _reference_locate_crossing(dense, rule, gamma, t_lo, t_hi, event_tol):
     return hi, x_hi
 
 
-def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=None):
+def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=None,
+                        first_step=None):
     """``systems._run_mode`` as it was when it stepped scipy's DOP853 solver object,
-    sampling and locating crossings with the references above."""
+    sampling and locating crossings with the references above; ``first_step``
+    is scipy's, and the step proposed last is the solver's ``h_abs``."""
     f = system.field(gamma)
 
     def rhs(t, y):
@@ -338,7 +340,8 @@ def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=
             raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
         return out
 
-    solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end, rtol=opts.rtol, atol=opts.atol)
+    solver = DOP853(rhs, t0, np.asarray(x0, dtype=float), t_end, rtol=opts.rtol, atol=opts.atol,
+                    first_step=first_step)
     t_prev, x_prev = t0, np.asarray(x0, dtype=float)
     crossed = False
     while solver.status == "running" and not crossed:
@@ -360,7 +363,7 @@ def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=
         _reference_subdivide(make_dense, t_prev, x_prev, t_new, x_new, opts.max_dx, ts, xs)
         t_prev, x_prev = t_new, x_new
     stats.n_rhs += solver.nfev
-    return t_prev, x_prev, crossed
+    return t_prev, x_prev, crossed, solver.h_abs
 
 
 def _outcome(run):
@@ -841,19 +844,36 @@ _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 _MATRICES = {"example1": {1: _FOCUS, 2: _ROTATION}, "two_centers": {1: _ROTATION, 2: _ROTATION}}
 
 
-@pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
-                                                 ("two_centers", "two_centers_batch")])
-def test_feedback_batch_matches_closed_form_flow(request, name, batch_fixture):
-    system = builtin_scenario(name).system
-    matrices = _MATRICES[name]
+def _assert_closed_form_end(system, matrices, trajectories):
+    """Each trajectory ends within its error budget of the exact flow along its signal."""
     probe = np.array([0.3, -1.7])
     for gamma, a in matrices.items():
         assert np.array_equal(system.rhs(probe, gamma), a @ probe)
-    for traj in request.getfixturevalue(batch_fixture).trajectories:
+    for traj in trajectories:
         x = traj.states[0]
         for start, end, gamma in traj.signal.segments():
             x = expm(matrices[gamma] * (end - start)) @ x
         assert np.linalg.norm(x - traj.states[-1]) <= traj.stats.error_bound_sum
+
+
+@pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
+                                                 ("two_centers", "two_centers_batch")])
+def test_feedback_batch_matches_closed_form_flow(request, name, batch_fixture):
+    _assert_closed_form_end(builtin_scenario(name).system, _MATRICES[name],
+                            request.getfixturevalue(batch_fixture).trajectories)
+
+
+@pytest.mark.parametrize("name, horizon", [("example1", 10.0), ("two_centers", 60.0)])
+def test_prescribed_switching_matches_closed_form_flow(name, horizon):
+    # every interval after the first starts from the step carried over its switch
+    scenario = builtin_scenario(name)
+    system = scenario.system
+    trajectories = [
+        integrate(system, x0, generate_adt(seed, AdtClass(0.5, 2), system.modes, horizon),
+                  scenario.integrator)
+        for seed in range(6) for x0 in ([1.0, 0.0], [-0.6, 1.3])]
+    assert min(traj.signal.n_switches for traj in trajectories) >= 10
+    _assert_closed_form_end(system, _MATRICES[name], trajectories)
 
 
 def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
