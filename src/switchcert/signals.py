@@ -19,7 +19,8 @@ endpoints approach switch times from outside.  For a piecewise-constant
 count this is exhaustive: shrinking an interval towards the extreme
 switch times it contains never decreases the count and never increases
 the length, so a violation on an arbitrary interval implies one on a
-switch-pair interval.
+switch-pair interval.  The pairs are screened in one suffix-maximum pass
+over the switches, and only rows near the bound are tested pair by pair.
 """
 
 from __future__ import annotations
@@ -221,25 +222,51 @@ class SwitchingSignal:
 # -- average dwell-time validation --------------------------------------
 
 
-def _adt_violation(times: np.ndarray, adt: AdtClass, start: int = 0) -> tuple[int, int] | None:
-    """First switch-index pair (i, j) with i >= start whose enclosing
-    interval violates the ADT bound, or None.  Pairs with j - i < n0 can
-    never violate.
+def _row_violation(times: np.ndarray, adt: AdtClass, i: int) -> tuple[int, int] | None:
+    """The first pair (i, j) whose enclosing interval violates the ADT
+    bound, or None.  Pairs with j - i < n0 can never violate.
 
     Equality with the bound is valid; the relative guard keeps exact
     boundary cases (count == bound in real arithmetic) from flipping on
     the rounding of (t_j - t_i) / tau_d.
     """
+    j0 = i + adt.n0
+    bounds = adt.n0 + (times[j0:] - times[i]) / adt.tau_d
+    bad = np.flatnonzero(np.arange(adt.n0 + 1, adt.n0 + 1 + bounds.size) > bounds * (1.0 + 1e-12))
+    return (i, j0 + int(bad[0])) if bad.size else None
+
+
+def _adt_violation(times: np.ndarray, adt: AdtClass, start: int = 0) -> tuple[int, int] | None:
+    """First switch-index pair (i, j) with i >= start, in order, whose
+    enclosing interval violates the ADT bound (see :func:`_row_violation`),
+    or None.
+
+    The row i = start is tested first (``generate_adt``'s repair resumes
+    where it found the last violation, and usually finds the next one
+    there).  The other rows are screened in one pass: with
+    a_k = k - t_k / tau_d, the window i..j holds j - i + 1 switches, more
+    than n0 + (t_j - t_i) / tau_d iff a_j - a_i > n0 - 1, so row i can
+    violate only if the largest a_j with j >= i + n0 passes a_i by more
+    than n0 - 1.  The screen admits rows within a guard band of that
+    threshold, scaled by the sizes of k and t_k / tau_d (which cancel in
+    a_k, so its rounding is theirs), and every admitted row is decided by
+    the exact test of :func:`_row_violation`, in order.
+    """
     n = times.size
-    for i in range(start, n):
-        js = np.arange(i + adt.n0, n)
-        if js.size == 0:
-            continue
-        counts = js - i + 1
-        bounds = adt.n0 + (times[js] - times[i]) / adt.tau_d
-        bad = np.nonzero(counts > bounds * (1.0 + 1e-12))[0]
-        if bad.size:
-            return i, int(js[bad[0]])
+    if n - start <= adt.n0:
+        return None
+    if (pair := _row_violation(times, adt, start)) is not None:
+        return pair
+    q = times[start:] / adt.tau_d
+    a = np.arange(q.size) - q  # a_k with k counted from start
+    reach = np.maximum.accumulate(a[::-1])[::-1]  # reach[m] = max(a[m:])
+    # two a_k and their difference round within a few ulp of the largest k
+    # and |t_k| / tau_d, which sit at the ends: times increase
+    band = 64 * 2.0 ** -52 * (q.size + max(abs(q[0]), abs(q[-1])))
+    rise = reach[1 + adt.n0:] - a[1:q.size - adt.n0]  # rows start + 1, ...
+    for i in (start + 1 + np.flatnonzero(rise > adt.n0 - 1 - band)).tolist():
+        if (pair := _row_violation(times, adt, i)) is not None:
+            return pair
     return None
 
 
@@ -296,7 +323,8 @@ def generate_adt(
     start = 0
     while (pair := _adt_violation(times, adt, start)) is not None:
         start, j = pair
-        times = np.delete(times, (start + j) // 2)
+        d = (start + j) // 2
+        times = np.concatenate((times[:d], times[d + 1:]))
     labels = list(modes.labels)
     seq = [int(rng.integers(1, modes.size + 1))]
     for _ in range(times.size):

@@ -27,18 +27,22 @@ only when it is split or a crossing is located in it.
 :func:`advance_starts` steps many starts of one mode over one window
 together, as rows of one DOP853 with the same tableau, initial step and
 controller, so that every row takes the steps :func:`integrate` would
-take for it alone.  It samples accepted steps only and has no
-interpolant.
+take for it alone.  Its step selection, controller and state guards are
+whole-array passes, with each power a libm ``pow`` per row.  It samples
+accepted steps only and has no interpolant.  Each trajectory of
+:func:`integrate` and :func:`integrate_feedback` builds its stage array
+once and shares it among its constancy intervals.
 
 Scenario functions are row-wise: a vector field, covering boundary,
 Lyapunov value or gradient, or output takes one state (n,) or a stack
 (k, n) of states and returns the per-row results, each equal to the
 per-point call's to the last bit.  :func:`evaluate_rows` is the one way
 the batched callers (the probe's advance, the sampled checks and the
-trajectory export) call them; it checks the first and last rows against
+trajectory export) check them; it compares the first and last rows with
 per-point calls and raises :class:`TypeError` for a function written
-for one state only.  The integrator's right-hand side, crossing
-location and feedback rules call them per point.
+for one state only.  The probe's advance makes that check once for each
+stack shape it meets, not at every stage.  The integrator's right-hand
+side, crossing location and feedback rules call them per point.
 
 Solution blow-up surfaces as :class:`FiniteEscapeError` with an escape
 time estimate; step-size collapse as :class:`StiffnessError`; feedback
@@ -51,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -109,7 +114,9 @@ def evaluate_rows(fn: Callable, x: np.ndarray, *args) -> np.ndarray:
     a C-contiguous (k, ...) array.  Its first and last rows must equal
     per-point calls bit for bit (NaN matching NaN), so a function written
     for one state only (``np.array([-x[1], x[0]])``, say) raises
-    TypeError naming it instead of returning wrong numbers.
+    TypeError naming it instead of returning wrong numbers.  The check
+    costs two per-point calls; :func:`advance_starts` makes it once for
+    each stack shape it meets and then calls ``fn`` directly.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -417,6 +424,51 @@ def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tupl
     return h_abs * max(0.2, 0.9 * error_norm ** -_EXPONENT), False
 
 
+# The same selection and controller for a stack of rows, to the bit of the
+# scalar functions above: every power is libm ``pow`` per element, which
+# numpy's power is not; a Python min or max against a constant that drops a
+# NaN is np.fmin or np.fmax, and one that keeps it np.minimum or np.maximum.
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """libm ``pow`` of each element, as a Python float power takes it."""
+    return np.array(list(map(math.pow, base.tolist(), repeat(exponent))), dtype=float)
+
+
+def _trial_steps(d0: np.ndarray, d1: np.ndarray, interval: float) -> np.ndarray:
+    """:func:`_trial_step` of each row."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    return np.minimum(h0, interval)
+
+
+def _initial_steps(h0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+                   interval: float) -> np.ndarray:
+    """:func:`_initial_step` of each row; Python's max(d1, d2) keeps d1 unless
+    d2 is larger, and its min(a, b, c) takes a later one only if smaller."""
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    with np.errstate(divide="ignore", over="ignore"):
+        base = 0.01 / np.where(d2 > d1, d2, d1)
+    h1 = np.where(flat, np.fmax(1e-6, h0 * 1e-3), _pow(np.where(flat, 1.0, base), _EXPONENT))
+    h = 100 * h0
+    return np.minimum(np.where(h1 < h, h1, h), interval)
+
+
+def _control_rows(h_abs: np.ndarray, e5: np.ndarray, e3: np.ndarray, n: int,
+                  rejected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_control` of each row: the next step sizes and the accepted mask."""
+    n5, n3 = _pow(e5, 2.0), _pow(e3, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_norm = np.where((n5 == 0) & (n3 == 0), 0.0,
+                              h_abs * n5 / np.sqrt((n5 + 0.01 * n3) * n))
+    zero = error_norm == 0  # pow(0, -1/8) is a domain error: these rows take factor 10
+    shrink = 0.9 * _pow(np.where(zero, 1.0, error_norm), -_EXPONENT)
+    factor = np.where(zero, 10.0, np.fmin(10.0, shrink))
+    accepted = error_norm < 1
+    grown = h_abs * np.where(rejected, np.fmin(1.0, factor), factor)
+    return np.where(accepted, grown, h_abs * np.fmax(0.2, shrink)), accepted
+
+
 def _stages(rhs, K: np.ndarray, views: list, t: float, y: np.ndarray, h: float, stages) -> None:
     """K[s] = rhs(t + c h, y + h a.K[:s]) for each (s, c, a) of ``stages``,
     each stage sum one np.dot over ``views[s]``, the prebuilt view K[:s].T."""
@@ -506,12 +558,21 @@ def _start(system: SwitchedSystem, x0: Sequence[float]):
     return x0, IntegratorStats(), [0.0], [x0.copy()]
 
 
+def _workspace(n: int) -> tuple[np.ndarray, list]:
+    """The stage array K of a trajectory of dimension n, stage s in row s, and
+    the prebuilt views K[:s].T that its stage sums read."""
+    K = np.empty((len(_C), n))
+    return K, [K[:s].T for s in range(len(_C) + 1)]
+
+
 def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
               opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
-              rule: FeedbackRule | None = None, first_step: float | None = None):
+              workspace: tuple[np.ndarray, list], rule: FeedbackRule | None = None,
+              first_step: float | None = None):
     """Advance mode gamma from (t0, x0) to t_end > t0, sampling as we go.
 
-    One adaptive DOP853 solve, which starts from ``first_step`` (at most
+    ``workspace`` is the trajectory's :func:`_workspace`, which every run
+    of it shares.  One adaptive DOP853 solve, which starts from ``first_step`` (at most
     t_end - t0, as scipy's ``first_step``) or, when it is None, from the
     initial step selection.  The field is called once for the start
     state, once more if the initial step is selected, twelve times per
@@ -544,8 +605,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
         h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
         d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
         h_abs = _initial_step(h0, d1, d2, t_end - t0)
-    K = np.empty((len(_C), n))  # stage s in row s
-    views = [K[:s].T for s in range(len(_C) + 1)]  # stage sums read these
+    K, views = workspace
     crossed = False
     while t < t_end and not crossed:
         # one step: attempts from h_abs down until one is accepted
@@ -603,10 +663,11 @@ def integrate(
     length, so a switch costs one field call for the new mode's start.
     """
     x, stats, ts, xs = _start(system, x0)
+    work = _workspace(system.dimension)
     h = None
     for ta, tb, gamma in signal.segments():
         if tb > ta:
-            _, x, _, h = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs,
+            _, x, _, h = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs, work,
                                    first_step=None if h is None else min(h, tb - ta))
     _emit(ts, xs, signal.horizon, x)
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
@@ -619,13 +680,17 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     Each row takes exactly the steps that :func:`integrate` takes for that
     start alone under the constant signal with ``max_dx = inf``: the same
     tableau, initial step and controller, with each stage sum one matmul
-    per row and every scalar power taken per row as a Python float power.
+    per row, and the step selection and controller taken on all rows at
+    once with every power a libm ``pow`` per row (:func:`_control_rows`).
     The field is called once per stage on the stack of running rows, so
-    it must be row-wise (see :func:`evaluate_rows`).  Returns, per start in
-    order, its states at t = 0 and after every accepted step as a (k, n)
-    array, or the :class:`FiniteEscapeError` of a start whose norm passed
-    ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
-    that of the first start which met one, as a loop over starts would.
+    it must be row-wise; :func:`evaluate_rows` checks it once for each
+    stack shape the advance meets, and later stacks of that shape call it
+    directly.  Accepted states are recorded once per attempt and split
+    per start at the end.  Returns, per start in order, its states at
+    t = 0 and after every accepted step as a (k, n) array, or the
+    :class:`FiniteEscapeError` of a start whose norm passed ``opts.bound``.
+    A :class:`StiffnessError` is raised after the batch: that of the first
+    start which met one, as a loop over starts would.
     """
     if opts.max_dx != math.inf:
         raise ValueError("advance_starts samples accepted steps only; it needs max_dx = inf")
@@ -634,47 +699,59 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     y = np.array(starts, dtype=float)
     if y.ndim != 2 or y.shape[1] != system.dimension or not np.all(np.isfinite(y)):
         raise ValueError(f"starts must be finite rows of length {system.dimension}")
+    n_rows, n = y.shape
     f = system.field(gamma)
     S = _N_STAGES
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
-    n_rows, n = y.shape
     rows = np.arange(n_rows)  # start index of each row still running
     out: list = [None] * n_rows
-    samples = [[x] for x in y]
+    kept_rows, kept_states = [rows], [y]  # the samples, one batch per accepted attempt
     errors: dict[int, StiffnessError] = {}
+    checked: set = set()  # stack shapes on which evaluate_rows has checked f
 
-    def field(t: np.ndarray, Y: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """Field value of each live row.  A row whose value is not finite
-        records its StiffnessError, leaves ``live`` and reads zero."""
-        F = np.zeros_like(Y)
-        idx = np.flatnonzero(live)
-        if idx.size:
-            F[idx] = evaluate_rows(f, Y[idx])
-        for r in np.flatnonzero(live & ~np.isfinite(F).all(axis=1)).tolist():
-            errors[int(rows[r])] = StiffnessError(
-                f"vector field returned non-finite values at t ~ {float(t[r]):.6g}")
-            live[r], F[r] = False, 0.0
+    def field(F: np.ndarray, Y: np.ndarray, live: np.ndarray, t: np.ndarray, c: float,
+              h: np.ndarray) -> np.ndarray:
+        """F[r] = f(Y[r]) for each live row r, in one call on their stack.  A
+        row whose value is not finite records its StiffnessError at time
+        t + c h, leaves ``live`` and reads zero, as every row not live does."""
+        if live.all():
+            Z, at = Y, ...
+        else:
+            Z, at = Y[live], live
+            F[~live] = 0.0
+        if len(Z):
+            if Z.shape in checked:
+                value = f(Z)
+            else:
+                value = evaluate_rows(f, Z)
+                checked.add(Z.shape)
+            F[at] = value
+        if not np.isfinite(F).all():
+            for r in np.flatnonzero(~np.isfinite(F).all(axis=1)).tolist():
+                errors[int(rows[r])] = StiffnessError(
+                    f"vector field returned non-finite values at t ~ {t[r] + c * h[r]:.6g}")
+                live[r], F[r] = False, 0.0
         return F
 
     # the initial step of each row, from t = 0
     live = np.ones(n_rows, dtype=bool)
     t = np.zeros(n_rows)
-    fy = field(t, y, live)
+    fy = field(np.empty_like(y), y, live, t, 0.0, t)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale).tolist(), _rms(fy / scale).tolist()
-    h0 = np.array([_trial_step(a, b, t_end) for a, b in zip(d0, d1)])
-    f1 = field(h0, y + h0[:, None] * fy, live)
-    d2 = (_rms((f1 - fy) / scale) / h0).tolist()
-    h_abs = np.array([_initial_step(h, b, c, t_end) for h, b, c in zip(h0.tolist(), d1, d2)])
+    d1 = _rms(fy / scale)
+    h0 = _trial_steps(_rms(y / scale), d1, t_end)
+    f1 = field(np.empty_like(y), y + h0[:, None] * fy, live, t, 1.0, h0)
+    h_abs = _initial_steps(h0, d1, _rms((f1 - fy) / scale) / h0, t_end)
     fresh = np.ones(n_rows, dtype=bool)  # a row whose next attempt starts a new step
     rejected = np.zeros(n_rows, dtype=bool)
 
     while True:
-        rows, t, y, fy, h_abs, fresh, rejected = (
-            a[live] for a in (rows, t, y, fy, h_abs, fresh, rejected))
+        if not live.all():
+            rows, t, y, fy, h_abs, fresh, rejected = (
+                a[live] for a in (rows, t, y, fy, h_abs, fresh, rejected))
+            live = np.ones(rows.size, dtype=bool)
         if not rows.size:
             break
-        live = np.ones(rows.size, dtype=bool)
         # one attempt per row, at its own t and step size
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(fresh & (h_abs < min_step), min_step, h_abs)
@@ -691,41 +768,40 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         K[:, 0] = fy
         for s in range(1, S):
             dy = np.matmul(KT[:, :, :s], _A[s, :s]) * h[:, None]
-            K[:, s] = field(t + _C[s] * h, y + dy, live)
+            field(K[:, s], y + dy, live, t, _C[s], h)
         y_new = y + h[:, None] * np.matmul(KT[:, :, :S], _B)
-        K[:, S] = f_new = field(t + h, y_new, live)
-        # the error norm and the controller, per row
+        f_new = field(K[:, S], y_new, live, t, 1.0, h)
+        # the error norm and the controller, on the live rows
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = row_norms(np.matmul(KT, _E5) / scale).tolist()
-        e3 = row_norms(np.matmul(KT, _E3) / scale).tolist()
+        e5 = row_norms(np.matmul(KT, _E5) / scale)
+        e3 = row_norms(np.matmul(KT, _E3) / scale)
         accepted = np.zeros(rows.size, dtype=bool)
         h_abs = np.abs(h)
-        for r in np.flatnonzero(live).tolist():
-            h_abs[r], accepted[r] = _control(float(h_abs[r]), e5[r], e3[r], n, rejected[r])
+        h_abs[live], accepted[live] = _control_rows(h_abs[live], e5[live], e3[live], n,
+                                                    rejected[live])
         rejected |= live & ~accepted
         # an accepted row moves to the step's end and meets integrate's state guards
         t = np.where(accepted, t_new, t)
         y = np.where(accepted[:, None], y_new, y)
         fy = np.where(accepted[:, None], f_new, fy)
         fresh = accepted
-        norms = row_norms(y).tolist()
         finite = np.isfinite(y).all(axis=1)
-        for r in np.flatnonzero(accepted).tolist():
-            i = int(rows[r])
-            if not finite[r]:
-                errors[i] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
-                live[r] = False
-            elif norms[r] > opts.bound:
-                out[i] = FiniteEscapeError(float(t[r]), np.array(y[r]), opts.bound)
-                live[r] = False
-            else:
-                samples[i].append(y[r])
-                if t[r] >= t_end:
-                    out[i] = np.array(samples[i])
-                    live[r] = False
+        escaped = finite & (row_norms(y) > opts.bound)
+        for r in np.flatnonzero(accepted & ~finite).tolist():
+            errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
+        for r in np.flatnonzero(accepted & escaped).tolist():
+            out[int(rows[r])] = FiniteEscapeError(float(t[r]), np.array(y[r]), opts.bound)
+        kept = accepted & finite & ~escaped
+        kept_rows.append(rows[kept])
+        kept_states.append(y[kept])
+        live &= ~accepted | (kept & (t < t_end))
     if errors:
         raise errors[min(errors)]
-    return out
+    sample_rows = np.concatenate(kept_rows)
+    samples = np.concatenate(kept_states)[np.argsort(sample_rows, kind="stable")]
+    ends = np.cumsum(np.bincount(sample_rows, minlength=n_rows)).tolist()
+    return [samples[a:b] if run is None else run
+            for run, a, b in zip(out, [0, *ends[:-1]], ends)]
 
 
 def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: float,
@@ -776,9 +852,11 @@ def integrate_feedback(
     switch_times: list[float] = []
     mode_seq: list[int] = [gamma]
     t, x = 0.0, x0
+    work = _workspace(system.dimension)
 
     while t < horizon:
-        t, x, crossed, _ = _run_mode(system, gamma, t, x, horizon, opts, stats, ts, xs, rule)
+        t, x, crossed, _ = _run_mode(system, gamma, t, x, horizon, opts, stats, ts, xs, work,
+                                     rule)
         if not crossed:
             break
         new_gamma = rule(x)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchcert.signals import (
@@ -194,6 +194,42 @@ def _exact_adt(signal, adt):
     return valid, closest
 
 
+def _reference_adt_violation(times, adt, start=0):
+    """First switch-index pair (i, j), i >= start, violating the ADT bound under
+    the relative-1e-12 guard, or None: a scan over every start index."""
+    n = times.size
+    for i in range(start, n):
+        js = np.arange(i + adt.n0, n)
+        if js.size == 0:
+            continue
+        counts = js - i + 1
+        bounds = adt.n0 + (times[js] - times[i]) / adt.tau_d
+        bad = np.nonzero(counts > bounds * (1.0 + 1e-12))[0]
+        if bad.size:
+            return i, int(js[bad[0]])
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-3, 20.0), max_size=40), st.floats(0.05, 3.0), st.integers(1, 3),
+       st.integers(-1, 23), st.booleans())
+@example([3.0, 3.0, 4.0, 4.0, 5.0, 3.0, 3.0, 4.0, 5.0, 4.0], 2.9596042718467004, 2, 21, True)
+def test_adt_scan_matches_reference_from_every_start(gaps, tau_d, n0, binade, exact):
+    # with ``exact`` the gaps are multiples of tau_d / 2, so windows sit on the
+    # bound up to the rounding of the times; a ``binade`` >= 0 offsets the times
+    # (by up to 2.5e7) so that t / tau_d crosses 2 ** binade mid-signal, where
+    # k - t_k / tau_d rounds most unevenly: a screen band scaled by n0 alone,
+    # not by t_k / tau_d, misses a violation of the example
+    if exact:
+        gaps = [tau_d * (1 + int(g) % 3) / 2 for g in gaps]
+    times = np.cumsum(gaps)
+    if binade >= 0 and times.size:
+        times += max(0.0, tau_d * 2.0 ** binade - times[times.size // 2])
+    adt = AdtClass(tau_d, n0)
+    for start in range(times.size + 1):
+        assert _adt_violation(times, adt, start) == _reference_adt_violation(times, adt, start)
+
+
 def test_validate_adt_spacing_one():
     s = sig([1.0, 2.0, 3.0, 4.0], [1, 2, 1, 2, 1], 10.0)
     assert validate_adt(s, AdtClass(1.0, 1)).passed
@@ -257,7 +293,7 @@ def _reference_generate_adt(seed: int, adt: AdtClass, modes: ModeSet,
     times = np.cumsum(gaps)[:-1]
     times = times[times <= horizon]
     while True:
-        pair = _adt_violation(times, adt)
+        pair = _reference_adt_violation(times, adt)
         if pair is None:
             break
         i, j = pair

@@ -226,6 +226,34 @@ def test_advance_starts_raises_the_first_failing_starts_error():
                 advance_starts(sys_, 1, np.array(starts), 1e9, opts)
 
 
+def test_advance_starts_checks_the_field_once_per_stack_shape():
+    # evaluate_rows compares the first and last rows of a stack with per-point
+    # calls; the advance makes that check once for each stack shape it meets
+    from switchcert.lyapunov import SampleRegion
+
+    ex2 = builtin_scenario("example2")
+    starts = SampleRegion(0.1, 3.0).all_points(2)
+    opts = IntegratorOptions(max_dx=math.inf)
+    for gamma in ex2.system.modes.labels:
+        field = ex2.system.field(gamma)
+        one_state, stack_shapes = [], set()
+
+        def counted(x, field=field):
+            if x.ndim == 1:
+                one_state.append(x)
+            else:
+                stack_shapes.add(x.shape)
+            return field(x)
+
+        system = SwitchedSystem(2, {**ex2.system.fields, gamma: counted}, ex2.system.modes,
+                                ex2.system.covering)
+        got = advance_starts(system, gamma, starts, 3.0, opts)
+        want = advance_starts(ex2.system, gamma, starts, 3.0, opts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(stack_shapes) >= 2  # rows finish at different steps
+        assert len(one_state) <= 2 * len(stack_shapes)
+
+
 def test_feedback_grazing_contact_is_no_switch(monkeypatch):
     # a located crossing whose state rounds back into the old mode is grazing
     # contact: the run goes on in that mode, with no switch and no event
@@ -327,11 +355,12 @@ def _reference_locate_crossing(dense, rule, gamma, t_lo, t_hi, event_tol):
     return hi, x_hi
 
 
-def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, rule=None,
-                        first_step=None):
+def _reference_run_mode(system, gamma, t0, x0, t_end, opts, stats, ts, xs, workspace,
+                        rule=None, first_step=None):
     """``systems._run_mode`` as it was when it stepped scipy's DOP853 solver object,
     sampling and locating crossings with the references above; ``first_step``
-    is scipy's, and the step proposed last is the solver's ``h_abs``."""
+    is scipy's, the step proposed last is the solver's ``h_abs``, and the
+    shared stage ``workspace`` is ignored: scipy keeps its own."""
     f = system.field(gamma)
 
     def rhs(t, y):
@@ -407,28 +436,55 @@ def test_tableau_equals_scipy():
     assert systems._TOO_SMALL_STEP == DOP853.TOO_SMALL_STEP
 
 
+def _scipy_control(K, h, scale, rejected):
+    """scipy's DOP853 error norm and step-size update for one attempt."""
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+
+    exponent = -1 / (DOP853.error_estimator_order + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        error_norm = DOP853._estimate_error_norm(DOP853, K, h, scale)
+    if error_norm < 1:
+        factor = (MAX_FACTOR if error_norm == 0
+                  else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
+        return h * (min(1, factor) if rejected else factor), True
+    return h * max(MIN_FACTOR, SAFETY * error_norm ** exponent), False
+
+
 def test_error_norm_and_controller_match_scipy():
     # about 0.1% of squares e ** 2 (libm pow) differ from e * e in the last bit,
     # so twenty thousand draws catch a square taken the other way
-    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
-
     rng = np.random.default_rng(5)
-    exponent = -1 / (DOP853.error_estimator_order + 1)
+    draws = []
     for _ in range(20_000):
         n = int(rng.integers(1, 4))
         K = rng.normal(size=(13, n))
         scale = rng.uniform(0.5, 2.0, n)
         h = float(10.0 ** rng.uniform(-2.5, 0.5))
         rejected = bool(rng.integers(2))
-        error_norm = DOP853._estimate_error_norm(DOP853, K, h, scale)
-        if error_norm < 1:
-            factor = (MAX_FACTOR if error_norm == 0
-                      else min(MAX_FACTOR, SAFETY * error_norm ** exponent))
-            want = (h * (min(1, factor) if rejected else factor), True)
-        else:
-            want = (h * max(MIN_FACTOR, SAFETY * error_norm ** exponent), False)
+        want = _scipy_control(K, h, scale, rejected)
         e5, e3 = (systems._norm(np.dot(K.T, E) / scale) for E in (systems._E5, systems._E3))
         assert systems._control(h, e5, e3, n, rejected) == want
+        draws.append((K, scale, h, rejected, want))
+    # error norms of 0, of NaN (an overflowing estimate: inf / inf), and from
+    # estimates whose square (1e-161) or whose value (1e-310) is subnormal
+    for K in (np.zeros((13, 2)), np.full((13, 2), 1e308), rng.normal(size=(13, 2)) * 1e-161,
+              rng.normal(size=(13, 2)) * 1e-310):
+        for rejected in (False, True):
+            scale = np.ones(2)
+            draws.append((K, scale, 0.3, rejected, _scipy_control(K, 0.3, scale, rejected)))
+    # the array controller on all draws of each dimension, stacked as rows in
+    # advance_starts' layout (a stage sum reads a transposed view: the layout
+    # sets numpy's summation order), matches scipy row by row
+    for n in (1, 2, 3):
+        rows = [d for d in draws if d[0].shape[1] == n]
+        KT = np.array([K for K, *_ in rows]).transpose(0, 2, 1)
+        scale = np.array([d[1] for d in rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            e5, e3 = (systems.row_norms(np.matmul(KT, E) / scale)
+                      for E in (systems._E5, systems._E3))
+        h_next, accepted = systems._control_rows(
+            np.array([d[2] for d in rows]), e5, e3, n, np.array([d[3] for d in rows]))
+        assert list(zip(h_next.tolist(), accepted.tolist())) == [d[4] for d in rows]
 
 
 def test_control_rejects_when_the_denominator_underflows():
@@ -439,6 +495,26 @@ def test_control_rejects_when_the_denominator_underflows():
     with np.errstate(invalid="ignore"):
         assert np.isnan(np.abs(0.7) * n5 / np.sqrt((n5 + 0.01 * n3) * 2))
     assert systems._control(0.7, 0.0, e3, 2, False) == (0.7 * 0.2, False)
+    h_next, accepted = systems._control_rows(np.array([0.7]), np.array([0.0]), np.array([e3]), 2,
+                                             np.array([False]))
+    assert (h_next.tolist(), accepted.tolist()) == ([0.7 * 0.2], [False])
+
+
+def test_initial_step_rows_match_the_scalar_selection():
+    # d0 or d1 below 1e-5 take the fixed trial step, and d1 = d2 = 0 (at most
+    # 1e-15) the flat-field step; the rest draw norms over 1e-300..1e300
+    rng = np.random.default_rng(7)
+    special = [0.0, 5e-324, 1e-300, 1e-15, 2e-15, 9.99e-6, 1e-5, 1e-3, 1.0, 1e5, 1e300]
+    d0, d1, d2 = (np.concatenate([rng.choice(special, 3000), 10.0 ** rng.uniform(-300, 300, 3000)])
+                  for _ in range(3))
+    d1[:200] = d2[:200] = 0.0
+    for interval in (1e-9, 0.1, 7.3, 1e9):
+        h0 = systems._trial_steps(d0, d1, interval)
+        assert h0.tolist() == [systems._trial_step(a, b, interval)
+                               for a, b in zip(d0.tolist(), d1.tolist())]
+        got = systems._initial_steps(h0, d1, d2, interval)
+        assert got.tolist() == [systems._initial_step(h, b, c, interval)
+                                for h, b, c in zip(h0.tolist(), d1.tolist(), d2.tolist())]
 
 
 def test_integrate_matches_scipy_from_a_subnormal_start():
