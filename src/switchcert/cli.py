@@ -7,21 +7,29 @@ Subcommands::
     switchcert omega SCENARIO [--out DIR] [--horizon H] [--seed N]
     switchcert validate SIGNAL_FILE TAU_D N0
 
-SCENARIO is either a built-in id (see ``scenarios/``) or the path of an
-INI scenario file; the commented reference files under ``scenarios/``
-document the schema.  ``simulate`` and ``omega`` are selections of the
-artifacts ``run`` writes, computed the same way, and every subcommand
-computes all of its artifacts before it creates the output directory.
-Scientific outcomes are data, not process failures: ``run`` exits 0
-even when the verdict is negative.  Exit code 2 marks an unreadable or
-invalid input (nothing is written), 3 a simulation failure: blow-up, a
-chattering feedback rule or a failed stepper.
+SCENARIO is either a built-in id (see ``scenarios/``) or the path of an INI
+scenario file; the commented reference files under ``scenarios/`` document
+the schema.  The file is read in one pass, by the standard library's INI
+grammar with ``#`` and ``;`` comments and no interpolation: a comment
+starts at a line's start or after whitespace (``%`` is literal); ``[name]``
+opens a section, the name running to the last ``]``; a key is the text
+before a line's first ``=`` or ``:``, stripped and lower-cased, its value
+the stripped rest, maybe empty; a line indented deeper than its key's
+continues the value, the lines joined with newlines, blank ones included.
+A repeated section, a key repeated in its section, a key before any header
+and a non-blank line that is neither a header nor a key are bad input at
+their line.  ``simulate`` and ``omega`` are selections of the artifacts
+``run`` writes, computed the same way, and every subcommand computes all of
+its artifacts before it creates the output directory.  Scientific outcomes
+are data, not process failures: ``run`` exits 0 even when the verdict is
+negative.  Exit code 2 marks an unreadable or invalid input (nothing is
+written), 3 a simulation failure: blow-up, a chattering feedback rule or a
+failed stepper.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import re
 import sys
@@ -113,48 +121,38 @@ _PARSERS = {key: parse for keys in _SCHEMA.values() for key, parse in keys.items
 Entry = tuple[str, str, str]  # key, text, location: a file's "path:line" or an option
 
 
-def _scan(path: str, text: str) -> dict:
-    """``path:line`` of each ``[section]`` header and each (section, key), the key
-    read as configparser reads it: lower-cased, before the first ``=`` or ``:``."""
-    where, section = {}, None
-    for n, line in enumerate(text.split("\n"), start=1):
-        # comment lines give keys starting with '#' or ';', which no real key does
-        line = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
-        if line.startswith("[") and "]" in line:
-            section = line[1:line.rindex("]")]
-            where.setdefault(section, f"{path}:{n}")
-        else:
-            key = re.split("[=:]", line, maxsplit=1)[0].strip().lower()
-            where.setdefault((section, key), f"{path}:{n}")
-    return where
-
-
 def _read(path: str) -> tuple[list[Entry], dict[str, str]]:
-    """Each key of an INI scenario file with its text and location, and each section's."""
-    text = read_utf8(path, SchemaError)
-    # no interpolation ("out%1" is literal); no section is named "", so [DEFAULT] is plain
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
-                                       default_section="")
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        # ParsingError carries its lines in .errors, the other errors in .lineno
-        line = getattr(exc, "lineno", None) or getattr(exc, "errors", [(0,)])[0][0]
-        raise SchemaError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
-
-    where = _scan(path, text)
-    entries, headers = [], {}
-    for section in parser.sections():
-        headers[section] = where[section]
-        if section not in _SCHEMA:
-            raise SchemaError(f"{where[section]}: unknown section [{section}]")
-        for key, value in parser[section].items():
-            if key not in _SCHEMA[section]:
-                raise SchemaError(f"{where[section, key]}: unknown key {key!r} in [{section}]")
-            entries.append((key, value, where[section, key]))
+    """Each key of an INI scenario file with its text and location, and each section's,
+    read in one pass over the lines by the grammar of the module docstring."""
+    values, at, headers, section, key, indent = {}, {}, {}, None, None, 0
+    for n, raw in enumerate(read_utf8(path, SchemaError).split("\n"), start=1):
+        where = f"{path}:{n}"
+        text, *comment = map(str.strip, re.split(r"(?:^|\s)[#;]", raw, maxsplit=1))
+        depth = len(raw) - len(raw.lstrip())
+        if not text or (key and depth > indent):  # no header or key starts here
+            if key and (text or not comment):  # a continuation, or a blank line in a value
+                values[key].append(text)
+            continue
+        indent = depth
+        if text.startswith("[") and "]" in text:
+            section, key = text[1:text.rindex("]")], None
+            if section not in _SCHEMA or section in headers:
+                fault = "unknown" if section not in _SCHEMA else "repeated"
+                raise SchemaError(f"{where}: {fault} section [{section}]")
+            headers[section] = where
+            continue
+        if section is None:
+            raise SchemaError(f"{where}: expected a [section] header first")
+        if not (found := re.fullmatch(r"([^=:]+)[=:](.*)", text)):
+            raise SchemaError(f"{where}: expected [section] or key = value, got {text!r}")
+        key = found[1].strip().lower()
+        if key not in _SCHEMA[section] or key in values:
+            fault = "unknown" if key not in _SCHEMA[section] else "repeated"
+            raise SchemaError(f"{where}: {fault} key {key!r} in [{section}]")
+        values[key], at[key] = [found[2].strip()], where
     if "scenario" not in headers:
         raise SchemaError(f"{path}:1: missing [scenario] section")
-    return entries, headers
+    return [(key, "\n".join(lines).rstrip(), at[key]) for key, lines in values.items()], headers
 
 
 def _build(entries: list[Entry], headers: dict[str, str],

@@ -9,8 +9,7 @@ report objects say how many points they looked at.
 Class-K sandwich bounds and the strict-decrease rate are emitted as
 empirical radius-indexed tables (the measured min/max of V per radius
 shell, and the measured worst Lie derivative per shell) rather than
-fitted closed forms; :func:`fit_power_law` turns a table into a power
-envelope when a closed form is wanted downstream.
+fitted closed forms.
 
 The distinguishability probe tests output distinguishability only;
 norm-observability is a strictly stronger property and has no checker
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -147,29 +147,14 @@ class SampleRegion:
         raw = rng.standard_normal((self.n_random, dim))
         return raw / np.linalg.norm(raw, axis=1, keepdims=True) * r[:, None]
 
+    @lru_cache(maxsize=16)
     def all_points(self, dim: int) -> np.ndarray:
+        """The shell points, shell by shell, then the scattered points: one
+        read-only array per region and dimension, drawn at the first call."""
         shells = np.vstack([pts for _, pts in self.shell_points(dim)])
-        return np.vstack([shells, self.random_points(dim)])
-
-
-def fit_power_law(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares power fit values ~ c * r**p of a radius-indexed table.
-
-    Returns (c, p, max relative residual).  All values must be strictly
-    positive; intended for turning empirical envelope tables into closed
-    forms when a downstream consumer needs one.
-    """
-    r = np.asarray(radii, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if r.size != v.size or r.size < 2:
-        raise ValueError("need two same-length arrays with at least 2 entries")
-    if not (np.all(r > 0.0) and np.all(v > 0.0)):
-        raise ValueError("power fit requires strictly positive radii and values")
-    design = np.column_stack([np.ones(r.size), np.log(r)])
-    (log_c, p), *_ = np.linalg.lstsq(design, np.log(v), rcond=None)
-    c = float(np.exp(log_c))
-    residual = float(np.max(np.abs(c * r ** p / v - 1.0)))
-    return c, float(p), residual
+        points = np.vstack([shells, self.random_points(dim)])
+        points.flags.writeable = False
+        return points
 
 
 # -- pointwise checks -------------------------------------------------------
@@ -267,18 +252,18 @@ def _shell_table(system: SwitchedSystem, region: SampleRegion,
     shell in the order of a loop over modes, then points, and the mask
     of its admissible entries (inadmissible entries read 0).
     """
-    shells = [pts for _, pts in region.shell_points(system.dimension)]
-    pts = np.vstack(shells)
+    n_shells, per_shell = region.n_radii, region.n_directions
+    pts = region.all_points(system.dimension)[:n_shells * per_shell]
     table = np.zeros((system.modes.size, len(pts)))
     mask = np.zeros(table.shape, dtype=bool)
     for j, (gamma, inside) in enumerate(_admissible(system, pts).items()):
         mask[j, inside] = True
         if inside.size:
             table[j, inside] = values(pts[inside], gamma)
-    shape = (system.modes.size, len(shells), len(shells[0]))
+    shape = (system.modes.size, n_shells, per_shell)
 
     def by_shell(a: np.ndarray) -> np.ndarray:
-        return a.reshape(shape).transpose(1, 0, 2).reshape(len(shells), -1)
+        return a.reshape(shape).transpose(1, 0, 2).reshape(n_shells, -1)
 
     return by_shell(table), by_shell(mask)
 
@@ -530,6 +515,5 @@ __all__ = [
     "check_strict_decrease",
     "distinguishability_probe",
     "finite_difference_gradient",
-    "fit_power_law",
     "lie_derivative",
 ]

@@ -68,10 +68,6 @@ class ModeSet:
     def __contains__(self, gamma: int) -> bool:
         return 1 <= gamma <= self.size
 
-    @staticmethod
-    def metric(a: int, b: int) -> float:
-        return 0.0 if a == b else 1.0
-
 
 @dataclass(frozen=True)
 class AdtClass:

@@ -603,8 +603,9 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
         scale = atol + np.abs(y) * rtol
         d1 = float(_rms(fy / scale))
         h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
-        d2 = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale)) / h0
-        h_abs = _initial_step(h0, d1, d2, t_end - t0)
+        change = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale))
+        # h0 is 0 only when d1 overflowed; the step is then 0 and fails the step-size guard
+        h_abs = _initial_step(h0, d1, change / h0 if h0 else math.nan, t_end - t0)
     K, views = workspace
     crossed = False
     while t < t_end and not crossed:

@@ -1,13 +1,17 @@
+import configparser
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchcert.cli import load_scenario_file, main
+from switchcert.cli import _SCHEMA, SchemaError, _read, load_scenario_file, main
 from switchcert.scenarios import GeneratedSource
 from switchcert.signals import ModeSet, SwitchingSignal, save_signal
 
@@ -84,6 +88,114 @@ def test_schema_rejects_unknown_key(tmp_path):
     path = write(tmp_path, "[scenario]\nsystem = example1\nwarp = 9\n")
     with pytest.raises(SchemaError):
         load_scenario_file(path)
+
+
+def test_continued_points_value(tmp_path):
+    """A line indented deeper than its key's continues the value, blank lines kept."""
+    path = write(tmp_path, "[scenario]\nsystem = two_centers\n[initial_conditions]\n"
+                           "points = 1 0,\n    0 1,  # two more\n\n  ; a comment line\n  -1 0\n")
+    entries, _ = _read(path)
+    assert entries[-1] == ("points", "1 0,\n0 1,\n\n-1 0", f"{path}:4")
+    assert load_scenario_file(path)[0].initial_states.tolist() == [[1, 0], [0, 1], [-1, 0]]
+
+
+# The reader's oracle is configparser with '#' and ';' inline comments, no
+# interpolation and no DEFAULT section.  Its inline-comment search may pick a
+# later comment start than the first when one line holds both '#' and ';'
+# starts, so no generated value or comment holds a comment start of its own:
+# a '#' or ';' in a value follows no whitespace.
+_SECTION_OF = {key: section for section, keys in _SCHEMA.items() for key in keys}
+_INDENT = st.sampled_from(["", "", " ", "  ", "\t"])
+_VALUE = st.text(alphabet="ab1.-%#;[]=: \t", max_size=8).filter(
+    lambda v: not re.search(r"(?:^|\s)[#;]", v))
+_COMMENT = st.sampled_from(["", "", " # note", "\t; note", " ;;", " #=x"])
+
+
+def _key_line(draw, indent: str, key: str) -> str:
+    key = draw(st.sampled_from([key, key.upper(), key.title()]))
+    delimiter = draw(st.sampled_from(["=", ":", " = ", " : ", "= ", " ="]))
+    return f"{indent}{key}{delimiter}{draw(_VALUE)}{draw(_COMMENT)}"
+
+
+@st.composite
+def _noise_line(draw):
+    """A line that may break the text's structure: anything the grammar names."""
+    indent = draw(_INDENT)
+    kind = draw(st.sampled_from(["key", "header", "blank", "comment", "bad"]))
+    if kind == "key":
+        return _key_line(draw, indent, draw(st.sampled_from([*_SECTION_OF, "other"])))
+    if kind == "header":
+        name = draw(st.sampled_from([*_SCHEMA, "DEFAULT", "other", " scenario"]))
+        return f"{indent}[{name}]{draw(_COMMENT)}"
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    if kind == "comment":
+        return f"{indent}{draw(st.sampled_from(['#', ';']))} note"
+    return indent + draw(st.sampled_from(["no delimiter", "= 5", "[]", "[scenario"]))
+
+
+@st.composite
+def _ini_text(draw):
+    """Sections of the schema with some of their keys, values continued by deeper
+    lines, and a few noise lines inserted anywhere."""
+    lines = []
+    names = draw(st.permutations(list(_SCHEMA)))
+    for name in names[:draw(st.integers(names.index("scenario") + 1, len(names)))]:
+        lines.append(f"{draw(_INDENT)}[{name}]{draw(_COMMENT)}")
+        for key in draw(st.lists(st.sampled_from(list(_SCHEMA[name])), unique=True,
+                                 max_size=4)):
+            indent = draw(_INDENT)
+            lines.append(_key_line(draw, indent, key))
+            for _ in range(draw(st.integers(0, 3))):
+                deeper = indent + draw(st.sampled_from([" ", "  ", "\t"]))
+                lines.append(draw(st.sampled_from(["", f"{deeper}# note", f"{deeper}[signal]",
+                                                   f"{deeper}rtol = 1"])
+                                  | _VALUE.filter(str.strip).map(deeper.__add__)))
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 99), _noise_line()), max_size=2)):
+        lines.insert(at % (len(lines) + 1), line)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _configparser_read(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """The sections and the (section, key, value) triples configparser reads."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
+    parser.read_string(text)
+    return parser.sections(), [(section, key, value) for section in parser.sections()
+                               for key, value in parser[section].items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ini_text())
+def test_reader_matches_configparser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle.ini"
+    path.write_bytes(text.encode())
+    try:
+        sections, expected = _configparser_read(text)
+    except configparser.Error:
+        with pytest.raises(SchemaError):
+            _read(str(path))
+        return
+    if "scenario" not in sections or not set(sections) <= set(_SCHEMA) or any(
+            _SECTION_OF.get(key) != section for section, key, _ in expected):
+        with pytest.raises(SchemaError):  # configparser reads it, the schema does not
+            _read(str(path))
+        return
+    entries, headers = _read(str(path))
+    assert [(_SECTION_OF[key], key, value) for key, value, _ in entries] == expected
+    assert list(headers) == sections
+    lines = text.split("\n")
+    for section, where in headers.items():
+        assert lines[int(where.removeprefix(f"{path}:")) - 1].strip().startswith(f"[{section}]")
+    for key, _, where in entries:
+        # each key sits at its own line: renaming the key there renames it in configparser
+        n = int(where.removeprefix(f"{path}:"))
+        name, rest = re.split("([=:].*)", lines[n - 1], maxsplit=1)[:2]
+        assert name.strip().lower() == key
+        lines[n - 1] = name[:len(name) - len(name.lstrip())] + "renamed" + rest
+        renamed = _configparser_read("\n".join(lines))[1]
+        lines[n - 1] = name + rest
+        assert renamed == [(s, "renamed" if k == key else k, v) for s, k, v in expected]
 
 
 # -- validate subcommand -----------------------------------------------------------
@@ -254,6 +366,40 @@ def test_run_stiffness_exit_3(tmp_path, capsys):
         scenarios._BUILTINS.pop("nan_field", None)
 
 
+def test_run_overflowing_field_norm_exit_3(tmp_path, capsys):
+    """A start whose scaled field norm overflows fails the stepper: exit 3."""
+    from switchcert.lyapunov import LyapunovCandidate
+    from switchcert.scenarios import FeedbackSource, Scenario, register_scenario
+    from switchcert.systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
+
+    def build(**overrides):
+        m = ModeSet(1)
+        sys_ = SwitchedSystem(1, {1: lambda x: x ** 3}, m, Covering.trivial(m))
+        return Scenario(
+            name="cube_far",
+            system=sys_,
+            V=LyapunovCandidate(value=lambda x, g: float(np.dot(x, x))),
+            W=None,
+            source=FeedbackSource(FeedbackRule(lambda x: 1, {1: lambda x: -1.0})),
+            initial_states=np.array([[1e100]]),
+            horizon=2.0,
+            integrator=IntegratorOptions(bound=math.inf),
+        )
+
+    register_scenario("cube_far", build)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "cube_far", "--out", str(tmp_path / "cube")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failed: stepper failed at t ~ 0")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "cube").exists()
+    finally:
+        from switchcert import scenarios
+
+        scenarios._BUILTINS.pop("cube_far", None)
+
+
 @pytest.mark.parametrize("key, value", [
     ("tail_fraction", "2"),
     ("cluster_tol", "0"),
@@ -351,6 +497,17 @@ _LOCATED_BAD_INPUTS = [
                  "scn.ini:1:", id="no_section_header"),
     pytest.param(lambda tmp: [_bytes_ini(tmp, b"[scenario]\nsystem = example1\n# caf\xe9\n")],
                  "scn.ini:3:", id="not_utf8"),
+    # an indented header continues the value above it, as in configparser
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n  [signal]\n"
+                                         "horizon = 5\n")],
+                 "scn.ini:2: unknown scenario 'example1\\n[signal]'", id="indented_header"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n\n[scenario]\n")],
+                 "scn.ini:4: repeated section [scenario]", id="repeated_section"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\nSYSTEM: example2\n")],
+                 "scn.ini:3: repeated key 'system' in [scenario]", id="repeated_key"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\nhorizon 5\n")],
+                 "scn.ini:3: expected [section] or key = value, got 'horizon 5'",
+                 id="no_delimiter"),
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n"
                                          "[signal]\nsource = generate\nn0 = 2\n")],
                  "scn.ini:3: missing required key 'tau_d' in [signal]", id="tau_d_missing"),
@@ -590,6 +747,21 @@ def test_run_loads_no_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "two_centers" / "guas_report.txt").exists()
+
+
+def test_run_loads_no_configparser(tmp_path):
+    """A scenario file is read by the CLI's own reader: configparser is never imported."""
+    code = (
+        "import sys\n"
+        "from switchcert.cli import main\n"
+        f"assert main(['run', {str(REPO / 'scenarios' / 'two_centers.ini')!r}, '--horizon', '2',"
+        f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'configparser' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "guas_report.txt").exists()
 
 
 def test_run_file_signal_source(tmp_path):

@@ -673,13 +673,15 @@ def test_finite_difference_accuracy():
     assert np.allclose(grad, exact, rtol=1e-7)
 
 
-def test_fit_power_law_recovers_square(ex1_scenario):
-    from switchcert.lyapunov import fit_power_law
-
-    rep = check_class_k_bounds(ex1_scenario.V, ex1_scenario.system, REGION)
-    c, p, residual = fit_power_law(rep.radii, rep.lower)
-    assert c == pytest.approx(1.0, rel=1e-10)
-    assert p == pytest.approx(2.0, abs=1e-10)
-    assert residual <= 1e-10
+def test_sample_region_draws_its_points_once():
+    """all_points is drawn once per region and dimension, read-only, with the
+    bits of a fresh draw: the shells radius by radius, then the scattered points."""
+    region = SampleRegion(0.25, 2.0, n_radii=6, n_directions=5, n_random=40, seed=11)
+    for dim in (2, 3):
+        points = region.all_points(dim)
+        assert region.all_points(dim) is points and not points.flags.writeable
+        shells = np.vstack([pts for _, pts in region.shell_points(dim)])
+        fresh = np.vstack([shells, region.random_points(dim)])
+        assert points.shape == (6 * 5 + 40, dim) and points.tobytes() == fresh.tobytes()
     with pytest.raises(ValueError):
-        fit_power_law(rep.radii, np.zeros_like(rep.radii))
+        region.all_points(2)[0, 0] = 1.0

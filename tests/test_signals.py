@@ -48,7 +48,6 @@ def test_mode_set_basics():
     m = ModeSet(3)
     assert list(m.labels) == [1, 2, 3]
     assert 2 in m and 4 not in m
-    assert m.metric(1, 1) == 0.0 and m.metric(1, 3) == 1.0
     with pytest.raises(ValueError):
         ModeSet(0)
 

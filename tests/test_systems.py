@@ -213,6 +213,30 @@ def test_stiffness_error_on_state_overflow_and_step_underflow(x0, message):
             advance_starts(sys_, 1, np.array([[x0]]), 1e9, opts)
 
 
+def _cube(x):
+    return x ** 3
+
+
+def test_stiffness_error_when_the_scaled_field_norm_overflows():
+    # from 1e100 the field's RMS norm over the tolerance scale is inf, so the
+    # initial step selection's trial step is 0: every integrator reports a
+    # step-size failure, not a division by zero
+    m = ModeSet(1)
+    sys_ = SwitchedSystem(1, {1: _cube}, m, Covering.trivial(m))
+    rule = FeedbackRule(lambda x: 1, {1: lambda x: -1.0})
+    message = "stepper failed at t ~ 0: Required step size is less than spacing"
+    runs = [
+        lambda: integrate(sys_, [1e100], SwitchingSignal.constant(1, 1.0)),
+        lambda: integrate_feedback(sys_, [1e100], rule, 1.0),
+        lambda: advance_starts(sys_, 1, np.array([[1e100]]), 1.0,
+                               IntegratorOptions(max_dx=math.inf)),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in runs:
+            with pytest.raises(StiffnessError, match=re.escape(message)):
+                run()
+
+
 def test_advance_starts_raises_the_first_failing_starts_error():
     # start 0's error comes late in time and start 1's in the first step: the
     # error raised is that of the first start in order, as a loop over starts
