@@ -31,6 +31,8 @@ with the first NaN sample as witness.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -110,7 +112,14 @@ class SampleRegion:
     plane the directions are evenly spaced angles (starting on the
     positive x1 axis so coordinate axes are hit), in higher dimension
     seeded random unit vectors.  Scattered points fill the annulus
-    uniformly in radius.  Everything is a pure function of the seed.
+    uniformly in radius: their radii r_min + (r_max - r_min) U come
+    first, then their directions.  A random direction is a normalized
+    vector of Box-Muller normals sqrt(-2 log(1 - U)) cos(2 pi U'), one
+    pair of uniforms per coordinate.  Every U is drawn by
+    ``random.Random(s).random()``, the one draw Python keeps
+    reproducible for a seed across versions, with s = ``seed`` for the
+    shell directions and ``seed + 1`` for the scattered points.
+    Everything is a pure function of the seed.
     """
 
     r_min: float
@@ -123,6 +132,8 @@ class SampleRegion:
     def __post_init__(self) -> None:
         if not 0.0 < self.r_min < self.r_max:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
+        if operator.index(self.seed) < 0:  # Random(-s) would repeat Random(s)
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def radii(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.n_radii)
@@ -133,19 +144,17 @@ class SampleRegion:
             dirs = np.column_stack([np.cos(angles), np.sin(angles)])
             dirs[np.abs(dirs) < 1e-15] = 0.0  # land exactly on the axes
             return dirs
-        rng = np.random.default_rng(self.seed)
-        raw = rng.standard_normal((self.n_directions, dim))
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return _unit_rows(random.Random(operator.index(self.seed)), self.n_directions, dim)
 
     def shell_points(self, dim: int) -> list[tuple[float, np.ndarray]]:
         dirs = self.directions(dim)
         return [(float(r), r * dirs) for r in self.radii()]
 
     def random_points(self, dim: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed + 1)
-        r = rng.uniform(self.r_min, self.r_max, self.n_random)
-        raw = rng.standard_normal((self.n_random, dim))
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True) * r[:, None]
+        rng = random.Random(operator.index(self.seed) + 1)
+        span = self.r_max - self.r_min
+        r = np.array([self.r_min + span * rng.random() for _ in range(self.n_random)])
+        return _unit_rows(rng, self.n_random, dim) * r[:, None]
 
     @lru_cache(maxsize=16)
     def all_points(self, dim: int) -> np.ndarray:
@@ -155,6 +164,15 @@ class SampleRegion:
         points = np.vstack([shells, self.random_points(dim)])
         points.flags.writeable = False
         return points
+
+
+def _unit_rows(rng: random.Random, rows: int, dim: int) -> np.ndarray:
+    """``rows`` seeded unit vectors in R^dim, row by row and coordinate by
+    coordinate: each a normalized vector of Box-Muller normals."""
+    raw = np.array([math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                    * math.cos(2.0 * math.pi * rng.random())
+                    for _ in range(rows * dim)]).reshape(rows, dim)
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 # -- pointwise checks -------------------------------------------------------

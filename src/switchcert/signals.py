@@ -26,6 +26,8 @@ over the switches, and only rows near the bound are tested pair by pair.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -295,21 +297,29 @@ def generate_adt(
 ) -> SwitchingSignal:
     """Draw a pseudo-random signal guaranteed to satisfy ``adt``.
 
-    Inter-switch gaps are exponential with mean tau_d; any counting
-    violations are then repaired by deleting the middle switch of the
-    first violating window until none remain, which terminates because
-    each deletion removes one switch.  After the deletion inside the
-    pair (i, j) the scan resumes at i: a deletion never raises the count
-    of any interval, and every window starting before i was valid.
-    Deterministic for a fixed seed.
+    Every draw is a uniform U = ``random.Random(seed).random()``, the one
+    draw Python keeps reproducible for a seed across versions.
+    Inter-switch gaps are exponential with mean tau_d, -tau_d log(1 - U);
+    any counting violations are then repaired by deleting the middle
+    switch of the first violating window until none remain, which
+    terminates because each deletion removes one switch.  After the
+    deletion inside the pair (i, j) the scan resumes at i: a deletion
+    never raises the count of any interval, and every window starting
+    before i was valid.  The modes are then ``options[int(U *
+    len(options))]``, the first over all labels and each later one over
+    the labels other than the previous mode.  Deterministic for a fixed
+    seed >= 0.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    rng = np.random.default_rng(seed)
+    seed = operator.index(seed)
+    if seed < 0:  # Random(-s) would repeat Random(s)
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     gaps: list[float] = []
     total = 0.0
     while total <= horizon:
-        g = float(rng.exponential(adt.tau_d))
+        g = -adt.tau_d * math.log(1.0 - rng.random())
         total += g
         gaps.append(g)
     times = np.cumsum(gaps)[:-1]  # last draw overshot the horizon
@@ -322,10 +332,10 @@ def generate_adt(
         d = (start + j) // 2
         times = np.concatenate((times[:d], times[d + 1:]))
     labels = list(modes.labels)
-    seq = [int(rng.integers(1, modes.size + 1))]
+    seq = [labels[int(rng.random() * len(labels))]]
     for _ in range(times.size):
         options = [g for g in labels if g != seq[-1]]
-        seq.append(options[int(rng.integers(0, len(options)))])
+        seq.append(options[int(rng.random() * len(options))])
     return SwitchingSignal(times, np.array(seq), horizon)
 
 

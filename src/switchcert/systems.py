@@ -565,6 +565,13 @@ def _workspace(n: int) -> tuple[np.ndarray, list]:
     return K, [K[:s].T for s in range(len(_C) + 1)]
 
 
+# A solve turns an overflowing norm, step or field value into a rejected
+# attempt or a StiffnessError, so numpy's overflow and invalid warnings are
+# off while it runs: a failed run's one-line message is its only output.
+_SOLVE_ERRSTATE = dict(over="ignore", invalid="ignore")
+
+
+@np.errstate(**_SOLVE_ERRSTATE)
 def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
               opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
               workspace: tuple[np.ndarray, list], rule: FeedbackRule | None = None,
@@ -674,6 +681,7 @@ def integrate(
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
 
+@np.errstate(**_SOLVE_ERRSTATE)
 def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
                    opts: IntegratorOptions) -> list:
     """Advance every start under mode gamma over [0, t_end] as rows of one DOP853.

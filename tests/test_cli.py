@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,8 @@ def test_run_stiffness_exit_3(tmp_path, capsys):
 
 
 def test_run_overflowing_field_norm_exit_3(tmp_path, capsys):
-    """A start whose scaled field norm overflows fails the stepper: exit 3."""
+    """A start whose scaled field norm overflows fails the stepper: exit 3, with one
+    stderr line and no RuntimeWarning."""
     from switchcert.lyapunov import LyapunovCandidate
     from switchcert.scenarios import FeedbackSource, Scenario, register_scenario
     from switchcert.systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
@@ -388,8 +390,11 @@ def test_run_overflowing_field_norm_exit_3(tmp_path, capsys):
 
     register_scenario("cube_far", build)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["run", "cube_far", "--out", str(tmp_path / "cube")]) == 3
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not warned, warned
         err = capsys.readouterr().err
         assert err.startswith("simulation failed: stepper failed at t ~ 0")
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -747,6 +752,39 @@ def test_run_loads_no_numpy_ma(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "two_centers" / "guas_report.txt").exists()
+
+
+def test_run_loads_no_numpy_random(tmp_path):
+    """Signals and sample points are drawn by the standard library's ``random``:
+    no subcommand imports numpy.random (about 6 MB of memory with OpenSSL)."""
+    ini = write(tmp_path, """
+[scenario]
+system = example1
+horizon = 5
+
+[signal]
+source = generate
+tau_d = 0.5
+n0 = 2
+count = 2
+""")
+    code = (
+        "import sys\n"
+        "from switchcert.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for name in ('example1', 'example2', 'two_centers'):\n"
+        "    assert main(['run', name, '--horizon', '5', '--out', out + '/' + name]) == 0\n"
+        f"assert main(['run', {ini!r}, '--out', out + '/generated']) == 0\n"
+        "assert main(['simulate', 'example2', '--horizon', '5', '--out', out + '/sim']) == 0\n"
+        "assert main(['omega', 'example2', '--horizon', '5', '--out', out + '/omega']) == 0\n"
+        "assert main(['validate', out + '/sim/signal_000.txt', '0.5', '2']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "generated" / "guas_report.txt").exists()
 
 
 def test_run_loads_no_configparser(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -652,6 +653,21 @@ def test_sample_region_deterministic():
     assert np.array_equal(a.all_points(3), b.all_points(3))
 
 
+def test_sample_region_streams_are_pinned():
+    # every draw is random.Random(s).random(), a stream Python keeps for a seed
+    # across versions: s = seed for the shell directions above the plane and
+    # seed + 1 for the scattered points, radii first, then Box-Muller
+    # directions.  A drift in either stream or formula moves these values
+    region = SampleRegion(0.1, 3.0)
+    first = region.all_points(2)[320]  # after 20 shells of 16 directions
+    assert first.tolist() == [0.40713231805012784, 0.2720414958987241]
+    assert math.hypot(*first) == 0.1 + 2.9 * random.Random(1).random()
+    assert region.all_points(3)[320].tolist() == [
+        0.4017007011147684, 0.2684121470832806, 0.0797167856460159]
+    assert region.all_points(3)[0].tolist() == [
+        0.009677529750574045, -0.0058745147538086994, -0.09935711093995256]
+
+
 def test_sample_region_hits_axes_in_plane():
     region = SampleRegion(0.5, 1.0, n_radii=2, n_directions=4, n_random=0)
     pts = region.all_points(2)
@@ -663,6 +679,8 @@ def test_sample_region_validation():
         SampleRegion(0.0, 1.0)
     with pytest.raises(ValueError):
         SampleRegion(2.0, 1.0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SampleRegion(0.1, 1.0, seed=-1)  # Random(-s) is Random(s)
 
 
 def test_finite_difference_accuracy():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -278,15 +279,39 @@ def test_generate_deterministic():
     assert a == b
 
 
+def test_generate_adt_stream_is_pinned():
+    # every draw is random.Random(seed).random(), a stream Python keeps for a
+    # seed across versions: a gap is -tau_d log(1 - U), a mode is
+    # options[int(U * len(options))].  A drift in the stream or in either
+    # formula moves these values
+    times = [0.9303035555326117, 1.6396181320184926, 2.062295860896196, 2.420273235779771,
+             3.445587252678071, 3.9499983091236475, 4.387791128562993, 5.581388362724324,
+             5.932670913683991, 6.803093326420507, 7.284743874969774, 7.428922586102637,
+             8.631487684859225]
+    assert -0.5 * math.log(1.0 - random.Random(0).random()) == times[0]
+    two = generate_adt(0, AdtClass(0.5, 2), ModeSet(2), 10.0)
+    assert two.switch_times.tolist() == times
+    assert two.modes.tolist() == [2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1]
+    three = generate_adt(0, AdtClass(0.5, 2), ModeSet(3), 10.0)
+    assert three.switch_times.tolist() == times
+    assert three.modes.tolist() == [3, 2, 1, 3, 2, 3, 1, 2, 1, 3, 2, 3, 1, 3]
+
+
+def test_generate_adt_rejects_a_negative_seed():
+    # Random(-s) is Random(s): a negative seed would repeat another's signal
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        generate_adt(-1, AdtClass(0.5, 2), ModeSet(2), 10.0)
+
+
 def _reference_generate_adt(seed: int, adt: AdtClass, modes: ModeSet,
                             horizon: float) -> SwitchingSignal:
     """generate_adt with the repair rescanning from the first switch after
     every deletion."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     gaps: list[float] = []
     total = 0.0
     while total <= horizon:
-        g = float(rng.exponential(adt.tau_d))
+        g = -adt.tau_d * math.log(1.0 - rng.random())
         total += g
         gaps.append(g)
     times = np.cumsum(gaps)[:-1]
@@ -298,10 +323,10 @@ def _reference_generate_adt(seed: int, adt: AdtClass, modes: ModeSet,
         i, j = pair
         times = np.delete(times, (i + j) // 2)
     labels = list(modes.labels)
-    seq = [int(rng.integers(1, modes.size + 1))]
+    seq = [labels[int(rng.random() * len(labels))]]
     for _ in range(times.size):
         options = [g for g in labels if g != seq[-1]]
-        seq.append(options[int(rng.integers(0, len(options)))])
+        seq.append(options[int(rng.random() * len(options))])
     return SwitchingSignal(times, np.array(seq), horizon)
 
 

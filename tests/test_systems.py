@@ -220,7 +220,7 @@ def _cube(x):
 def test_stiffness_error_when_the_scaled_field_norm_overflows():
     # from 1e100 the field's RMS norm over the tolerance scale is inf, so the
     # initial step selection's trial step is 0: every integrator reports a
-    # step-size failure, not a division by zero
+    # step-size failure, not a division by zero, and no overflow warning
     m = ModeSet(1)
     sys_ = SwitchedSystem(1, {1: _cube}, m, Covering.trivial(m))
     rule = FeedbackRule(lambda x: 1, {1: lambda x: -1.0})
@@ -231,7 +231,8 @@ def test_stiffness_error_when_the_scaled_field_norm_overflows():
         lambda: advance_starts(sys_, 1, np.array([[1e100]]), 1.0,
                                IntegratorOptions(max_dx=math.inf)),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the message is the only output
         for run in runs:
             with pytest.raises(StiffnessError, match=re.escape(message)):
                 run()
