@@ -9,7 +9,10 @@ function but the feedback rule's ``mode_of`` is row-wise: it takes one
 state (n,) or a stack (k, n) of states and returns the per-row results,
 each equal to the per-point call's to the last bit (see
 :func:`~switchcert.systems.evaluate_rows`, which rejects a function
-written for one state only).  The built-ins index the components of
+written for one state only).  The linear fields ``spiral_focus`` and
+``rotation`` are :class:`~switchcert.systems.LinearField` instances,
+declared by their matrices, so the integrators take their exact flows.
+The other built-ins index the components of
 ``xt = x.T`` (``xt[0]``, ``xt[1]``) and stack results back with
 ``np.array([...]).T``, which adds about 0.2 us to a single-state call;
 indexing ``x[..., 0]``, or unpacking ``a, b = x.T`` (which iterates the
@@ -49,23 +52,16 @@ import numpy as np
 from .lyapunov import LyapunovCandidate, OutputFamily, SampleRegion
 from .reports import reduce_via_constructor, require_ranges
 from .signals import AdtClass, ModeSet, SwitchingSignal
-from .systems import Covering, FeedbackRule, IntegratorOptions, SwitchedSystem
+from .systems import Covering, FeedbackRule, IntegratorOptions, LinearField, SwitchedSystem
 
 
 # -- vector field library -----------------------------------------------------
 
 
-def spiral_focus(x: np.ndarray) -> np.ndarray:
-    """Stable focus running counterclockwise (eigenvalues -1 +- i*sqrt(3))."""
-    xt = x.T
-    a, b = xt[0], xt[1]
-    return np.array([-2.0 * a - 2.0 * b, 2.0 * a]).T
-
-
-def rotation(x: np.ndarray) -> np.ndarray:
-    """Unit-speed counterclockwise rotation; conserves |x|."""
-    xt = x.T
-    return np.array([-xt[1], xt[0]]).T
+# stable focus running counterclockwise (eigenvalues -1 +- i*sqrt(3))
+spiral_focus = LinearField(((-2.0, -2.0), (2.0, 0.0)))
+# unit-speed counterclockwise rotation; conserves |x|
+rotation = LinearField(((0.0, -1.0), (1.0, 0.0)))
 
 
 def damped_rotation(x: np.ndarray) -> np.ndarray:

@@ -24,14 +24,24 @@ switching locates region crossings by bisection on the active boundary
 over the interpolant, which costs three field calls, so a step builds it
 only when it is split or a crossing is located in it.
 
+A mode whose field is a :class:`LinearField`, declared by its matrix A,
+is not stepped by DOP853: it follows its exact flow x(t0 + s) = e^{A s}
+x(t0), by propagator steps x_(k+1) = e^{A h} x_k with one e^{A h} per
+mode run (:func:`_run_linear`).  The exponential is scaling and squaring
+in numpy (:func:`_expm`), h keeps ||A|| h at most 1/2 and the planned
+chord at 0.95 max_dx, and crossings are bisected, by the same rule, on
+the step's Taylor polynomial.  Such a run calls no field.
+
 :func:`advance_starts` steps many starts of one mode over one window
-together, as rows of one DOP853 with the same tableau, initial step and
-controller, so that every row takes the steps :func:`integrate` would
-take for it alone.  Its step selection, controller and state guards are
-whole-array passes, with each power a libm ``pow`` per row.  It samples
-accepted steps only and has no interpolant.  Each trajectory of
-:func:`integrate` and :func:`integrate_feedback` builds its stage array
-once and shares it among its constancy intervals.
+together, so that every row takes the steps :func:`integrate` would
+take for it alone: the propagator steps of a linear mode as one
+elementwise pass over the stack, any other mode as rows of one DOP853
+with the same tableau, initial step and controller.  Its step
+selection, controller and state guards are whole-array passes, with
+each power a libm ``pow`` per row.  It samples accepted steps only and
+has no interpolant.  Each trajectory of :func:`integrate` and
+:func:`integrate_feedback` builds its stage array once and shares it
+among its constancy intervals.
 
 Scenario functions are row-wise: a vector field, covering boundary,
 Lyapunov value or gradient, or output takes one state (n,) or a stack
@@ -54,8 +64,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import repeat
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -181,6 +192,51 @@ class Covering:
         return Covering({g: _whole_space for g in modes.labels})
 
 
+def _rows_times(rows: Sequence[Sequence[float]], x: Sequence) -> list:
+    """Per row, the sum of a_j * x_j over the row's nonzero entries a_j, taken
+    left to right (0.0 * x_0 for a zero row).  The components x_j are floats,
+    or arrays of one shape, so a stack of states gets each state's bits."""
+    out = []
+    for row in rows:
+        terms = [a * v for a, v in zip(row, x) if a]
+        out.append(reduce(add, terms) if terms else 0.0 * x[0])
+    return out
+
+
+@dataclass(frozen=True)
+class LinearField:
+    """The vector field x -> A x of a mode declared by its matrix A.
+
+    ``matrix`` holds A's rows, stored as tuples of floats.  A call is
+    row-wise, and each component sums a_ij * x_j over the row's nonzero
+    entries from left to right, never through BLAS, so it equals the same
+    sum written out by hand (``np.array([-x[1], x[0]])``) to the bit.  A
+    mode whose field is a LinearField is integrated along its exact flow
+    e^{A s} (see :func:`_run_linear`), not by DOP853.
+    """
+
+    matrix: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(float(a) for a in row) for row in self.matrix)
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be a nonempty square matrix")
+        if not all(math.isfinite(a) for row in rows for a in row):
+            raise ValueError("matrix entries must be finite")
+        object.__setattr__(self, "matrix", rows)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.array(_rows_times(self.matrix, x.T)).T
+
+    @cached_property
+    def norm(self) -> float:
+        """An upper bound on the spectral norm ||A||_2 that takes no SVD:
+        the least of the Frobenius norm and sqrt(||A||_1 ||A||_inf)."""
+        a = np.abs(np.array(self.matrix))
+        return min(math.sqrt(float(np.vecdot(a.ravel(), a.ravel()))),
+                   math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())))
+
+
 @dataclass(frozen=True)
 class SwitchedSystem:
     """Finite family of vector fields sharing a state space and covering."""
@@ -241,9 +297,13 @@ class IntegratorOptions:
 class IntegratorStats:
     """Accumulated step counts and a conservative local-error budget.
 
-    ``error_bound_sum`` adds, per accepted step, the tolerance scale
-    atol + rtol*|x| that the controller enforced; actual local error is
-    below it, so the sum bounds the accumulated tolerance budget."""
+    ``error_bound_sum`` adds, per accepted DOP853 step, the tolerance
+    scale atol + rtol*|x| that the controller enforced; actual local
+    error is below it, so the sum bounds the accumulated tolerance
+    budget.  A propagator step of a linear mode's exact flow adds its
+    rounding bound 4 (n + 1) eps ||e^{A h}||_inf max|x| instead, counts in
+    ``n_steps`` and calls no field, so ``n_rhs`` counts DOP853's calls
+    only."""
 
     n_steps: int = 0
     n_rhs: int = 0
@@ -514,6 +574,14 @@ _SUBDIVISION_BUDGET = 4096  # per accepted step; guards runaway motion
 _CHORD_BAND = 1e-9  # chords this close to max_dx, relatively, are decided by _norm
 
 
+def _chord_band(max_dx: float) -> tuple[float, float]:
+    """The chord lengths below and above which ``math.dist`` alone decides a
+    chord against max_dx; between them ``_norm`` decides (see :func:`_subdivide`)."""
+    if 1e-140 <= max_dx <= 1e140 or max_dx == math.inf:
+        return max_dx * (1 - _CHORD_BAND), max_dx * (1 + _CHORD_BAND)
+    return 0.0, math.inf
+
+
 def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     """Append samples on (t0, t1] so consecutive states differ <= max_dx.
 
@@ -528,9 +596,7 @@ def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     max_dx (escaping solutions, or a wildly small max_dx) is emitted at
     budget resolution rather than ground to dust.
     """
-    below, above = 0.0, math.inf
-    if 1e-140 <= max_dx <= 1e140 or max_dx == math.inf:
-        below, above = max_dx * (1 - _CHORD_BAND), max_dx * (1 + _CHORD_BAND)
+    below, above = _chord_band(max_dx)
     budget = _SUBDIVISION_BUDGET
     dense = None
     stack = [(t0, x0.tolist(), t1, x1.tolist())]
@@ -565,10 +631,11 @@ def _workspace(n: int) -> tuple[np.ndarray, list]:
     return K, [K[:s].T for s in range(len(_C) + 1)]
 
 
-# A solve turns an overflowing norm, step or field value into a rejected
-# attempt or a StiffnessError, so numpy's overflow and invalid warnings are
-# off while it runs: a failed run's one-line message is its only output.
-_SOLVE_ERRSTATE = dict(over="ignore", invalid="ignore")
+# A solve turns an overflowing norm, step or field value, or a field that
+# divides by zero, into a rejected attempt or a StiffnessError, so numpy's
+# overflow, invalid and divide warnings are off while it runs: a failed
+# run's one-line message is its only output.
+_SOLVE_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 @np.errstate(**_SOLVE_ERRSTATE)
@@ -578,7 +645,9 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
               first_step: float | None = None):
     """Advance mode gamma from (t0, x0) to t_end > t0, sampling as we go.
 
-    ``workspace`` is the trajectory's :func:`_workspace`, which every run
+    A :class:`LinearField` mode follows its exact flow instead
+    (:func:`_run_linear`), and the rest of this describes every other
+    mode.  ``workspace`` is the trajectory's :func:`_workspace`, which every run
     of it shares.  One adaptive DOP853 solve, which starts from ``first_step`` (at most
     t_end - t0, as scipy's ``first_step``) or, when it is None, from the
     initial step selection.  The field is called once for the start
@@ -591,6 +660,8 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
     proposed after the last accepted step.
     """
     f = system.field(gamma)
+    if isinstance(f, LinearField):
+        return _run_linear(f, gamma, t0, x0, t_end, opts, stats, ts, xs, rule)
     n = system.dimension
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
     nfev = 0
@@ -655,6 +726,177 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
     return t, y, crossed, h_abs
 
 
+# -- exact flows of linear modes --------------------------------------------
+
+_EPS = 2.0 ** -52
+_LINEAR_CAP = 0.5  # ||A|| h of a propagator step at most this, so event brackets stay short
+_CHORD_MARGIN = 0.95  # a planned chord is at most this share of max_dx
+
+
+def _taylor_degree(bound: float) -> int:
+    """The least degree q whose Taylor remainder term bound^(q+1) / (q+1)! is
+    at most eps / 4; for bound <= 1/2 the whole remainder is below eps / 3."""
+    q, term = 0, 1.0
+    while term * bound / (q + 1) > _EPS / 4:
+        q += 1
+        term *= bound / q
+    return q
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring (Moler & Van Loan, SIAM Review 2003;
+    Higham, SIAM J. Matrix Anal. Appl. 2005), with numpy only: the Taylor
+    sum of b = a / 2^s, ||b||_1 <= 1/2, to :func:`_taylor_degree` in Horner
+    form, squared s times."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _LINEAR_CAP))) if norm > _LINEAR_CAP else 0
+    b = a * 2.0 ** -s
+    eye = np.eye(len(a))
+    e = eye
+    for k in range(_taylor_degree(norm * 2.0 ** -s), 0, -1):
+        e = eye + (b @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def _propagator(field: LinearField, h: float) -> tuple[list, float]:
+    """The rows of e^{A h}, and the rounding allowance of one step by it per
+    unit of max|x|: 4 (n + 1) eps ||e^{A h}||_inf."""
+    e = _expm(np.array(field.matrix) * h)
+    return e.tolist(), 4 * (len(e) + 1) * _EPS * float(np.abs(e).sum(axis=1).max())
+
+
+def _linear_step(norm: float, radius: float, max_dx: float) -> float:
+    """The propagator step h of a run from a state of norm ``radius``.
+
+    ||A|| h is capped at 1/2 and shortened so that the chord bound
+    ||A|| h radius is _CHORD_MARGIN max_dx.  A run that would need more
+    than the subdivision budget of such steps per capped step takes capped
+    steps, which :func:`_subdivide` splits at budget resolution.
+    """
+    if norm == 0.0:
+        return math.inf
+    chords = _LINEAR_CAP * radius / (_CHORD_MARGIN * max_dx)  # per capped step
+    return _LINEAR_CAP / norm / (chords if 1.0 < chords <= _SUBDIVISION_BUDGET else 1.0)
+
+
+def _propagator_steps(field: LinearField, h: float, t: float, t_end: float):
+    """The propagator steps of a run from t to t_end: per step, its end time
+    and :func:`_propagator`, one e^{A h} for every step but the last, which
+    takes e^{A (t_end - t_k)}.  A step that does not advance t raises
+    :class:`StiffnessError`."""
+    full = None
+    while t < t_end:
+        if t_end - t > h:
+            full = full or _propagator(field, h)
+            t_new, step = t + h, full
+        else:
+            t_new, step = t_end, _propagator(field, t_end - t)
+        if not t_new > t:
+            raise StiffnessError(f"stepper failed at t ~ {t:.6g}: {_TOO_SMALL_STEP}")
+        yield t_new, step
+        t = t_new
+
+
+def _taylor_flow(field: LinearField, t_old: float, x: list, h: float):
+    """The exact flow from (t_old, x) over a step of size h, ||A|| h <= 1/2:
+    the Taylor polynomial of e^{A s} x in s = t - t_old, to the degree whose
+    remainder is below eps, as a function of t that returns a list."""
+    coefs = [x]
+    for k in range(1, _taylor_degree(field.norm * h) + 1):
+        coefs.append([c / k for c in _rows_times(field.matrix, coefs[-1])])
+    return partial(_horner, list(zip(*coefs[::-1])), t_old)
+
+
+def _horner(rows: list, t_old: float, t: float) -> list:
+    """Per row (c_q, ..., c_0): ((0.0 s + c_q) s + c_(q-1)) ... s + c_0, s = t - t_old."""
+    s = t - t_old
+    out = []
+    for row in rows:
+        v = 0.0
+        for c in row:
+            v = v * s + c
+        out.append(v)
+    return out
+
+
+def _run_linear(field: LinearField, gamma: int, t0: float, x0: np.ndarray, t_end: float,
+                opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
+                rule: FeedbackRule | None):
+    """Advance a linear mode from (t0, x0) to t_end > t0 along its exact flow.
+
+    The run takes propagator steps x_(k+1) = E x_k, in Python floats
+    (:func:`_rows_times`), with one E = e^{A h} whose h is planned once
+    from |x0| (:func:`_linear_step`), and a last one to t_end
+    (:func:`_propagator_steps`).  Each step's end meets :func:`_run_mode`'s state
+    guards and the feedback ``rule`` as a DOP853 step's end does, and a
+    crossing is located by :func:`_locate_crossing` on the step's Taylor
+    flow (:func:`_taylor_flow`), which also serves :func:`_subdivide` for a
+    chord over max_dx.  No field is called: each step adds one to
+    ``n_steps`` and its rounding allowance times max|x_k| to
+    ``error_bound_sum``.  Returns as :func:`_run_mode` does, with no step
+    size to carry (None).
+    """
+    t, x = t0, x0.tolist()
+    mx = max(map(abs, x))
+    h = _linear_step(field.norm, math.hypot(*x), opts.max_dx)
+    below = _chord_band(opts.max_dx)[0]
+    escape = opts.bound / (len(x) + 1)  # max|x| up to this keeps |x| within the bound
+    crossed = False
+    for t_new, (rows, roundoff) in _propagator_steps(field, h, t0, t_end):
+        step = t_new - t
+        x_new = _rows_times(rows, x)
+        stats.n_steps += 1
+        stats.error_bound_sum += roundoff * mx
+        if not all(map(math.isfinite, x_new)):
+            raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
+        mx = max(map(abs, x_new))
+        if mx > escape and _norm(np.array(x_new)) > opts.bound:
+            raise FiniteEscapeError(t_new, np.array(x_new), opts.bound)
+        flow = None
+        if rule is not None and rule(x_new) != gamma:
+            flow = _taylor_flow(field, t, x, step)
+            t_new, at = _locate_crossing(flow, rule, gamma, t, t_new, opts.event_tol)
+            x_new, crossed = at.tolist(), True
+        if math.dist(x, x_new) < below:
+            _emit(ts, xs, t_new, x_new)
+        else:
+            _subdivide(lambda: flow or _taylor_flow(field, t, x, step), t, np.array(x), t_new,
+                       np.array(x_new), opts.max_dx, ts, xs)
+        t, x = t_new, x_new
+        if crossed:
+            break
+    return t, np.array(x), crossed, None
+
+
+def _advance_linear(field: LinearField, y: np.ndarray, t_end: float, opts: IntegratorOptions):
+    """The rows y of :func:`advance_starts` along a linear mode's exact flow:
+    the steps of :func:`_run_linear` with max_dx = inf, each one pass of
+    :func:`_rows_times` over the stack's columns, so every row gets the
+    bits of its own run.  Returns as :func:`_advance_dop853` does."""
+    rows = np.arange(len(y))  # start index of each row still running
+    out: list = [None] * len(y)
+    kept_rows, kept_states = [rows], [y]
+    errors: dict[int, StiffnessError] = {}
+    h = _linear_step(field.norm, 0.0, math.inf)
+    for t_new, (prop, _) in _propagator_steps(field, h, 0.0, t_end):
+        y = np.stack(_rows_times(prop, y.T), axis=1)
+        finite = np.isfinite(y).all(axis=1)
+        for r in np.flatnonzero(~finite).tolist():
+            errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
+        escaped = finite & (row_norms(y) > opts.bound)
+        for r in np.flatnonzero(escaped).tolist():
+            out[int(rows[r])] = FiniteEscapeError(t_new, np.array(y[r]), opts.bound)
+        kept = finite & ~escaped
+        rows, y = rows[kept], y[kept]
+        kept_rows.append(rows)
+        kept_states.append(y)
+        if not rows.size:
+            break
+    return kept_rows, kept_states, out, errors
+
+
 def integrate(
     system: SwitchedSystem,
     x0: Sequence[float],
@@ -669,6 +911,8 @@ def integrate(
     an initial step; each later one starts from the step size the
     controller proposed at the end of the one before, at most its own
     length, so a switch costs one field call for the new mode's start.
+    An interval after a linear mode's run, which carries no step size,
+    selects its own.
     """
     x, stats, ts, xs = _start(system, x0)
     work = _workspace(system.dimension)
@@ -684,22 +928,18 @@ def integrate(
 @np.errstate(**_SOLVE_ERRSTATE)
 def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
                    opts: IntegratorOptions) -> list:
-    """Advance every start under mode gamma over [0, t_end] as rows of one DOP853.
+    """Advance every start under mode gamma over [0, t_end], all starts at once.
 
     Each row takes exactly the steps that :func:`integrate` takes for that
-    start alone under the constant signal with ``max_dx = inf``: the same
-    tableau, initial step and controller, with each stage sum one matmul
-    per row, and the step selection and controller taken on all rows at
-    once with every power a libm ``pow`` per row (:func:`_control_rows`).
-    The field is called once per stage on the stack of running rows, so
-    it must be row-wise; :func:`evaluate_rows` checks it once for each
-    stack shape the advance meets, and later stacks of that shape call it
-    directly.  Accepted states are recorded once per attempt and split
-    per start at the end.  Returns, per start in order, its states at
-    t = 0 and after every accepted step as a (k, n) array, or the
-    :class:`FiniteEscapeError` of a start whose norm passed ``opts.bound``.
-    A :class:`StiffnessError` is raised after the batch: that of the first
-    start which met one, as a loop over starts would.
+    start alone under the constant signal with ``max_dx = inf``.  A
+    :class:`LinearField` mode takes the propagator steps of
+    :func:`_run_linear` on every row, each step one elementwise pass over
+    the stack (:func:`_advance_linear`).  Any other mode steps the rows as
+    one DOP853 (:func:`_advance_dop853`).  Returns, per start in order,
+    its states at t = 0 and after every accepted step as a (k, n) array,
+    or the :class:`FiniteEscapeError` of a start whose norm passed
+    ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
+    that of the first start which met one, as a loop over starts would.
     """
     if opts.max_dx != math.inf:
         raise ValueError("advance_starts samples accepted steps only; it needs max_dx = inf")
@@ -708,8 +948,32 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     y = np.array(starts, dtype=float)
     if y.ndim != 2 or y.shape[1] != system.dimension or not np.all(np.isfinite(y)):
         raise ValueError(f"starts must be finite rows of length {system.dimension}")
-    n_rows, n = y.shape
     f = system.field(gamma)
+    advance = _advance_linear if isinstance(f, LinearField) else _advance_dop853
+    kept_rows, kept_states, out, errors = advance(f, y, t_end, opts)
+    if errors:
+        raise errors[min(errors)]
+    sample_rows = np.concatenate(kept_rows)
+    samples = np.concatenate(kept_states)[np.argsort(sample_rows, kind="stable")]
+    ends = np.cumsum(np.bincount(sample_rows, minlength=len(y))).tolist()
+    return [samples[a:b] if run is None else run
+            for run, a, b in zip(out, [0, *ends[:-1]], ends)]
+
+
+def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: IntegratorOptions):
+    """The rows y of :func:`advance_starts` as rows of one DOP853.
+
+    The same tableau, initial step and controller as :func:`_run_mode`,
+    with each stage sum one matmul per row, and the step selection and
+    controller taken on all rows at once with every power a libm ``pow``
+    per row (:func:`_control_rows`).  The field is called once per stage on
+    the stack of running rows, so it must be row-wise; :func:`evaluate_rows`
+    checks it once for each stack shape the advance meets, and later stacks
+    of that shape call it directly.  Accepted states are recorded once per
+    attempt.  Returns the sample batches' start indices and states, the
+    escapes per start, and the StiffnessError of each start that met one.
+    """
+    n_rows, n = y.shape
     S = _N_STAGES
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
     rows = np.arange(n_rows)  # start index of each row still running
@@ -804,13 +1068,7 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         kept_rows.append(rows[kept])
         kept_states.append(y[kept])
         live &= ~accepted | (kept & (t < t_end))
-    if errors:
-        raise errors[min(errors)]
-    sample_rows = np.concatenate(kept_rows)
-    samples = np.concatenate(kept_states)[np.argsort(sample_rows, kind="stable")]
-    ends = np.cumsum(np.bincount(sample_rows, minlength=n_rows)).tolist()
-    return [samples[a:b] if run is None else run
-            for run, a, b in zip(out, [0, *ends[:-1]], ends)]
+    return kept_rows, kept_states, out, errors
 
 
 def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: float,
@@ -849,10 +1107,11 @@ def integrate_feedback(
     """Integrate under state-feedback switching and emit the realized signal.
 
     The active mode runs until the rule's output changes across an
-    accepted step; the crossing is then located by bisection on the
-    active region's boundary function.  Crossings that do not change the
-    rule output are not switches.  Each mode's run selects its own initial
-    step.
+    accepted step, a DOP853 step or a linear mode's propagator step; the
+    crossing is then located by bisection on the active region's boundary
+    function, over the step's interpolant or Taylor flow.  Crossings that
+    do not change the rule output are not switches.  Each mode's run
+    selects its own initial step, or plans its propagator.
     """
     x0, stats, ts, xs = _start(system, x0)
     if not horizon > 0:
@@ -961,6 +1220,7 @@ __all__ = [
     "FiniteEscapeError",
     "IntegratorOptions",
     "IntegratorStats",
+    "LinearField",
     "StiffnessError",
     "SwitchedSystem",
     "Trajectory",

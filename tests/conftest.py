@@ -1,10 +1,45 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from switchcert.scenarios import builtin_scenario
 from switchcert.signals import SwitchingSignal
 from switchcert.stability import simulate_batch
-from switchcert.systems import IntegratorOptions, integrate
+from switchcert.systems import IntegratorOptions, LinearField, SwitchedSystem, integrate
+
+
+# Plain-function twins of the built-in linear fields: the same matrices,
+# written as the Python functions the built-ins were before they were
+# declared as LinearField, so a twin system steps DOP853 where the
+# built-in takes the exact flow.
+
+
+def spiral_focus_function(x):
+    xt = x.T
+    a, b = xt[0], xt[1]
+    return np.array([-2.0 * a - 2.0 * b, 2.0 * a]).T
+
+
+def rotation_function(x):
+    xt = x.T
+    return np.array([-xt[1], xt[0]]).T
+
+
+_TWINS = {((-2.0, -2.0), (2.0, 0.0)): spiral_focus_function,
+          ((0.0, -1.0), (1.0, 0.0)): rotation_function}
+
+
+def twin_system(system):
+    """``system`` with every built-in LinearField replaced by its twin."""
+    fields = {g: _TWINS[f.matrix] if isinstance(f, LinearField) else f
+              for g, f in system.fields.items()}
+    return SwitchedSystem(system.dimension, fields, system.modes, system.covering)
+
+
+def twin_scenario(name):
+    scenario = builtin_scenario(name)
+    return replace(scenario, system=twin_system(scenario.system))
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +70,12 @@ def two_centers_scenario():
 @pytest.fixture(scope="session")
 def two_centers_batch(two_centers_scenario):
     return simulate_batch(two_centers_scenario)
+
+
+@pytest.fixture(scope="session")
+def two_centers_twin_batch():
+    """two_centers' batch with DOP853 stepping the twin rotations."""
+    return simulate_batch(twin_scenario("two_centers"))
 
 
 @pytest.fixture(scope="session")

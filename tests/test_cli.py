@@ -405,6 +405,46 @@ def test_run_overflowing_field_norm_exit_3(tmp_path, capsys):
         scenarios._BUILTINS.pop("cube_far", None)
 
 
+def _reciprocal_pole(x):
+    return 1.0 / (x - 1.0)
+
+
+def test_run_dividing_field_exit_3(tmp_path, capsys):
+    """A field that divides by zero at the start gives a non-finite value: exit 3,
+    with one stderr line and no RuntimeWarning."""
+    from switchcert.lyapunov import LyapunovCandidate
+    from switchcert.scenarios import FeedbackSource, Scenario, register_scenario
+    from switchcert.systems import Covering, FeedbackRule, SwitchedSystem
+
+    def build(**overrides):
+        m = ModeSet(1)
+        return Scenario(
+            name="pole_start",
+            system=SwitchedSystem(1, {1: _reciprocal_pole}, m, Covering.trivial(m)),
+            V=LyapunovCandidate(value=lambda x, g: float(np.dot(x, x))),
+            W=None,
+            source=FeedbackSource(FeedbackRule(lambda x: 1, {1: lambda x: -1.0})),
+            initial_states=np.array([[1.0]]),
+            horizon=2.0,
+        )
+
+    register_scenario("pole_start", build)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "pole_start", "--out", str(tmp_path / "pole")]) == 3
+        warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not warned, warned
+        err = capsys.readouterr().err
+        assert err.startswith("simulation failed: vector field returned non-finite values at t ~ 0")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "pole").exists()
+    finally:
+        from switchcert import scenarios
+
+        scenarios._BUILTINS.pop("pole_start", None)
+
+
 @pytest.mark.parametrize("key, value", [
     ("tail_fraction", "2"),
     ("cluster_tol", "0"),
@@ -725,18 +765,21 @@ def test_perfbench_tracer_wraps_resolve(small_scenario):
 
 
 def test_run_loads_no_scipy(tmp_path):
-    """``switchcert run`` needs numpy only: no scipy module is ever imported."""
+    """``switchcert run`` needs numpy only: no built-in imports a scipy module,
+    the exact flows of example1's and two_centers' linear modes included."""
     code = (
         "import sys\n"
         "from switchcert.cli import main\n"
-        f"assert main(['run', 'example1', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "for name in ('example1', 'example2', 'two_centers'):\n"
+        f"    assert main(['run', name, '--out', {str(tmp_path)!r} + '/' + name]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out" / "guas_report.txt").exists()
+    for name in ("example1", "example2", "two_centers"):
+        assert (tmp_path / name / "guas_report.txt").exists()
 
 
 def test_run_loads_no_numpy_ma(tmp_path):

@@ -195,13 +195,14 @@ def test_collapsed_tail_costs_one_distance_row(monkeypatch):
     _assert_matches_reference(points, TOL)
 
 
-def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_batch):
-    # a two_centers tail of 1,111 samples seeds 318 clusters and merges 5
-    # pairs.  One distance call per seed, per merge-pointer row and per
-    # merge side would be about 318 + 313 + 10 calls; blocked, it is 23
-    # seed blocks of doubling candidates, 13 adjacency blocks over the 318
-    # centroids (8,192 // 318 = 25 rows each), and one call per merge
-    traj = two_centers_batch.trajectories[5]
+def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_twin_batch):
+    # a two_centers tail of 1,111 samples, as DOP853 samples it, seeds 318
+    # clusters and merges 5 pairs.  One distance call per seed, per
+    # merge-pointer row and per merge side would be about 318 + 313 + 10
+    # calls; blocked, it is 23 seed blocks of doubling candidates, 13
+    # adjacency blocks over the 318 centroids (8,192 // 318 = 25 rows
+    # each), and one call per merge
+    traj = two_centers_twin_batch.trajectories[5]
     tail = traj.states[traj.times >= traj.horizon * 0.5]
     rows, centroids = _count_work(monkeypatch)
     reps, counts = _greedy_clusters(tail, TOL)

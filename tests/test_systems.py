@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import rotation_function, spiral_focus_function, twin_scenario, twin_system
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.linalg import expm
@@ -21,12 +22,14 @@ from switchcert.scenarios import (
     spiral_focus,
 )
 from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, generate_adt, validate_adt
+from switchcert.stability import simulate_batch
 from switchcert.systems import (
     ChatteringError,
     Covering,
     FeedbackRule,
     FiniteEscapeError,
     IntegratorOptions,
+    LinearField,
     StiffnessError,
     SwitchedSystem,
     Trajectory,
@@ -315,7 +318,7 @@ def test_single_mode_reversal():
 
 
 def test_unsplit_steps_skip_the_interpolant():
-    sys_ = builtin_scenario("example1").system
+    sys_ = twin_system(builtin_scenario("example1").system)
     signal = SwitchingSignal(np.array([1.0, 3.0]), np.array([1, 2, 1]), 5.0)
     coarse = integrate(sys_, [1.0, 0.5], signal, IntegratorOptions(max_dx=math.inf))
     fine = integrate(sys_, [1.0, 0.5], signal, IntegratorOptions(max_dx=0.01))
@@ -545,7 +548,7 @@ def test_initial_step_rows_match_the_scalar_selection():
 def test_integrate_matches_scipy_from_a_subnormal_start():
     # the ADT sampling above once drew this start, whose first error
     # estimate underflowed to a zero denominator
-    system = SwitchedSystem(2, {1: spiral_focus, 2: spiral_focus}, ModeSet(2),
+    system = SwitchedSystem(2, {1: spiral_focus_function, 2: spiral_focus_function}, ModeSet(2),
                             Covering.trivial(ModeSet(2)))
     signal = generate_adt(0, AdtClass(0.5, 2), system.modes, 10.0)
     opts = IntegratorOptions(rtol=1e-3, atol=1e-6, max_dx=0.05, max_switches=200)
@@ -581,7 +584,8 @@ def test_row_norms_are_norm_to_the_bit(n):
     assert systems._same_bits(got, want)
 
 
-_BUILTIN_FIELDS = (spiral_focus, rotation, damped_rotation, saturating_pull)
+# the built-in fields, each linear one as its plain-function twin, which DOP853 steps
+_BUILTIN_FIELDS = (spiral_focus_function, rotation_function, damped_rotation, saturating_pull)
 _OPTIONS = st.builds(
     IntegratorOptions,
     rtol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
@@ -687,11 +691,11 @@ def test_escaping_cubic_matches_scipy(bound, max_dx):
     _assert_matches_scipy(lambda: integrate(sys_, [1.0], SwitchingSignal.constant(1, 2.0), opts))
 
 
-def test_builtin_batches_match_scipy(ex1_scenario, two_centers_scenario):
+def test_builtin_batches_match_scipy():
     ex2 = builtin_scenario("example2")
     signal = generate_adt(3, ex2.source.adt, ex2.system.modes, 20.0)
     _assert_matches_scipy(lambda: integrate(ex2.system, [1.0, -2.0], signal, ex2.integrator))
-    for scenario in (ex1_scenario, two_centers_scenario):
+    for scenario in (twin_scenario("example1"), twin_scenario("two_centers")):
         _assert_matches_scipy(lambda: integrate_feedback(
             scenario.system, [1.3, -0.4], scenario.source.rule, 20.0, scenario.integrator))
 
@@ -990,6 +994,120 @@ def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
         share = traj.stats.error_bound_sum * math.pi / traj.horizon
         bound = event_tol + share / float(np.linalg.norm(traj.states[0]))
         assert np.max(np.abs(dwells - math.pi)) <= bound
+
+
+
+# -- exact flows of linear modes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expm_matches_scipy(n):
+    # norms from 1e-3 to 1e2: no squaring up to 1/2, then up to 8 squarings.
+    # Against an mpmath reference, _expm's worst relative error here is
+    # below 1e-13 and scipy's near 1e-11 at norm 1e2, hence the tolerance
+    rng = np.random.default_rng(n)
+    for norm in np.geomspace(1e-3, 1e2, 21):
+        for _ in range(10):
+            a = rng.normal(size=(n, n))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            want = expm(a)
+            err = np.abs(systems._expm(a) - want).max() / np.abs(want).max()
+            assert err <= 5e-13 * max(1.0, norm), (a, err)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FLOATS, min_size=2, max_size=2), min_size=1, max_size=5),
+       st.booleans())
+def test_linear_fields_equal_their_plain_functions_to_the_bit(rows, stacked):
+    x = np.array(rows) if stacked else np.array(rows[0])
+    for field, function in ((spiral_focus, spiral_focus_function), (rotation, rotation_function)):
+        assert isinstance(field, LinearField)
+        assert systems._same_bits(field(x), function(x))
+        assert systems._same_bits(evaluate_rows(field, x), evaluate_rows(function, x))
+
+
+def test_linear_field_rejects_bad_matrices():
+    for matrix in ((), ((1.0, 2.0),), ((1.0,), (2.0,)), ((math.nan,),), ((math.inf, 0.0), (0.0, 1.0))):
+        with pytest.raises(ValueError):
+            LinearField(matrix)
+
+
+_LINEAR_MODES = st.builds(
+    lambda a, b, c, d: LinearField(((a, b), (c, d))),
+    *[st.floats(-1.0, 1.0).map(lambda v: 0.0 if abs(v) < 0.1 else v) for _ in range(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LINEAR_MODES, _LINEAR_MODES, _STARTS, st.sampled_from([0.01, 0.05, 0.5, math.inf]),
+       st.booleans())
+def test_linear_samples_are_within_max_dx(f1, f2, x0, max_dx, feedback):
+    # consecutive samples of the exact flow differ by at most max_dx, and a
+    # propagator step spans at most 1/2 over ||A||, which alone applies at inf
+    m = ModeSet(2)
+    system = SwitchedSystem(2, {1: f1, 2: f2}, m, Covering.trivial(m))
+    opts = IntegratorOptions(max_dx=max_dx, max_switches=200)
+    if feedback:
+        try:
+            traj = integrate_feedback(system, x0, half_plane_rule(), 2.0, opts)
+        except ChatteringError:  # fields that both point at the axis slide along it
+            return
+    else:
+        traj = integrate(system, x0, SwitchingSignal(np.array([0.7, 1.2]), np.array([1, 2, 1]),
+                                                     2.0), opts)
+    assert traj.stats.n_rhs == 0 and traj.stats.n_steps >= traj.signal.n_switches + 1
+    assert traj.stats.error_bound_sum >= 0.0
+    chords = np.linalg.norm(np.diff(traj.states, axis=0), axis=1)
+    assert chords.max(initial=0.0) <= max_dx * (1 + 1e-12)
+    # the mode of each gap between samples, read at its midpoint
+    modes = traj.signal.values_at(0.5 * (traj.times[1:] + traj.times[:-1]))
+    norm = np.array([f1.norm, f2.norm])[modes - 1]
+    assert np.all(np.diff(traj.times) * norm <= systems._LINEAR_CAP * (1 + 1e-12))
+
+
+def test_two_centers_orbits_keep_their_radius(two_centers_batch):
+    # the exact flow of a rotation keeps |x| to roundoff; DOP853 at rtol 1e-9
+    # drifts these circles by up to 9e-9
+    assert len(two_centers_batch.trajectories) == 8
+    for traj in two_centers_batch.trajectories:
+        assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-13
+
+
+@pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
+                                                 ("two_centers", "two_centers_batch")])
+def test_linear_batches_switch_as_their_dop853_twins(request, name, batch_fixture):
+    exact = request.getfixturevalue(batch_fixture).trajectories
+    twin = (request.getfixturevalue("two_centers_twin_batch") if name == "two_centers"
+            else simulate_batch(twin_scenario(name))).trajectories
+    assert [t.stats.n_events for t in exact] == [t.stats.n_events for t in twin]
+    assert sum(t.stats.n_events for t in exact) > 100
+    for a, b in zip(exact, twin):
+        assert np.array_equal(a.signal.modes, b.signal.modes)
+        # the switch times agree while |x| is well above DOP853's atol of 1e-12
+        times = a.signal.switch_times
+        big = [np.linalg.norm(a.state_at_sample(float(t))) >= 1e-3 for t in times]
+        assert np.allclose(times[big], b.signal.switch_times[big], rtol=0.0, atol=1e-7)
+        assert a.stats.n_rhs == 0 and b.stats.n_rhs > 0
+
+
+@pytest.mark.parametrize("max_dx", [math.inf, 0.05])
+def test_unstable_linear_mode_escapes_at_its_log_time(max_dx):
+    # x' = x from |x0| = 2 passes |x| = 1e3 at t = log(500), within the
+    # propagator step (1/2) that detects it, alone or in advance_starts
+    sys_ = single_mode_system(LinearField(((1.0, 0.0), (0.0, 1.0))))
+    opts = IntegratorOptions(max_dx=max_dx, bound=1e3)
+    with pytest.raises(FiniteEscapeError) as err:
+        integrate(sys_, [1.2, -1.6], SwitchingSignal.constant(1, 40.0), opts)
+    t_escape = math.log(1e3 / 2.0)
+    assert t_escape <= err.value.escape_time <= t_escape + systems._LINEAR_CAP
+    assert np.linalg.norm(err.value.state) > 1e3
+    if max_dx == math.inf:
+        runs = advance_starts(sys_, 1, np.array([[1.2, -1.6], [0.0, 0.0]]), 40.0, opts)
+        assert isinstance(runs[0], FiniteEscapeError)
+        assert runs[0].escape_time == err.value.escape_time
+        assert np.all(runs[1] == 0.0)
 
 
 # -- compliance -----------------------------------------------------------------------
