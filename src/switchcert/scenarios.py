@@ -9,10 +9,12 @@ function but the feedback rule's ``mode_of`` is row-wise: it takes one
 state (n,) or a stack (k, n) of states and returns the per-row results,
 each equal to the per-point call's to the last bit (see
 :func:`~switchcert.systems.evaluate_rows`, which rejects a function
-written for one state only).  The linear fields ``spiral_focus`` and
-``rotation`` are :class:`~switchcert.systems.LinearField` instances,
-declared by their matrices, so the integrators take their exact flows.
-The other built-ins index the components of
+written for one state only).  The linear fields ``spiral_focus``,
+``rotation`` and ``damped_rotation`` are
+:class:`~switchcert.systems.LinearField` instances, declared by their
+matrices, so the integrators take their exact flows; the damped rotation's
+row sum (-1.0 a) + (-1.0 b) equals the hand-written -a - b to the bit.  The
+other built-ins index the components of
 ``xt = x.T`` (``xt[0]``, ``xt[1]``) and stack results back with
 ``np.array([...]).T``, which adds about 0.2 us to a single-state call;
 indexing ``x[..., 0]``, or unpacking ``a, b = x.T`` (which iterates the
@@ -64,11 +66,8 @@ spiral_focus = LinearField(((-2.0, -2.0), (2.0, 0.0)))
 rotation = LinearField(((0.0, -1.0), (1.0, 0.0)))
 
 
-def damped_rotation(x: np.ndarray) -> np.ndarray:
-    """Counterclockwise spiral with eigenvalues (-1 +- i*sqrt(3))/2."""
-    xt = x.T
-    a, b = xt[0], xt[1]
-    return np.array([-a - b, a]).T
+# counterclockwise spiral with eigenvalues (-1 +- i*sqrt(3))/2
+damped_rotation = LinearField(((-1.0, -1.0), (1.0, 0.0)))
 
 
 def saturating_pull(x: np.ndarray) -> np.ndarray:

@@ -13,13 +13,14 @@ Norsett & Wanner, *Solving ODEs I*, II.4-II.6), and accepted steps are
 subdivided through the dense interpolant until consecutive samples differ
 by at most ``max_dx``.  Its tableau equals ``scipy.integrate.DOP853``'s
 (a test compares them), and it takes scipy's steps and samples bit for
-bit.  The first interval of a prescribed signal and every interval of a
-feedback run select an initial step; each later prescribed interval
-starts from the step size the controller proposed at the end of the one
-before, at most its own length, which is scipy's ``first_step``.  The
-interpolant returns a list of Python floats, and a chord is
-measured by ``math.dist``, or by np.linalg.norm's value within 1e-9 of
-max_dx, so sampling makes no numpy call per sample.  State-feedback
+bit.  The first DOP853 interval of a prescribed signal and every
+interval of a feedback run select an initial step; each later DOP853
+interval of a prescribed signal starts from the step size the controller
+proposed at the end of the last DOP853 run before it, across any linear
+runs between them, at most its own length, which is scipy's
+``first_step``.  The interpolant returns a list of Python floats, and a
+chord is measured by ``math.dist``, or by np.linalg.norm's value within
+1e-9 of max_dx, so sampling makes no numpy call per sample.  State-feedback
 switching locates region crossings by bisection on the active boundary
 over the interpolant, which costs three field calls, so a step builds it
 only when it is split or a crossing is located in it.
@@ -27,10 +28,15 @@ only when it is split or a crossing is located in it.
 A mode whose field is a :class:`LinearField`, declared by its matrix A,
 is not stepped by DOP853: it follows its exact flow x(t0 + s) = e^{A s}
 x(t0), by propagator steps x_(k+1) = e^{A h} x_k with one e^{A h} per
-mode run (:func:`_run_linear`).  The exponential is scaling and squaring
-in numpy (:func:`_expm`), h keeps ||A|| h at most 1/2 and the planned
-chord at 0.95 max_dx, and crossings are bisected, by the same rule, on
-the step's Taylor polynomial.  Such a run calls no field.
+mode run and one for its last, shorter step (:func:`_run_linear`).  h
+keeps ||A|| h at most 1/2 and the planned chord at 0.95 max_dx, so no
+exponential needs scaling and squaring: the field caches its Taylor
+stack A^k / k!, k <= 14, held scaled by a power of two
+(:attr:`LinearField.taylor`), and each propagator is one polynomial, a
+single np.dot of the powers of h with the stack, within eps / 3 of
+e^{A h}.  Crossings are bisected, by the same rule, on the step's Taylor
+polynomial, whose coefficients are one matmul of the stack with the
+step's start.  Such a run calls no field.
 
 :func:`advance_starts` steps many starts of one mode over one window
 together, so that every row takes the steps :func:`integrate` would
@@ -236,6 +242,26 @@ class LinearField:
         return min(math.sqrt(float(np.vecdot(a.ravel(), a.ravel()))),
                    math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())))
 
+    @cached_property
+    def taylor(self) -> tuple[float, np.ndarray]:
+        """The Taylor stack of the exact flow: a power of two nu and the
+        (q + 1, n, n) array of B^k / k!, B = A / nu, k = 0..q, so that
+        e^{A h} = sum_k (nu h)^k B^k / k! (:func:`_propagator`).  The degree
+        q is :func:`_taylor_degree` of _LINEAR_CAP, the largest ||A|| h a
+        step takes, whatever the norm: a small-norm field's h is long.
+        nu is the least power of two above ||A||: the scaling is exact,
+        and it keeps the stack and the powers (nu h)^k <= 1 finite at any
+        norm.  A zero matrix has the stack (I,)."""
+        n = len(self.matrix)
+        if not self.norm:
+            return 1.0, np.eye(n)[None]
+        nu = math.ldexp(1.0, math.frexp(self.norm)[1])
+        b = np.array(self.matrix) / nu
+        stack = [np.eye(n)]
+        for k in range(1, _taylor_degree(_LINEAR_CAP) + 1):
+            stack.append(b @ stack[-1] / k)
+        return nu, np.array(stack)
+
 
 @dataclass(frozen=True)
 class SwitchedSystem:
@@ -427,7 +453,7 @@ _D = np.array([
 del _s, _row
 _N_STAGES = 12
 _B = _A[_N_STAGES, :_N_STAGES]
-_STAGES = tuple((s, float(_C[s]), _A[s, :s]) for s in range(1, _N_STAGES))
+_STAGES = tuple((s, _A[s, :s]) for s in range(1, _N_STAGES))
 _EXTRA_STAGES = tuple((s, float(_C[s]), _A[s, :s]) for s in range(_N_STAGES + 1, len(_C)))
 _EXPONENT = 1 / 8  # 1 / (error estimator order + 1)
 _RTOL_FLOOR = 100 * 2.0 ** -52  # 100 eps: a smaller rtol is raised to this
@@ -529,23 +555,19 @@ def _control_rows(h_abs: np.ndarray, e5: np.ndarray, e3: np.ndarray, n: int,
     return np.where(accepted, grown, h_abs * np.fmax(0.2, shrink)), accepted
 
 
-def _stages(rhs, K: np.ndarray, views: list, t: float, y: np.ndarray, h: float, stages) -> None:
-    """K[s] = rhs(t + c h, y + h a.K[:s]) for each (s, c, a) of ``stages``,
-    each stage sum one np.dot over ``views[s]``, the prebuilt view K[:s].T."""
-    for s, c, a in stages:
-        K[s] = rhs(t + c * h, y + np.dot(views[s], a) * h)
-
-
 def _dense_output(rhs, K: np.ndarray, views: list, t_old: float, y_old: np.ndarray,
                   y_new: np.ndarray, h: float):
     """The interpolant of the step of size h from (t_old, y_old) to y_new.
 
     K holds the step's stages; the three extra ones are added here, at
-    three more field calls.  The interpolant returns a list: per component,
-    a Horner sum in powers of x and 1 - x, x = (t - t_old) / h, in Python
-    floats in scipy's order, which is elementwise and so equal to the bit.
+    three more field calls of ``rhs(t, y)``, each stage sum one np.dot over
+    ``views[s]``, the prebuilt view K[:s].T.  The interpolant returns a
+    list: per component, a Horner sum in powers of x and 1 - x,
+    x = (t - t_old) / h, in Python floats in scipy's order, which is
+    elementwise and so equal to the bit.
     """
-    _stages(rhs, K, views, t_old, y_old, h, _EXTRA_STAGES)
+    for s, c, a in _EXTRA_STAGES:
+        K[s] = rhs(t_old + c * h, y_old + np.dot(views[s], a) * h)
     f_old, delta_y = K[0], y_new - y_old
     F = np.empty((7, len(y_old)))
     F[0], F[1], F[2] = delta_y, h * f_old - delta_y, 2 * delta_y - h * (K[_N_STAGES] + f_old)
@@ -634,11 +656,12 @@ def _workspace(n: int) -> tuple[np.ndarray, list]:
 # A solve turns an overflowing norm, step or field value, or a field that
 # divides by zero, into a rejected attempt or a StiffnessError, so numpy's
 # overflow, invalid and divide warnings are off while it runs: a failed
-# run's one-line message is its only output.
+# run's one-line message is its only output.  integrate, integrate_feedback
+# and advance_starts enter it once per call, not once per mode run.
 _SOLVE_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore")
+_NON_FINITE_FIELD = "vector field returned non-finite values at t ~ {:.6g}"
 
 
-@np.errstate(**_SOLVE_ERRSTATE)
 def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_end: float,
               opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
               workspace: tuple[np.ndarray, list], rule: FeedbackRule | None = None,
@@ -653,7 +676,11 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
     initial step selection.  The field is called once for the start
     state, once more if the initial step is selected, twelve times per
     attempt (eleven stages and the step's end), and three more times for
-    each step whose interpolant is built.  With a feedback ``rule``, the
+    each step whose interpolant is built.  A non-finite field value raises
+    :class:`StiffnessError` at the time of its stage: the start's and the
+    initial step's values and the interpolant's are checked per call, an
+    attempt's twelve once, after its last.  The caller runs the solve under
+    ``np.errstate(**_SOLVE_ERRSTATE)``.  With a feedback ``rule``, the
     run stops at the first accepted step whose end the rule assigns to
     another mode, at the crossing located inside that step.  Returns
     (t, x, stopped_at_crossing, h), h being the step size the controller
@@ -667,11 +694,12 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
     nfev = 0
 
     def rhs(t, y):
+        """The field at y, checked per call."""
         nonlocal nfev
         nfev += 1
         out = np.asarray(f(y), dtype=float)
         if not all(map(math.isfinite, out.tolist())):
-            raise StiffnessError(f"vector field returned non-finite values at t ~ {t:.6g}")
+            raise StiffnessError(_NON_FINITE_FIELD.format(t))
         return out
 
     t, y = t0, np.asarray(x0, dtype=float)
@@ -698,11 +726,16 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             K[0] = fy
-            _stages(rhs, K, views, t, y, h, _STAGES)
+            for s, a in _STAGES:
+                K[s] = f(y + np.dot(views[s], a) * h)
             y_new = y + h * np.dot(views[_N_STAGES], _B)
-            K[_N_STAGES] = f_new = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            K[_N_STAGES] = f_new = f(y_new)
+            nfev += _N_STAGES
             errors = views[_N_STAGES + 1]
+            if not np.isfinite(errors).all():
+                s = int(np.flatnonzero(~np.isfinite(errors).all(axis=0))[0])
+                raise StiffnessError(_NON_FINITE_FIELD.format(t + _C[s] * h))
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             h_abs, accepted = _control(abs(h), _norm(np.dot(errors, _E5) / scale),
                                        _norm(np.dot(errors, _E3) / scale), n, rejected)
             if accepted:
@@ -743,28 +776,17 @@ def _taylor_degree(bound: float) -> int:
     return q
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """e^a by scaling and squaring (Moler & Van Loan, SIAM Review 2003;
-    Higham, SIAM J. Matrix Anal. Appl. 2005), with numpy only: the Taylor
-    sum of b = a / 2^s, ||b||_1 <= 1/2, to :func:`_taylor_degree` in Horner
-    form, squared s times."""
-    norm = float(np.abs(a).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(norm / _LINEAR_CAP))) if norm > _LINEAR_CAP else 0
-    b = a * 2.0 ** -s
-    eye = np.eye(len(a))
-    e = eye
-    for k in range(_taylor_degree(norm * 2.0 ** -s), 0, -1):
-        e = eye + (b @ e) / k
-    for _ in range(s):
-        e = e @ e
-    return e
-
-
 def _propagator(field: LinearField, h: float) -> tuple[list, float]:
-    """The rows of e^{A h}, and the rounding allowance of one step by it per
-    unit of max|x|: 4 (n + 1) eps ||e^{A h}||_inf."""
-    e = _expm(np.array(field.matrix) * h)
-    return e.tolist(), 4 * (len(e) + 1) * _EPS * float(np.abs(e).sum(axis=1).max())
+    """The rows of e^{A h}, for ||A|| h <= 1/2, and the rounding allowance of
+    one step by it per unit of max|x|: 4 (n + 1) eps ||e^{A h}||_inf.
+
+    e^{A h} is the Taylor sum over the field's stack (:attr:`LinearField.taylor`),
+    one np.dot of the powers of nu h with it; its remainder is below eps / 3
+    of the norm, as every step of a run keeps ||A|| h within the cap."""
+    nu, stack = field.taylor
+    powers = (nu * h) ** np.arange(len(stack), dtype=float)
+    rows = np.dot(powers, stack.reshape(len(stack), -1)).reshape(stack.shape[1:]).tolist()
+    return rows, 4 * (len(rows) + 1) * _EPS * max(sum(map(abs, row)) for row in rows)
 
 
 def _linear_step(norm: float, radius: float, max_dx: float) -> float:
@@ -801,17 +823,18 @@ def _propagator_steps(field: LinearField, h: float, t: float, t_end: float):
 
 def _taylor_flow(field: LinearField, t_old: float, x: list, h: float):
     """The exact flow from (t_old, x) over a step of size h, ||A|| h <= 1/2:
-    the Taylor polynomial of e^{A s} x in s = t - t_old, to the degree whose
-    remainder is below eps, as a function of t that returns a list."""
-    coefs = [x]
-    for k in range(1, _taylor_degree(field.norm * h) + 1):
-        coefs.append([c / k for c in _rows_times(field.matrix, coefs[-1])])
-    return partial(_horner, list(zip(*coefs[::-1])), t_old)
+    the Taylor polynomial of e^{A s} x in nu s, s = t - t_old, to the degree
+    whose remainder is below eps, as a function of t that returns a list.
+    Its coefficients B^k x / k! are one matmul of the field's Taylor stack
+    with x."""
+    nu, stack = field.taylor
+    coefs = np.dot(stack[:_taylor_degree(field.norm * h) + 1], x)
+    return partial(_horner, list(zip(*coefs[::-1].tolist())), t_old, nu)
 
 
-def _horner(rows: list, t_old: float, t: float) -> list:
-    """Per row (c_q, ..., c_0): ((0.0 s + c_q) s + c_(q-1)) ... s + c_0, s = t - t_old."""
-    s = t - t_old
+def _horner(rows: list, t_old: float, nu: float, t: float) -> list:
+    """Per row (c_q, ..., c_0): ((0.0 s + c_q) s + c_(q-1)) ... s + c_0, s = nu (t - t_old)."""
+    s = (t - t_old) * nu
     out = []
     for row in rows:
         v = 0.0
@@ -897,6 +920,7 @@ def _advance_linear(field: LinearField, y: np.ndarray, t_end: float, opts: Integ
     return kept_rows, kept_states, out, errors
 
 
+@np.errstate(**_SOLVE_ERRSTATE)
 def integrate(
     system: SwitchedSystem,
     x0: Sequence[float],
@@ -911,16 +935,18 @@ def integrate(
     an initial step; each later one starts from the step size the
     controller proposed at the end of the one before, at most its own
     length, so a switch costs one field call for the new mode's start.
-    An interval after a linear mode's run, which carries no step size,
-    selects its own.
+    A linear mode's run carries no step size: the DOP853 interval after it
+    starts from the step the last DOP853 run proposed, at most its own
+    length, and only an interval that no DOP853 run precedes selects one.
     """
     x, stats, ts, xs = _start(system, x0)
     work = _workspace(system.dimension)
-    h = None
+    h = None  # the step size the last DOP853 run proposed
     for ta, tb, gamma in signal.segments():
         if tb > ta:
-            _, x, _, h = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs, work,
-                                   first_step=None if h is None else min(h, tb - ta))
+            _, x, _, proposed = _run_mode(system, gamma, ta, x, tb, opts, stats, ts, xs, work,
+                                          first_step=None if h is None else min(h, tb - ta))
+            h = h if proposed is None else proposed
     _emit(ts, xs, signal.horizon, x)
     return Trajectory(np.array(ts), np.array(xs), signal, stats)
 
@@ -1097,6 +1123,7 @@ def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: f
     return hi, np.asarray(x_hi, dtype=float)
 
 
+@np.errstate(**_SOLVE_ERRSTATE)
 def integrate_feedback(
     system: SwitchedSystem,
     x0: Sequence[float],

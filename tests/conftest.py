@@ -26,8 +26,15 @@ def rotation_function(x):
     return np.array([-xt[1], xt[0]]).T
 
 
+def damped_rotation_function(x):
+    xt = x.T
+    a, b = xt[0], xt[1]
+    return np.array([-a - b, a]).T
+
+
 _TWINS = {((-2.0, -2.0), (2.0, 0.0)): spiral_focus_function,
-          ((0.0, -1.0), (1.0, 0.0)): rotation_function}
+          ((0.0, -1.0), (1.0, 0.0)): rotation_function,
+          ((-1.0, -1.0), (1.0, 0.0)): damped_rotation_function}
 
 
 def twin_system(system):

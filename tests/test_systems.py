@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import rotation_function, spiral_focus_function, twin_scenario, twin_system
+from conftest import (
+    damped_rotation_function,
+    rotation_function,
+    spiral_focus_function,
+    twin_scenario,
+    twin_system,
+)
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.linalg import expm
@@ -259,7 +265,7 @@ def test_advance_starts_checks_the_field_once_per_stack_shape():
     # calls; the advance makes that check once for each stack shape it meets
     from switchcert.lyapunov import SampleRegion
 
-    ex2 = builtin_scenario("example2")
+    ex2 = twin_scenario("example2")
     starts = SampleRegion(0.1, 3.0).all_points(2)
     opts = IntegratorOptions(max_dx=math.inf)
     for gamma in ex2.system.modes.labels:
@@ -585,7 +591,8 @@ def test_row_norms_are_norm_to_the_bit(n):
 
 
 # the built-in fields, each linear one as its plain-function twin, which DOP853 steps
-_BUILTIN_FIELDS = (spiral_focus_function, rotation_function, damped_rotation, saturating_pull)
+_BUILTIN_FIELDS = (spiral_focus_function, rotation_function, damped_rotation_function,
+                   saturating_pull)
 _OPTIONS = st.builds(
     IntegratorOptions,
     rtol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]),
@@ -645,7 +652,7 @@ def test_steps_with_rejections_match_scipy():
 
 
 def test_rtol_below_its_floor_matches_scipy():
-    sys_ = builtin_scenario("example2").system
+    sys_ = twin_system(builtin_scenario("example2").system)
     opts = IntegratorOptions(rtol=1e-17, atol=1e-20)
     _assert_matches_scipy(
         lambda: integrate(sys_, [1.3, -0.7], SwitchingSignal.constant(1, 3.0), opts))
@@ -692,7 +699,7 @@ def test_escaping_cubic_matches_scipy(bound, max_dx):
 
 
 def test_builtin_batches_match_scipy():
-    ex2 = builtin_scenario("example2")
+    ex2 = twin_scenario("example2")
     signal = generate_adt(3, ex2.source.adt, ex2.system.modes, 20.0)
     _assert_matches_scipy(lambda: integrate(ex2.system, [1.0, -2.0], signal, ex2.integrator))
     for scenario in (twin_scenario("example1"), twin_scenario("two_centers")):
@@ -981,6 +988,42 @@ def test_prescribed_switching_matches_closed_form_flow(name, horizon):
     _assert_closed_form_end(system, _MATRICES[name], trajectories)
 
 
+def test_example2_linear_mode_matches_closed_form_flow(ex2_scenario):
+    # example2's damped rotation alone takes its exact flow, and calls no field
+    system = ex2_scenario.system
+    signal = SwitchingSignal.constant(1, 10.0)
+    trajectories = [integrate(system, x0, signal, ex2_scenario.integrator)
+                    for x0 in ([1.0, 0.0], [-0.6, 1.3], [2.5, -2.9])]
+    assert all(traj.stats.n_rhs == 0 for traj in trajectories)
+    _assert_closed_form_end(system, {1: np.array([[-1.0, -1.0], [1.0, 0.0]])}, trajectories)
+
+
+def test_dop853_step_is_carried_across_linear_runs(monkeypatch):
+    # on a signal alternating a linear mode with a DOP853 mode, each DOP853
+    # interval after the first starts from the step the last DOP853 run
+    # proposed, at most its own length
+    calls = []
+    run_mode = systems._run_mode
+
+    def recorded(system, gamma, t0, x0, t_end, *args, first_step=None):
+        out = run_mode(system, gamma, t0, x0, t_end, *args, first_step=first_step)
+        calls.append((gamma, t_end - t0, first_step, out[3]))
+        return out
+
+    monkeypatch.setattr(systems, "_run_mode", recorded)
+    m = ModeSet(2)
+    system = SwitchedSystem(2, {1: damped_rotation, 2: saturating_pull}, m, Covering.trivial(m))
+    signal = generate_adt(5, AdtClass(0.5, 2), m, 20.0)
+    integrate(system, [1.0, -2.0], signal)
+    linear = [c for c in calls if c[0] == 1]
+    dop853 = [c for c in calls if c[0] == 2]
+    assert len(linear) >= 5 and len(dop853) >= 5
+    assert all(proposed is None for *_, proposed in linear)
+    assert dop853[0][2] is None  # no DOP853 run precedes the first: it selects its step
+    for (_, _, _, h_prev), (_, length, first_step, _) in zip(dop853, dop853[1:]):
+        assert first_step == min(h_prev, length)
+
+
 def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
     """Both regions are half-planes and both fields unit-speed rotations,
     so every interior dwell is exactly pi.  Each located switch lies at
@@ -1001,18 +1044,33 @@ def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_expm_matches_scipy(n):
-    # norms from 1e-3 to 1e2: no squaring up to 1/2, then up to 8 squarings.
-    # Against an mpmath reference, _expm's worst relative error here is
-    # below 1e-13 and scipy's near 1e-11 at norm 1e2, hence the tolerance
+def test_propagator_matches_scipy(n):
+    # norms from 1e-3 to 1e2, each over steps h with ||A|| h up to 1/2, the cap
+    # every propagator step keeps
     rng = np.random.default_rng(n)
+    zero = LinearField(np.zeros((n, n)))
+    for h in (0.0, 1.0, 1e300, math.inf):
+        assert np.array_equal(systems._propagator(zero, h)[0], np.eye(n))
+    # the stack is scaled by a power of two, so that neither (A h)^k / k! nor
+    # h^k overflows or underflows to a NaN at extreme norms
+    a = rng.normal(size=(n, n))
+    for scale in (1e-30, 1e30):
+        field = LinearField(a * scale)
+        h = systems._LINEAR_CAP / field.norm
+        want = expm(a * scale * h)
+        err = np.abs(np.array(systems._propagator(field, h)[0]) - want).max()
+        assert err <= 5e-13 * np.abs(want).max(), (scale, err)
     for norm in np.geomspace(1e-3, 1e2, 21):
         for _ in range(10):
             a = rng.normal(size=(n, n))
             a *= norm / np.abs(a).sum(axis=0).max()
-            want = expm(a)
-            err = np.abs(systems._expm(a) - want).max() / np.abs(want).max()
-            assert err <= 5e-13 * max(1.0, norm), (a, err)
+            field = LinearField(a)
+            for h in (0.0, *(share * systems._LINEAR_CAP / field.norm
+                              for share in (1e-3, 0.3, rng.uniform(), 1.0))):
+                want = expm(a * h)
+                got = np.array(systems._propagator(field, h)[0])
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 5e-13 * max(1.0, norm), (a, h, err)
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -1023,7 +1081,8 @@ _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
        st.booleans())
 def test_linear_fields_equal_their_plain_functions_to_the_bit(rows, stacked):
     x = np.array(rows) if stacked else np.array(rows[0])
-    for field, function in ((spiral_focus, spiral_focus_function), (rotation, rotation_function)):
+    for field, function in ((spiral_focus, spiral_focus_function), (rotation, rotation_function),
+                            (damped_rotation, damped_rotation_function)):
         assert isinstance(field, LinearField)
         assert systems._same_bits(field(x), function(x))
         assert systems._same_bits(evaluate_rows(field, x), evaluate_rows(function, x))
