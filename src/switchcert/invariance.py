@@ -26,7 +26,6 @@ from .systems import Trajectory
 
 _DISTANCE_BLOCK = 1 << 16  # state-distance entries per block of omega_sharp's member test
 _PAIR_BLOCK = 1 << 13  # distance entries per block of the clustering's seed and merge tests
-_PYTHON_MEMBERS = 64  # a seed with more neighbours than this takes them with numpy
 
 # Relative band around tol in which a vectorised distance is not trusted:
 # there the decision is made by the scalar test itself.  Vectorised and
@@ -66,11 +65,6 @@ def _within(xs: np.ndarray, block: np.ndarray, tol: float) -> np.ndarray:
     return mask
 
 
-def _centroid(rows: np.ndarray) -> list[float]:
-    """Mean of the rows, summed in row order (``np.cumsum``'s order)."""
-    return (np.cumsum(rows, axis=0)[-1] / len(rows)).tolist()
-
-
 def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy metric clustering in input order.
 
@@ -92,9 +86,7 @@ def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     unassigned neighbours.  Blocks start at one candidate and double, up
     to ``_PAIR_BLOCK`` distance entries, so a tail that collapses into
     one cluster costs one distance row.  A centroid is the running sum of
-    its members in point order (``np.cumsum``'s order) over the count; a
-    seed with more than ``_PYTHON_MEMBERS`` neighbours takes its members
-    and their sum with numpy, the others with Python lists.
+    its members in point order over the count, in Python floats.
 
     Merging takes the lexicographically first pair (i, j), i < j, of
     representatives within tol and moves j into i by the count-weighted
@@ -124,32 +116,22 @@ def _greedy_clusters(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     while free.size:
         seeds = free[:max(1, min(rows, _PAIR_BLOCK // free.size))]
         near = _within(points[seeds], points[free], tol)
-        degree = near.sum(axis=1)
-        small = degree <= _PYTHON_MEMBERS
-        # neighbours of the small rows and their coordinates, row after
-        # row, each row in point order
-        neighbours = free[np.flatnonzero(near[small]) % free.size]
+        # the candidates' neighbours and their coordinates, row after row,
+        # each row in point order
+        neighbours = free[np.flatnonzero(near) % free.size]
         coords = points[neighbours].tolist()
         neighbours = neighbours.tolist()
         end = 0
-        for r, (seed, n_near, is_small) in enumerate(zip(seeds.tolist(), degree.tolist(),
-                                                          small.tolist())):
-            if is_small:
-                start, end = end, end + n_near
+        for seed, n_near in zip(seeds.tolist(), near.sum(axis=1).tolist()):
+            start, end = end, end + n_near
             if taken[seed]:
                 continue
-            if is_small:
-                members = [q for q in range(start, end) if not taken[neighbours[q]]]
-                for q in members:
-                    taken[neighbours[q]] = 1
-                centroids.append([reduce(operator.add, column) / len(members)
-                                  for column in zip(*[coords[q] for q in members])])
-                counts.append(len(members))
-            else:
-                members = free[near[r] & ~is_taken[free]]
-                is_taken[members] = True
-                centroids.append(_centroid(points[members]))
-                counts.append(int(members.size))
+            members = [q for q in range(start, end) if not taken[neighbours[q]]]
+            for q in members:
+                taken[neighbours[q]] = 1
+            centroids.append([reduce(operator.add, column) / len(members)
+                              for column in zip(*[coords[q] for q in members])])
+            counts.append(len(members))
         free = free[~is_taken[free]]
         rows *= 2
     reps = np.array(centroids)

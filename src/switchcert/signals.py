@@ -355,16 +355,13 @@ def signal_distance(u: SwitchingSignal, v: SwitchingSignal, n_terms: int) -> flo
     if not (isinstance(n_terms, int) and n_terms >= 1):
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
     end = float(n_terms)
-    cuts = np.unique(
-        np.concatenate(
-            [
-                [0.0, end],
-                u.switch_times[u.switch_times < end],
-                v.switch_times[v.switch_times < end],
-                np.arange(1.0, end),
-            ]
-        )
-    )
+    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
+    cuts = np.array(sorted(set(np.concatenate([
+        [0.0, end],
+        u.switch_times[u.switch_times < end],
+        v.switch_times[v.switch_times < end],
+        np.arange(1.0, end),
+    ]).tolist())))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     differ = u.values_at(mids) != v.values_at(mids)
     seg_lengths = np.where(differ, np.diff(cuts), 0.0)
@@ -389,7 +386,8 @@ def distance_tail_bound(n_terms: int) -> float:
 def _compactify(t: np.ndarray) -> np.ndarray:
     """Order-preserving homeomorphism [0, inf] -> [0, 1], t -> t/(1+t)."""
     t = np.asarray(t, dtype=float)
-    return np.where(np.isinf(t), 1.0, t / (1.0 + t))
+    with np.errstate(invalid="ignore"):  # inf / inf, which np.where replaces by 1
+        return np.where(np.isinf(t), 1.0, t / (1.0 + t))
 
 
 def _sequence_limit(values: Sequence[float]) -> float:
@@ -490,7 +488,8 @@ def extract_convergent_subsequence(
     selected = np.arange(count)
     for i in range(max_idx + 1):
         col = mode_tab[selected, i]
-        uniq, inv = np.unique(col, return_inverse=True)
+        # not np.unique (see signal_distance): each mode's index among the sorted distinct modes
+        inv = np.searchsorted(sorted(set(col.tolist())), col)
         sizes = np.bincount(inv)
         selected = selected[inv == int(np.argmax(sizes))]
         if selected.size < required:
@@ -511,7 +510,10 @@ def extract_convergent_subsequence(
     limit_times[0] = 0.0
     for i in range(1, max_idx + 1):
         col = times[selected, i]
-        if math.isinf(float(np.median(col))):
+        # np.median's value, not its call, which imports numpy.ma: the middle
+        # value, or the mean of the middle two
+        ordered, mid = sorted(col.tolist()), len(col) // 2
+        if math.isinf(ordered[mid] if len(col) % 2 else (ordered[mid - 1] + ordered[mid]) / 2):
             limit_times[i] = INFINITY
         else:
             limit_times[i] = _sequence_limit(col[np.isfinite(col)])

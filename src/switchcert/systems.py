@@ -6,48 +6,48 @@ continuous signed boundary function b_gamma, so closedness is structural
 and membership margins are available for compliance checking and event
 location (b == -1 encodes the whole space).
 
-Integration is piecewise: switch times are mandatory mesh points, each
-constancy interval is integrated with switchcert's own adaptive DOP853,
-the Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
-Norsett & Wanner, *Solving ODEs I*, II.4-II.6), and accepted steps are
-subdivided through the dense interpolant until consecutive samples differ
-by at most ``max_dx``.  Its tableau equals ``scipy.integrate.DOP853``'s
-(a test compares them), and it takes scipy's steps and samples bit for
-bit.  The first DOP853 interval of a prescribed signal and every
+Integration is piecewise: switch times are mandatory mesh points, and
+each constancy interval is one mode run (:func:`_run_mode`), a step loop
+fed by one of two step sources.  A mode whose field is a
+:class:`LinearField`, declared by its matrix A, follows its exact flow
+x(t0 + s) = e^{A s} x(t0) by propagator steps x_(k+1) = e^{A h} x_k,
+one e^{A h} per run and one for its last, shorter step
+(:func:`_linear_steps`), and calls no field.  h keeps ||A|| h at most
+1/2 and the planned chord at 0.95 max_dx, so no exponential needs
+scaling and squaring: each propagator is one polynomial over the field's
+Taylor stack (:attr:`LinearField.taylor`), within eps / 3 of e^{A h}.
+Every other mode is stepped by switchcert's own adaptive DOP853, the
+Dormand-Prince 8(5,3) pair with its 7th-order dense output (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.4-II.6; :func:`_dop853_steps`),
+whose tableau, steps and samples equal ``scipy.integrate.DOP853``'s to
+the bit.  The first DOP853 interval of a prescribed signal and every
 interval of a feedback run select an initial step; each later DOP853
-interval of a prescribed signal starts from the step size the controller
-proposed at the end of the last DOP853 run before it, across any linear
-runs between them, at most its own length, which is scipy's
-``first_step``.  The interpolant returns a list of Python floats, and a
-chord is measured by ``math.dist``, or by np.linalg.norm's value within
-1e-9 of max_dx, so sampling makes no numpy call per sample.  State-feedback
-switching locates region crossings by bisection on the active boundary
-over the interpolant, which costs three field calls, so a step builds it
-only when it is split or a crossing is located in it.
+interval of a prescribed signal starts from the step size the last
+DOP853 run proposed, across any linear runs between, at most its own
+length, which is scipy's ``first_step``.
 
-A mode whose field is a :class:`LinearField`, declared by its matrix A,
-is not stepped by DOP853: it follows its exact flow x(t0 + s) = e^{A s}
-x(t0), by propagator steps x_(k+1) = e^{A h} x_k with one e^{A h} per
-mode run and one for its last, shorter step (:func:`_run_linear`).  h
-keeps ||A|| h at most 1/2 and the planned chord at 0.95 max_dx, so no
-exponential needs scaling and squaring: the field caches its Taylor
-stack A^k / k!, k <= 14, held scaled by a power of two
-(:attr:`LinearField.taylor`), and each propagator is one polynomial, a
-single np.dot of the powers of h with the stack, within eps / 3 of
-e^{A h}.  Crossings are bisected, by the same rule, on the step's Taylor
-polynomial, whose coefficients are one matmul of the stack with the
-step's start.  Such a run calls no field.
+The mode run treats every step's end alike, whichever source made it:
+it counts the step, applies the state guards and, under state-feedback
+switching, locates a region crossing by bisection on the active boundary
+over the step's interpolant, DOP853's dense output (three field calls)
+or the propagator step's Taylor polynomial.  The same interpolant
+subdivides a step until consecutive samples differ by at most
+``max_dx``, and is built only for a step that is split or crossed.  It
+returns a list of Python floats, and a chord is measured by
+``math.dist``, or by np.linalg.norm's value within 1e-9 of max_dx, so
+sampling makes no numpy call per sample.
 
 :func:`advance_starts` steps many starts of one mode over one window
 together, so that every row takes the steps :func:`integrate` would
 take for it alone: the propagator steps of a linear mode as one
 elementwise pass over the stack, any other mode as rows of one DOP853
-with the same tableau, initial step and controller.  Its step
-selection, controller and state guards are whole-array passes, with
-each power a libm ``pow`` per row.  It samples accepted steps only and
-has no interpolant.  Each trajectory of :func:`integrate` and
-:func:`integrate_feedback` builds its stage array once and shares it
-among its constancy intervals.
+with the same tableau, initial step and controller.  Its step selection
+and controller are whole-array passes, with each power a libm ``pow``
+per row, and both kinds of mode share one row guard
+(:func:`_guard_rows`), the mode run's state guards on every row.  It
+samples accepted steps only and has no interpolant.  Each trajectory of
+:func:`integrate` and :func:`integrate_feedback` builds its stage array
+once and shares it among its constancy intervals.
 
 Scenario functions are row-wise: a vector field, covering boundary,
 Lyapunov value or gradient, or output takes one state (n,) or a stack
@@ -218,7 +218,7 @@ class LinearField:
     entries from left to right, never through BLAS, so it equals the same
     sum written out by hand (``np.array([-x[1], x[0]])``) to the bit.  A
     mode whose field is a LinearField is integrated along its exact flow
-    e^{A s} (see :func:`_run_linear`), not by DOP853.
+    e^{A s} (see :func:`_linear_steps`), not by DOP853.
     """
 
     matrix: tuple[tuple[float, ...], ...]
@@ -555,17 +555,19 @@ def _control_rows(h_abs: np.ndarray, e5: np.ndarray, e3: np.ndarray, n: int,
     return np.where(accepted, grown, h_abs * np.fmax(0.2, shrink)), accepted
 
 
-def _dense_output(rhs, K: np.ndarray, views: list, t_old: float, y_old: np.ndarray,
-                  y_new: np.ndarray, h: float):
-    """The interpolant of the step of size h from (t_old, y_old) to y_new.
+def _dense_output(context: tuple, t_old: float, x_old: list, t_new: float, x_new: list):
+    """The interpolant of the DOP853 step from (t_old, x_old) to (t_new, x_new).
 
-    K holds the step's stages; the three extra ones are added here, at
-    three more field calls of ``rhs(t, y)``, each stage sum one np.dot over
-    ``views[s]``, the prebuilt view K[:s].T.  The interpolant returns a
-    list: per component, a Horner sum in powers of x and 1 - x,
+    ``context`` is the run's field ``rhs(t, y)`` and the trajectory's
+    :func:`_workspace`, whose K holds the step's stages; the three extra
+    ones are added here, at three more field calls, each stage sum one
+    np.dot over ``views[s]``, the prebuilt view K[:s].T.  The interpolant
+    returns a list: per component, a Horner sum in powers of x and 1 - x,
     x = (t - t_old) / h, in Python floats in scipy's order, which is
     elementwise and so equal to the bit.
     """
+    rhs, (K, views) = context
+    y_old, y_new, h = np.array(x_old), np.array(x_new), t_new - t_old
     for s, c, a in _EXTRA_STAGES:
         K[s] = rhs(t_old + c * h, y_old + np.dot(views[s], a) * h)
     f_old, delta_y = K[0], y_new - y_old
@@ -608,8 +610,8 @@ def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     """Append samples on (t0, t1] so consecutive states differ <= max_dx.
 
     ``make_dense`` builds the step's interpolant; it is called once, at
-    the first split, and not at all for a step that needs none.  x0 and x1
-    are arrays; samples are appended as lists, or as an interpolant's arrays.
+    the first split, and not at all for a step that needs none.  x0, x1
+    and the samples appended are lists.
     A chord is measured by ``math.dist``, and by ``_norm`` of the array
     difference within ``_CHORD_BAND`` of max_dx, or always for a max_dx
     outside [1e-140, 1e140] but inf: elsewhere the two agree to a few ulp,
@@ -621,7 +623,7 @@ def _subdivide(make_dense, t0, x0, t1, x1, max_dx, ts, xs) -> None:
     below, above = _chord_band(max_dx)
     budget = _SUBDIVISION_BUDGET
     dense = None
-    stack = [(t0, x0.tolist(), t1, x1.tolist())]
+    stack = [(t0, x0, t1, x1)]
     while stack:
         ta, xa, tb, xb = stack.pop()
         if ((d := math.dist(xa, xb)) < below
@@ -668,58 +670,100 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
               first_step: float | None = None):
     """Advance mode gamma from (t0, x0) to t_end > t0, sampling as we go.
 
-    A :class:`LinearField` mode follows its exact flow instead
-    (:func:`_run_linear`), and the rest of this describes every other
-    mode.  ``workspace`` is the trajectory's :func:`_workspace`, which every run
-    of it shares.  One adaptive DOP853 solve, which starts from ``first_step`` (at most
-    t_end - t0, as scipy's ``first_step``) or, when it is None, from the
-    initial step selection.  The field is called once for the start
-    state, once more if the initial step is selected, twelve times per
-    attempt (eleven stages and the step's end), and three more times for
-    each step whose interpolant is built.  A non-finite field value raises
-    :class:`StiffnessError` at the time of its stage: the start's and the
-    initial step's values and the interpolant's are checked per call, an
-    attempt's twelve once, after its last.  The caller runs the solve under
-    ``np.errstate(**_SOLVE_ERRSTATE)``.  With a feedback ``rule``, the
-    run stops at the first accepted step whose end the rule assigns to
-    another mode, at the crossing located inside that step.  Returns
-    (t, x, stopped_at_crossing, h), h being the step size the controller
-    proposed after the last accepted step.
+    The steps are a :class:`LinearField` mode's propagator steps
+    (:func:`_linear_steps`), or any other mode's accepted DOP853 steps
+    (:func:`_dop853_steps`) from ``first_step`` (at most t_end - t0, as
+    scipy's) or, when it is None, from the initial step selection; they
+    share the trajectory's ``workspace`` (:func:`_workspace`).  Each step's
+    end, whatever its source, counts in ``stats`` with the field calls and
+    error-budget term the source gave, meets the state guards (a
+    non-finite state raises :class:`StiffnessError`, a norm over
+    ``opts.bound`` :class:`FiniteEscapeError`), and with a feedback
+    ``rule`` ends the run, at the crossing located inside the step, if the
+    rule assigns it to another mode.  The step's interpolant (its DOP853
+    field calls checked and counted by ``rhs``) is built only for a
+    crossing or a split.  The caller runs the solve under
+    ``np.errstate(**_SOLVE_ERRSTATE)``.  Returns (t, x, stopped_at_crossing,
+    h), h being the step size DOP853 proposed last, or None after a linear
+    run.
     """
     f = system.field(gamma)
     if isinstance(f, LinearField):
-        return _run_linear(f, gamma, t0, x0, t_end, opts, stats, ts, xs, rule)
-    n = system.dimension
+        steps = _linear_steps(f, t0, x0, t_end, opts.max_dx)
+        interpolant, context = _taylor_flow, f
+    else:
+        def rhs(t, y):
+            """The field at y, checked per call."""
+            stats.n_rhs += 1
+            out = np.asarray(f(y), dtype=float)
+            if not all(map(math.isfinite, out.tolist())):
+                raise StiffnessError(_NON_FINITE_FIELD.format(t))
+            return out
+
+        steps = _dop853_steps(f, rhs, t0, x0, t_end, opts, workspace, first_step)
+        interpolant, context = _dense_output, (rhs, workspace)
+    below = _chord_band(opts.max_dx)[0]
+    escape = opts.bound / (len(x0) + 1)  # max|x| up to this keeps |x| within the bound
+    t, x = t0, x0.tolist()
+    crossed = False
+    for t_new, x_new, error, mx, calls, h in steps:
+        stats.n_steps += 1
+        stats.n_rhs += calls
+        stats.error_bound_sum += error
+        if not all(map(math.isfinite, x_new)):
+            raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
+        if mx > escape and _norm(np.array(x_new)) > opts.bound:
+            raise FiniteEscapeError(t_new, np.array(x_new), opts.bound)
+        dense = None  # built before the source resumes: DOP853's reads the shared stages
+        if rule is not None and rule(x_new) != gamma:
+            dense = interpolant(context, t, x, t_new, x_new)
+            t_new, at = _locate_crossing(dense, rule, gamma, t, t_new, opts.event_tol)
+            x_new, crossed = at.tolist(), True
+        if math.dist(x, x_new) < below:
+            _emit(ts, xs, t_new, x_new)
+        else:  # a crossed step has its interpolant; any other still ends at (t_new, x_new)
+            _subdivide(lambda: dense or interpolant(context, t, x, t_new, x_new), t, x, t_new,
+                       x_new, opts.max_dx, ts, xs)
+        t, x = t_new, x_new
+        if crossed:
+            break
+    return t, np.array(x), crossed, h
+
+
+def _dop853_steps(f: VectorField, rhs, t: float, y: np.ndarray, t_end: float,
+                  opts: IntegratorOptions, workspace: tuple[np.ndarray, list],
+                  h_abs: float | None):
+    """The accepted steps of one adaptive DOP853 solve from (t, y) to t_end.
+
+    Per accepted step it yields the step's end time, its end state as a
+    list, the tolerance scale atol + rtol max|x| the controller enforced
+    there, that max|x|, the field calls of the step's attempts and the
+    step size the controller proposes next.  The start state's field value
+    is ``rhs(t, y)``, and an initial step is selected when ``h_abs`` is
+    None, at one more call.  Each attempt calls ``f`` unchecked for its
+    twelve stages (eleven and the step's end) and checks them once: a
+    non-finite stage raises :class:`StiffnessError` at t + c_s h of the
+    first one.  The stages are held in ``workspace``'s K, which the step's
+    interpolant reads, so the consumer builds that before it resumes the
+    source.
+    """
+    n = len(y)
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
-    nfev = 0
-
-    def rhs(t, y):
-        """The field at y, checked per call."""
-        nonlocal nfev
-        nfev += 1
-        out = np.asarray(f(y), dtype=float)
-        if not all(map(math.isfinite, out.tolist())):
-            raise StiffnessError(_NON_FINITE_FIELD.format(t))
-        return out
-
-    t, y = t0, np.asarray(x0, dtype=float)
     fy = rhs(t, y)
-    h_abs = first_step
     if h_abs is None:
         scale = atol + np.abs(y) * rtol
         d1 = float(_rms(fy / scale))
-        h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t0)
+        h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t)
         change = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale))
         # h0 is 0 only when d1 overflowed; the step is then 0 and fails the step-size guard
-        h_abs = _initial_step(h0, d1, change / h0 if h0 else math.nan, t_end - t0)
+        h_abs = _initial_step(h0, d1, change / h0 if h0 else math.nan, t_end - t)
     K, views = workspace
-    crossed = False
-    while t < t_end and not crossed:
+    while t < t_end:
         # one step: attempts from h_abs down until one is accepted
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
-        rejected = False
+        rejected, calls = False, 0
         while True:
             if h_abs < min_step:
                 raise StiffnessError(f"stepper failed at t ~ {t:.6g}: {_TOO_SMALL_STEP}")
@@ -730,7 +774,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
                 K[s] = f(y + np.dot(views[s], a) * h)
             y_new = y + h * np.dot(views[_N_STAGES], _B)
             K[_N_STAGES] = f_new = f(y_new)
-            nfev += _N_STAGES
+            calls += _N_STAGES
             errors = views[_N_STAGES + 1]
             if not np.isfinite(errors).all():
                 s = int(np.flatnonzero(~np.isfinite(errors).all(axis=0))[0])
@@ -741,22 +785,10 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
             if accepted:
                 break
             rejected = True
-        stats.n_steps += 1
-        values = y_new.tolist()
-        stats.error_bound_sum += opts.atol + opts.rtol * max(map(abs, values))
-        if not all(map(math.isfinite, values)):
-            raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
-        if _norm(y_new) > opts.bound:
-            raise FiniteEscapeError(t_new, np.array(y_new), opts.bound)
-        make_dense = partial(_dense_output, rhs, K, views, t, y, y_new, h)
-        if rule is not None and rule(y_new) != gamma:
-            dense = make_dense()
-            t_new, y_new = _locate_crossing(dense, rule, gamma, t, t_new, opts.event_tol)
-            make_dense, crossed = (lambda: dense), True
-        _subdivide(make_dense, t, y, t_new, y_new, opts.max_dx, ts, xs)
+        x_new = y_new.tolist()
+        mx = max(map(abs, x_new))
+        yield t_new, x_new, opts.atol + opts.rtol * mx, mx, calls, h_abs
         t, y, fy = t_new, y_new, f_new
-    stats.n_rhs += nfev
-    return t, y, crossed, h_abs
 
 
 # -- exact flows of linear modes --------------------------------------------
@@ -821,14 +853,34 @@ def _propagator_steps(field: LinearField, h: float, t: float, t_end: float):
         t = t_new
 
 
-def _taylor_flow(field: LinearField, t_old: float, x: list, h: float):
-    """The exact flow from (t_old, x) over a step of size h, ||A|| h <= 1/2:
-    the Taylor polynomial of e^{A s} x in nu s, s = t - t_old, to the degree
-    whose remainder is below eps, as a function of t that returns a list.
-    Its coefficients B^k x / k! are one matmul of the field's Taylor stack
-    with x."""
+def _linear_steps(field: LinearField, t: float, x0: np.ndarray, t_end: float, max_dx: float):
+    """The propagator steps of a linear mode from (t, x0) to t_end.
+
+    Each step is x_(k+1) = E x_k in Python floats (:func:`_rows_times`),
+    with one E = e^{A h} whose h is planned once from |x0|
+    (:func:`_linear_step`) and a last one to t_end
+    (:func:`_propagator_steps`).  Yields per step as :func:`_dop853_steps`
+    does: its end time and state, its rounding allowance times max|x_k|
+    as the error-budget term, max|x_(k+1)|, no field call and no step size.
+    """
+    x = x0.tolist()
+    mx = max(map(abs, x))
+    h = _linear_step(field.norm, math.hypot(*x), max_dx)
+    for t_new, (rows, roundoff) in _propagator_steps(field, h, t, t_end):
+        x_new = _rows_times(rows, x)
+        error, mx = roundoff * mx, max(map(abs, x_new))
+        yield t_new, x_new, error, mx, 0, None
+        x = x_new
+
+
+def _taylor_flow(field: LinearField, t_old: float, x: list, t_new: float, x_new: list):
+    """The exact flow from (t_old, x) over the propagator step that ends at
+    t_new: the Taylor polynomial of e^{A s} x in nu s, s = t - t_old, to the
+    degree whose remainder is below eps, as a function of t that returns a
+    list.  Its coefficients B^k x / k! are one matmul of the field's Taylor
+    stack with x."""
     nu, stack = field.taylor
-    coefs = np.dot(stack[:_taylor_degree(field.norm * h) + 1], x)
+    coefs = np.dot(stack[:_taylor_degree(field.norm * (t_new - t_old)) + 1], x)
     return partial(_horner, list(zip(*coefs[::-1].tolist())), t_old, nu)
 
 
@@ -844,58 +896,27 @@ def _horner(rows: list, t_old: float, nu: float, t: float) -> list:
     return out
 
 
-def _run_linear(field: LinearField, gamma: int, t0: float, x0: np.ndarray, t_end: float,
-                opts: IntegratorOptions, stats: IntegratorStats, ts: list, xs: list,
-                rule: FeedbackRule | None):
-    """Advance a linear mode from (t0, x0) to t_end > t0 along its exact flow.
-
-    The run takes propagator steps x_(k+1) = E x_k, in Python floats
-    (:func:`_rows_times`), with one E = e^{A h} whose h is planned once
-    from |x0| (:func:`_linear_step`), and a last one to t_end
-    (:func:`_propagator_steps`).  Each step's end meets :func:`_run_mode`'s state
-    guards and the feedback ``rule`` as a DOP853 step's end does, and a
-    crossing is located by :func:`_locate_crossing` on the step's Taylor
-    flow (:func:`_taylor_flow`), which also serves :func:`_subdivide` for a
-    chord over max_dx.  No field is called: each step adds one to
-    ``n_steps`` and its rounding allowance times max|x_k| to
-    ``error_bound_sum``.  Returns as :func:`_run_mode` does, with no step
-    size to carry (None).
-    """
-    t, x = t0, x0.tolist()
-    mx = max(map(abs, x))
-    h = _linear_step(field.norm, math.hypot(*x), opts.max_dx)
-    below = _chord_band(opts.max_dx)[0]
-    escape = opts.bound / (len(x) + 1)  # max|x| up to this keeps |x| within the bound
-    crossed = False
-    for t_new, (rows, roundoff) in _propagator_steps(field, h, t0, t_end):
-        step = t_new - t
-        x_new = _rows_times(rows, x)
-        stats.n_steps += 1
-        stats.error_bound_sum += roundoff * mx
-        if not all(map(math.isfinite, x_new)):
-            raise StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
-        mx = max(map(abs, x_new))
-        if mx > escape and _norm(np.array(x_new)) > opts.bound:
-            raise FiniteEscapeError(t_new, np.array(x_new), opts.bound)
-        flow = None
-        if rule is not None and rule(x_new) != gamma:
-            flow = _taylor_flow(field, t, x, step)
-            t_new, at = _locate_crossing(flow, rule, gamma, t, t_new, opts.event_tol)
-            x_new, crossed = at.tolist(), True
-        if math.dist(x, x_new) < below:
-            _emit(ts, xs, t_new, x_new)
-        else:
-            _subdivide(lambda: flow or _taylor_flow(field, t, x, step), t, np.array(x), t_new,
-                       np.array(x_new), opts.max_dx, ts, xs)
-        t, x = t_new, x_new
-        if crossed:
-            break
-    return t, np.array(x), crossed, None
+def _guard_rows(rows: np.ndarray, t, y: np.ndarray, accepted, bound: float, out: list,
+                errors: dict) -> np.ndarray:
+    """The state guards of :func:`_run_mode` on the rows y of a batch, each at
+    its step's end t (one time, or one per row).  Among the ``accepted``
+    rows, one whose state is not finite records a :class:`StiffnessError`
+    in ``errors`` and one whose norm passed ``bound`` its
+    :class:`FiniteEscapeError` in ``out``, under its start index ``rows[r]``.
+    Returns the mask of the accepted rows kept."""
+    t = np.broadcast_to(t, len(y))
+    finite = np.isfinite(y).all(axis=1)
+    escaped = finite & (row_norms(y) > bound)
+    for r in np.flatnonzero(accepted & ~finite).tolist():
+        errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
+    for r in np.flatnonzero(accepted & escaped).tolist():
+        out[int(rows[r])] = FiniteEscapeError(float(t[r]), np.array(y[r]), bound)
+    return accepted & finite & ~escaped
 
 
 def _advance_linear(field: LinearField, y: np.ndarray, t_end: float, opts: IntegratorOptions):
     """The rows y of :func:`advance_starts` along a linear mode's exact flow:
-    the steps of :func:`_run_linear` with max_dx = inf, each one pass of
+    the steps of :func:`_linear_steps` with max_dx = inf, each one pass of
     :func:`_rows_times` over the stack's columns, so every row gets the
     bits of its own run.  Returns as :func:`_advance_dop853` does."""
     rows = np.arange(len(y))  # start index of each row still running
@@ -905,13 +926,7 @@ def _advance_linear(field: LinearField, y: np.ndarray, t_end: float, opts: Integ
     h = _linear_step(field.norm, 0.0, math.inf)
     for t_new, (prop, _) in _propagator_steps(field, h, 0.0, t_end):
         y = np.stack(_rows_times(prop, y.T), axis=1)
-        finite = np.isfinite(y).all(axis=1)
-        for r in np.flatnonzero(~finite).tolist():
-            errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {t_new:.6g}")
-        escaped = finite & (row_norms(y) > opts.bound)
-        for r in np.flatnonzero(escaped).tolist():
-            out[int(rows[r])] = FiniteEscapeError(t_new, np.array(y[r]), opts.bound)
-        kept = finite & ~escaped
+        kept = _guard_rows(rows, t_new, y, True, opts.bound, out, errors)
         rows, y = rows[kept], y[kept]
         kept_rows.append(rows)
         kept_states.append(y)
@@ -959,7 +974,7 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     Each row takes exactly the steps that :func:`integrate` takes for that
     start alone under the constant signal with ``max_dx = inf``.  A
     :class:`LinearField` mode takes the propagator steps of
-    :func:`_run_linear` on every row, each step one elementwise pass over
+    :func:`_linear_steps` on every row, each step one elementwise pass over
     the stack (:func:`_advance_linear`).  Any other mode steps the rows as
     one DOP853 (:func:`_advance_dop853`).  Returns, per start in order,
     its states at t = 0 and after every accepted step as a (k, n) array,
@@ -1084,13 +1099,7 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
         y = np.where(accepted[:, None], y_new, y)
         fy = np.where(accepted[:, None], f_new, fy)
         fresh = accepted
-        finite = np.isfinite(y).all(axis=1)
-        escaped = finite & (row_norms(y) > opts.bound)
-        for r in np.flatnonzero(accepted & ~finite).tolist():
-            errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
-        for r in np.flatnonzero(accepted & escaped).tolist():
-            out[int(rows[r])] = FiniteEscapeError(float(t[r]), np.array(y[r]), opts.bound)
-        kept = accepted & finite & ~escaped
+        kept = _guard_rows(rows, t, y, accepted, opts.bound, out, errors)
         kept_rows.append(rows[kept])
         kept_states.append(y[kept])
         live &= ~accepted | (kept & (t < t_end))

@@ -169,7 +169,9 @@ def _configparser_read(text: str) -> tuple[list[str], list[tuple[str, str, str]]
 @settings(max_examples=300, deadline=None)
 @given(text=_ini_text())
 def test_reader_matches_configparser(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "oracle.ini"
+    # a fresh file per example: on some file systems overwriting one costs
+    # thousands of times as much as creating one
+    path = tmp_path_factory.mktemp("oracle") / "oracle.ini"
     path.write_bytes(text.encode())
     try:
         sections, expected = _configparser_read(text)

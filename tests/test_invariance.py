@@ -148,50 +148,45 @@ def test_greedy_clusters_matches_reference_on_circle(center_orbit):
     _assert_matches_reference(center_orbit.states[center_orbit.times >= 50.0], TOL)
 
 
-# (_PAIR_BLOCK, _PYTHON_MEMBERS) away from the defaults: one candidate seed
-# and one merge row per distance call, small odd blocks, and members taken
-# all by numpy (every seed neighbours itself) or all by Python lists
-_BLOCKINGS = [(1, invariance._PYTHON_MEMBERS), (1, 0), (5, 1 << 30), (333, 3), (333, 0)]
+# _PAIR_BLOCK away from the default: one candidate seed and one merge row
+# per distance call, and small odd blocks
+_BLOCKINGS = [1, 5, 333]
 
 
-@pytest.mark.parametrize("pair_block, python_members", _BLOCKINGS)
+@pytest.mark.parametrize("pair_block", _BLOCKINGS)
 @settings(max_examples=25, deadline=None)
 @given(clouds())
-def test_greedy_clusters_matches_reference_blocked(pair_block, python_members, cloud):
+def test_greedy_clusters_matches_reference_blocked(pair_block, cloud):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariance, "_PAIR_BLOCK", pair_block)
-        mp.setattr(invariance, "_PYTHON_MEMBERS", python_members)
         _assert_matches_reference(*cloud)
 
 
-@pytest.mark.parametrize("pair_block, python_members", _BLOCKINGS)
+@pytest.mark.parametrize("pair_block", _BLOCKINGS)
 def test_greedy_clusters_matches_reference_on_circle_blocked(monkeypatch, pair_block,
-                                                             python_members, center_orbit):
+                                                             center_orbit):
     monkeypatch.setattr(invariance, "_PAIR_BLOCK", pair_block)
-    monkeypatch.setattr(invariance, "_PYTHON_MEMBERS", python_members)
     _assert_matches_reference(center_orbit.states[center_orbit.times >= 50.0], TOL)
     _assert_matches_reference(np.full((200, 2), 0.5), TOL)
 
 
 def _count_work(monkeypatch):
-    """Rows of each distance call and length of each numpy centroid sum."""
-    rows, centroids = [], []
-    within, centroid = invariance._within, invariance._centroid
+    """Rows of each distance call."""
+    rows = []
+    within = invariance._within
     monkeypatch.setattr(invariance, "_within",
                         lambda xs, block, tol: rows.append(len(xs)) or within(xs, block, tol))
-    monkeypatch.setattr(invariance, "_centroid",
-                        lambda members: centroids.append(len(members)) or centroid(members))
-    return rows, centroids
+    return rows
 
 
 def test_collapsed_tail_costs_one_distance_row(monkeypatch):
     # 3,000 samples within tol of the first: one seed row takes them all,
-    # with one vectorised centroid, and one cluster leaves nothing to merge
+    # and one cluster leaves nothing to merge
     points = 0.25 + np.random.default_rng(5).uniform(-3e-3, 3e-3, (3000, 2))
-    rows, centroids = _count_work(monkeypatch)
+    rows = _count_work(monkeypatch)
     reps, counts = _greedy_clusters(points, TOL)
     assert counts.tolist() == [3000]
-    assert rows == [1] and centroids == [3000]
+    assert rows == [1]
     _assert_matches_reference(points, TOL)
 
 
@@ -204,12 +199,11 @@ def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_twin_bat
     # each), and one call per merge
     traj = two_centers_twin_batch.trajectories[5]
     tail = traj.states[traj.times >= traj.horizon * 0.5]
-    rows, centroids = _count_work(monkeypatch)
+    rows = _count_work(monkeypatch)
     reps, counts = _greedy_clusters(tail, TOL)
     assert (len(tail), len(counts)) == (1111, 313)
     assert rows == ([1, 2, 4, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 11, 12, 13, 14, 16, 20, 25, 33, 66, 50]
                     + [25] * 12 + [18] + [1] * 5)
-    assert centroids == []  # no seed has more than _PYTHON_MEMBERS neighbours
     _assert_matches_reference(tail, TOL)
 
 

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +409,26 @@ def test_distance_zero_implies_equal_ae():
     assert signal_distance(u, v, 10) == 0.0
     w = sig([1.0, 2.000001], [1, 2, 1], 10.0)
     assert signal_distance(u, w, 10) > 0.0
+
+
+def test_distance_and_extraction_load_no_numpy_ma():
+    """signal_distance and extract_convergent_subsequence import no numpy.ma
+    (about 1 MB of memory), so a run may call them."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from switchcert.signals import (AdtClass, SwitchingSignal,\n"
+        "    extract_convergent_subsequence, signal_distance)\n"
+        "family = [SwitchingSignal(np.array([1.0 + 1.0 / k, 3.0]), np.array([1, 2, 1]), 10.0)\n"
+        "          for k in range(1, 21)]\n"
+        "assert signal_distance(family[0], family[-1], 10) > 0.0\n"
+        "indices, limit = extract_convergent_subsequence(family, AdtClass(0.5, 1), tol=0.01)\n"
+        "assert len(indices) >= 5 and limit.n_switches == 2\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- shift ------------------------------------------------------------------------

@@ -1084,8 +1084,11 @@ def test_linear_fields_equal_their_plain_functions_to_the_bit(rows, stacked):
     for field, function in ((spiral_focus, spiral_focus_function), (rotation, rotation_function),
                             (damped_rotation, damped_rotation_function)):
         assert isinstance(field, LinearField)
-        assert systems._same_bits(field(x), function(x))
-        assert systems._same_bits(evaluate_rows(field, x), evaluate_rows(function, x))
+        # floats near the float maximum overflow to inf, and infinities of both
+        # signs sum to NaN, in both alike: those bits are compared too
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert systems._same_bits(field(x), function(x))
+            assert systems._same_bits(evaluate_rows(field, x), evaluate_rows(function, x))
 
 
 def test_linear_field_rejects_bad_matrices():
@@ -1149,6 +1152,29 @@ def test_linear_batches_switch_as_their_dop853_twins(request, name, batch_fixtur
         big = [np.linalg.norm(a.state_at_sample(float(t))) >= 1e-3 for t in times]
         assert np.allclose(times[big], b.signal.switch_times[big], rtol=0.0, atol=1e-7)
         assert a.stats.n_rhs == 0 and b.stats.n_rhs > 0
+
+
+def test_feedback_run_through_both_step_sources(ex1_scenario):
+    # example1 with its rotation as a plain function: mode 1 takes propagator
+    # steps and mode 2 DOP853 steps, and the run switches as its all-DOP853 twin
+    system = ex1_scenario.system
+    mixed = SwitchedSystem(2, {1: spiral_focus, 2: rotation_function}, system.modes,
+                           system.covering)
+    twin, opts = twin_system(system), ex1_scenario.integrator
+    events = 0
+    for x0 in ex1_scenario.initial_states:
+        a = integrate_feedback(mixed, x0, half_plane_rule(), ex1_scenario.horizon, opts)
+        b = integrate_feedback(twin, x0, half_plane_rule(), ex1_scenario.horizon, opts)
+        assert a.stats.n_events == b.stats.n_events
+        assert np.array_equal(a.signal.modes, b.signal.modes)
+        times = a.signal.switch_times
+        big = [np.linalg.norm(a.state_at_sample(float(t))) >= 1e-3 for t in times]
+        assert np.allclose(times[big], b.signal.switch_times[big], rtol=0.0, atol=1e-7)
+        assert 0 < a.stats.n_rhs < b.stats.n_rhs
+        chords = np.linalg.norm(np.diff(a.states, axis=0), axis=1)
+        assert chords.max() <= opts.max_dx * (1 + 1e-12)
+        events += a.stats.n_events
+    assert events > 100
 
 
 @pytest.mark.parametrize("max_dx", [math.inf, 0.05])
