@@ -28,9 +28,10 @@ length, which is scipy's ``first_step``.
 
 The mode run treats every step's end alike, whichever source made it:
 it counts the step, applies the state guards and, under state-feedback
-switching, locates a region crossing by bisection on the active boundary
-over the step's interpolant, DOP853's dense output (three field calls)
-or the propagator step's Taylor polynomial.  The same interpolant
+switching, locates a region crossing by the Illinois variant of regula
+falsi on the active boundary (:func:`_locate_crossing`) over the step's
+interpolant, DOP853's dense output (three field calls) or the
+propagator step's Taylor polynomial.  The same interpolant
 subdivides a step until consecutive samples differ by at most
 ``max_dx``, and is built only for a step that is split or crossed.  It
 returns a list of Python floats, and a chord is measured by
@@ -70,9 +71,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import repeat
-from operator import add
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -204,8 +204,11 @@ def _rows_times(rows: Sequence[Sequence[float]], x: Sequence) -> list:
     or arrays of one shape, so a stack of states gets each state's bits."""
     out = []
     for row in rows:
-        terms = [a * v for a, v in zip(row, x) if a]
-        out.append(reduce(add, terms) if terms else 0.0 * x[0])
+        acc = None
+        for a, v in zip(row, x):
+            if a:
+                acc = a * v if acc is None else acc + a * v
+        out.append(0.0 * x[0] if acc is None else acc)
     return out
 
 
@@ -292,7 +295,8 @@ class FeedbackRule:
 
     ``boundaries[gamma]`` must be <= 0 exactly on the closure of the set
     where the rule selects gamma; its sign change along a trajectory is
-    what the event bisection tracks.
+    what the event locator's secant tracks, while the rule's output
+    decides which end of the bracket each trial replaces.
     """
 
     mode_of: Callable[[np.ndarray], int]
@@ -717,7 +721,7 @@ def _run_mode(system: SwitchedSystem, gamma: int, t0: float, x0: np.ndarray, t_e
         dense = None  # built before the source resumes: DOP853's reads the shared stages
         if rule is not None and rule(x_new) != gamma:
             dense = interpolant(context, t, x, t_new, x_new)
-            t_new, at = _locate_crossing(dense, rule, gamma, t, t_new, opts.event_tol)
+            t_new, at = _locate_crossing(dense, rule, gamma, t, x, t_new, opts.event_tol)
             x_new, crossed = at.tolist(), True
         if math.dist(x, x_new) < below:
             _emit(ts, xs, t_new, x_new)
@@ -1106,30 +1110,51 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
     return kept_rows, kept_states, out, errors
 
 
-def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, t_hi: float,
-                     event_tol: float) -> tuple[float, np.ndarray]:
-    """Bisect the active-region boundary over one accepted step.
+def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, x_lo: Sequence[float],
+                     t_hi: float, event_tol: float) -> tuple[float, np.ndarray]:
+    """Locate the active-region boundary's crossing inside one accepted step.
 
-    Precondition: rule(dense(t_lo)) == gamma != rule(dense(t_hi)).
-    Returns the earliest bracketed time at which the rule output changes,
-    refined until the boundary value is small relative to event_tol, which
-    is read only once the window is.  ``dense`` may return lists or arrays.
+    Precondition: rule(x_lo) == gamma != rule(dense(t_hi)), x_lo being the
+    step's start state, dense(t_lo).  The bracket [lo, hi] keeps that
+    property and shrinks by the Illinois variant of regula falsi (Dowell &
+    Jarratt, BIT 1971), as Shampine & Thompson locate ODE events: each
+    trial time is the secant root of the boundary b = ``rule.boundaries
+    [gamma]`` at the two ends, and when the same end is kept twice in a
+    row its value is halved.  When the two values do not strictly bracket
+    zero (one is NaN or infinite, or b keeps its sign where the rule
+    flips) or the root rounds onto an end, the trial is the midpoint.
+    Each trial is classified by ``rule(x) != gamma``, not by b's sign.
+    Returns hi and its state, once the window is at most event_tol and
+    |b(x_hi)| at most event_tol / 2 (1 + |x_hi|), or the window is within
+    4e-16 of hi, or after 200 trials.  ``dense`` may return lists or arrays.
     """
     b = rule.boundaries[gamma]
     lo, hi = t_lo, t_hi
-    x_hi = dense(hi)
+    x_hi = np.asarray(dense(hi), dtype=float)
+    f_lo = float(b(np.asarray(x_lo, dtype=float)))
+    f_hi = b_hi = float(b(x_hi))  # b_hi is b(x_hi); f_hi, like f_lo, may be halved
+    last = 0  # +1 if the last trial replaced hi, -1 if it replaced lo
     for _ in range(200):
         if (hi - lo <= 4e-16 * max(1.0, abs(hi)) or hi - lo <= event_tol
-                and abs(float(b(np.asarray(x_hi, dtype=float))))
-                <= 0.5 * event_tol * (1.0 + _norm(x_hi))):
+                and abs(b_hi) <= 0.5 * event_tol * (1.0 + _norm(x_hi))):
             break
-        mid = 0.5 * (lo + hi)
-        x_mid = dense(mid)
-        if rule(x_mid) != gamma:
-            hi, x_hi = mid, x_mid
+        t = (hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo
+             else math.nan)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        x = np.asarray(dense(t), dtype=float)
+        f = float(b(x))
+        if rule(x) != gamma:
+            hi, x_hi, f_hi, b_hi = t, x, f, f
+            if last > 0:
+                f_lo *= 0.5
+            last = 1
         else:
-            lo = mid
-    return hi, np.asarray(x_hi, dtype=float)
+            lo, f_lo = t, f
+            if last < 0:
+                f_hi *= 0.5
+            last = -1
+    return hi, x_hi
 
 
 @np.errstate(**_SOLVE_ERRSTATE)
@@ -1144,8 +1169,9 @@ def integrate_feedback(
 
     The active mode runs until the rule's output changes across an
     accepted step, a DOP853 step or a linear mode's propagator step; the
-    crossing is then located by bisection on the active region's boundary
-    function, over the step's interpolant or Taylor flow.  Crossings that
+    crossing is then located by the Illinois variant of regula falsi on
+    the active region's boundary function (:func:`_locate_crossing`), over
+    the step's interpolant or Taylor flow.  Crossings that
     do not change the rule output are not switches.  Each mode's run
     selects its own initial step, or plans its propagator.
     """

@@ -191,19 +191,19 @@ def test_collapsed_tail_costs_one_distance_row(monkeypatch):
 
 
 def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_twin_batch):
-    # a two_centers tail of 1,111 samples, as DOP853 samples it, seeds 318
-    # clusters and merges 5 pairs.  One distance call per seed, per
-    # merge-pointer row and per merge side would be about 318 + 313 + 10
-    # calls; blocked, it is 23 seed blocks of doubling candidates, 13
-    # adjacency blocks over the 318 centroids (8,192 // 318 = 25 rows
+    # a two_centers tail of 1,111 samples, as DOP853 samples it, seeds 411
+    # clusters and merges 69 pairs.  One distance call per seed, per
+    # merge-pointer row and per merge side would be about 411 + 342 + 138
+    # calls; blocked, it is 25 seed blocks of doubling candidates, 22
+    # adjacency blocks over the 411 centroids (8,192 // 411 = 19 rows
     # each), and one call per merge
     traj = two_centers_twin_batch.trajectories[5]
     tail = traj.states[traj.times >= traj.horizon * 0.5]
     rows = _count_work(monkeypatch)
     reps, counts = _greedy_clusters(tail, TOL)
-    assert (len(tail), len(counts)) == (1111, 313)
-    assert rows == ([1, 2, 4, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 11, 12, 13, 14, 16, 20, 25, 33, 66, 50]
-                    + [25] * 12 + [18] + [1] * 5)
+    assert (len(tail), len(counts)) == (1111, 342)
+    assert rows == ([1, 2, 4, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 11, 12, 13, 15, 17, 20, 25, 33, 45,
+                     61, 73] + [19] * 21 + [12] + [1] * 69)
     _assert_matches_reference(tail, TOL)
 
 
