@@ -20,8 +20,8 @@ from functools import reduce
 
 import numpy as np
 
-from .reports import CheckReport, verdict, write_rows
-from .systems import Trajectory
+from .reports import CheckReport, distinct, median, verdict, write_rows
+from .systems import Trajectory, evaluate_by_mode, evaluate_rows
 
 
 _DISTANCE_BLOCK = 1 << 16  # state-distance entries per block of omega_sharp's member test
@@ -239,13 +239,6 @@ def _tail_indices(traj: Trajectory, tail_fraction: float) -> tuple[np.ndarray, f
     return idx, t_start
 
 
-def _sorted_median(values: list[float]) -> float:
-    """``np.median`` of a sorted list, to the last bit: the middle value, or
-    the mean (a + b) / 2 of the middle two."""
-    mid = len(values) // 2
-    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
-
-
 def omega_limit(traj: Trajectory, tail_fraction: float, cluster_tol: float) -> OmegaEstimate:
     """Cluster the tail samples of a bounded trajectory."""
     if not cluster_tol > 0:
@@ -275,8 +268,7 @@ def omega_sharp(
     ``cluster_tol`` of its representative (or, if the centroid drifted
     away from all of them, the nearest one), found for a block of
     representatives at once.  The dwell is the median of their gaps,
-    taken from a sorted Python list: the middle value, or (a + b) / 2 of
-    the middle two, which are ``np.median``'s bits.
+    ``np.median``'s bits (:func:`~switchcert.reports.median`).
     """
     if not cluster_tol > 0:
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
@@ -302,8 +294,7 @@ def omega_sharp(
     gaps = gaps[keep]
     modes = traj.sample_modes[idx]
     states_out, modes_out, counts_out, dwells_out = [], [], [], []
-    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
-    for gamma in sorted(set(modes.tolist())):
+    for gamma in distinct(modes):
         sel = modes == gamma
         pts = traj.states[idx[sel]]
         reps, counts = _greedy_clusters(pts, cluster_tol)
@@ -322,7 +313,7 @@ def omega_sharp(
             for r, n_members in enumerate(near.sum(axis=1).tolist()):
                 start, end = end, end + n_members
                 # a centroid that drifted from all its members takes the nearest one
-                dwells_out.append(_sorted_median(sorted(member_gaps[start:end])) if n_members
+                dwells_out.append(median(member_gaps[start:end]) if n_members
                                   else float(mode_gaps[np.argmin(dist[r])]))
     return OmegaSharpEstimate(
         np.concatenate(states_out), np.concatenate(modes_out), np.array(dwells_out, dtype=float),
@@ -354,14 +345,15 @@ def check_same_mode_constancy(traj: Trajectory, V, tol: float) -> CheckReport:
     Zero spread (up to tol) is what membership in the equal-value
     trajectory family demands; a strictly dissipative arc produces a
     positive residual with the extremal sample times as witness.  A NaN
-    value of V makes its mode's spread NaN, which fails the check.
+    value of V makes its mode's spread NaN, which fails the check.  V is
+    evaluated row-wise, once per mode (:func:`~switchcert.systems.evaluate_by_mode`).
     """
     modes = traj.sample_modes
+    values = evaluate_by_mode(lambda g, x: evaluate_rows(V.value, x, g), traj.states, modes)
     spreads, witnesses = [], []
-    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
-    for gamma in sorted(set(modes.tolist())):
+    for gamma in distinct(modes):
         sel = np.flatnonzero(modes == gamma)
-        vals = np.array([V.value(traj.states[k], gamma) for k in sel])
+        vals = values[sel]
         spreads.append(vals.max() - vals.min())  # NaN if any value is
         witnesses.append((float(traj.times[sel[np.argmax(vals)]]),
                           float(traj.times[sel[np.argmin(vals)]]), gamma))
@@ -378,8 +370,9 @@ def lasalle_certify(
     """Certify convergence of a trajectory to a candidate state set.
 
     Passes iff every tail sample lies within tol of the candidate set;
-    ``worst`` is the largest tail distance to it.  The candidate is
-    user-supplied: computing a maximal weakly-invariant set is out of
+    ``worst`` is the largest tail distance to it, and a failing report's
+    witness the time and state of the farthest tail sample.  The candidate
+    is user-supplied: computing a maximal weakly-invariant set is out of
     reach numerically, so this certifies a guess, it does not find one.
     """
     candidate = np.atleast_2d(np.asarray(candidate_states, dtype=float))
@@ -387,9 +380,10 @@ def lasalle_certify(
         raise ValueError("candidate set must be nonempty")
     idx, t_start = _tail_indices(traj, tail_fraction)
     tail = traj.states[idx]
-    sup = float(np.linalg.norm(tail[:, None, :] - candidate[None, :, :], axis=2).min(axis=1).max())
-    return CheckReport("lasalle", sup <= tol, worst=sup,
-                       details={"tol": tol, "tail_window": (t_start, traj.horizon)})
+    distances = np.linalg.norm(tail[:, None, :] - candidate[None, :, :], axis=2).min(axis=1)
+    return verdict("lasalle", distances, tol,
+                   lambda i: (float(traj.times[idx[i]]), np.array(tail[i])),
+                   {"tol": tol, "tail_window": (t_start, traj.horizon)})
 
 
 __all__ = [

@@ -39,7 +39,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .reports import CheckReport, verdict, write_rows
+from .reports import CheckReport, distinct, verdict, write_rows
 from .systems import (
     FiniteEscapeError,
     IntegratorOptions,
@@ -380,8 +380,7 @@ def _rises(starts: np.ndarray, ends: np.ndarray, modes: np.ndarray) -> tuple[np.
     its mode NaN."""
     rise = np.full(starts.size, -math.inf)
     low_at = np.zeros(starts.size, dtype=np.int64)
-    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
-    for gamma in sorted(set(modes.tolist())):
+    for gamma in distinct(modes):
         idx = np.flatnonzero(modes == gamma)
         low = np.minimum.accumulate(ends[idx])
         rise[idx[1:]] = starts[idx[1:]] - low[:-1]

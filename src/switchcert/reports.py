@@ -85,6 +85,21 @@ class CheckReport:
         return self.passed
 
 
+# np.unique and np.median import numpy.ma (~1 MB) in numpy 2.4, through
+# np.ma.is_masked, so the package takes their values by these two instead
+def distinct(values: np.ndarray) -> list:
+    """The distinct values of an array, sorted, as Python scalars:
+    ``np.unique(values).tolist()``."""
+    return sorted(set(values.tolist()))
+
+
+def median(values: list) -> float:
+    """``np.median`` of a list of floats, to the last bit: the middle value of
+    the sorted list, or the mean (a + b) / 2 of the middle two."""
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def verdict(name: str, values, tol: float, witness: Callable[[int], Any],
             details: Mapping[str, Any]) -> CheckReport:
     """The check contract, for a check that reduces one value per sample.

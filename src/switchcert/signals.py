@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reports import CheckReport, fmt17, read_utf8, reduce_via_constructor
+from .reports import CheckReport, distinct, fmt17, median, read_utf8, reduce_via_constructor
 
 INFINITY = math.inf
 
@@ -355,13 +355,12 @@ def signal_distance(u: SwitchingSignal, v: SwitchingSignal, n_terms: int) -> flo
     if not (isinstance(n_terms, int) and n_terms >= 1):
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
     end = float(n_terms)
-    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
-    cuts = np.array(sorted(set(np.concatenate([
+    cuts = np.array(distinct(np.concatenate([
         [0.0, end],
         u.switch_times[u.switch_times < end],
         v.switch_times[v.switch_times < end],
         np.arange(1.0, end),
-    ]).tolist())))
+    ])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     differ = u.values_at(mids) != v.values_at(mids)
     seg_lengths = np.where(differ, np.diff(cuts), 0.0)
@@ -488,8 +487,7 @@ def extract_convergent_subsequence(
     selected = np.arange(count)
     for i in range(max_idx + 1):
         col = mode_tab[selected, i]
-        # not np.unique (see signal_distance): each mode's index among the sorted distinct modes
-        inv = np.searchsorted(sorted(set(col.tolist())), col)
+        inv = np.searchsorted(distinct(col), col)  # each mode's index among the distinct modes
         sizes = np.bincount(inv)
         selected = selected[inv == int(np.argmax(sizes))]
         if selected.size < required:
@@ -510,10 +508,7 @@ def extract_convergent_subsequence(
     limit_times[0] = 0.0
     for i in range(1, max_idx + 1):
         col = times[selected, i]
-        # np.median's value, not its call, which imports numpy.ma: the middle
-        # value, or the mean of the middle two
-        ordered, mid = sorted(col.tolist()), len(col) // 2
-        if math.isinf(ordered[mid] if len(col) % 2 else (ordered[mid - 1] + ordered[mid]) / 2):
+        if math.isinf(median(col.tolist())):
             limit_times[i] = INFINITY
         else:
             limit_times[i] = _sequence_limit(col[np.isfinite(col)])

@@ -41,14 +41,16 @@ sampling makes no numpy call per sample.
 :func:`advance_starts` steps many starts of one mode over one window
 together, so that every row takes the steps :func:`integrate` would
 take for it alone: the propagator steps of a linear mode as one
-elementwise pass over the stack, any other mode as rows of one DOP853
-with the same tableau, initial step and controller.  Its step selection
-and controller are whole-array passes, with each power a libm ``pow``
-per row, and both kinds of mode share one row guard
-(:func:`_guard_rows`), the mode run's state guards on every row.  It
-samples accepted steps only and has no interpolant.  Each trajectory of
-:func:`integrate` and :func:`integrate_feedback` builds its stage array
-once and shares it among its constancy intervals.
+elementwise pass over the stack, any other mode as rows of one DOP853.
+That batch shares the step loop's rules, one initial step selection
+(:func:`_starting_steps`) and one finiteness test of an attempt's
+stages, and keeps its own stage sums and controller (:func:`_control_rows`),
+whole-array passes with each power a libm ``pow`` per row.  Both kinds
+of mode share one row guard (:func:`_guard_rows`), the mode run's state
+guards on every row.  It samples accepted steps only and has no
+interpolant.  Each trajectory of :func:`integrate` and
+:func:`integrate_feedback` builds its stage array once and shares it
+among its constancy intervals.
 
 Scenario functions are row-wise: a vector field, covering boundary,
 Lyapunov value or gradient, or output takes one state (n,) or a stack
@@ -77,7 +79,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .reports import CheckReport, reduce_via_constructor, require_ranges, verdict, write_rows
+from .reports import (CheckReport, distinct, reduce_via_constructor, require_ranges, verdict,
+                      write_rows)
 from .signals import ModeSet, SwitchingSignal
 
 VectorField = Callable[[np.ndarray], np.ndarray]
@@ -160,8 +163,7 @@ def evaluate_by_mode(evaluate: Callable[[int, np.ndarray], np.ndarray], states: 
     """``evaluate(gamma, rows)`` on the rows of each mode, one call per mode,
     returned in row order; ``evaluate`` gives one value per row."""
     out = np.empty(len(modes))
-    # not np.unique: numpy 2.4's calls np.ma.is_masked, which imports numpy.ma (~1 MB)
-    for gamma in sorted(set(modes.tolist())):
+    for gamma in distinct(modes):
         sel = modes == gamma
         out[sel] = evaluate(gamma, states[sel])
     return out
@@ -479,20 +481,6 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return row_norms(z) / z.shape[-1] ** 0.5
 
 
-def _trial_step(d0: float, d1: float, interval: float) -> float:
-    """The initial step selection's trial step h0, from the RMS norms of the
-    start state and of its field value over the tolerance scale."""
-    return min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-
-
-def _initial_step(h0: float, d1: float, d2: float, interval: float) -> float:
-    """The initial step (Hairer, Norsett & Wanner, II.4), where d2 is the RMS
-    norm over the scale of the field's change across the trial step, over h0."""
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** _EXPONENT)
-    return min(100 * h0, h1, interval)
-
-
 def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tuple[float, bool]:
     """Error norm of an attempt of size h_abs, and the step-size controller.
 
@@ -514,10 +502,10 @@ def _control(h_abs: float, e5: float, e3: float, n: int, rejected: bool) -> tupl
     return h_abs * max(0.2, 0.9 * error_norm ** -_EXPONENT), False
 
 
-# The same selection and controller for a stack of rows, to the bit of the
-# scalar functions above: every power is libm ``pow`` per element, which
-# numpy's power is not; a Python min or max against a constant that drops a
-# NaN is np.fmin or np.fmax, and one that keeps it np.minimum or np.maximum.
+# On a stack of rows, the step selection and the controller take every power
+# as libm ``pow`` per element, as Python's float power does and numpy's array
+# power does not; a Python min or max against a constant that drops a NaN is
+# np.fmin or np.fmax, and one that keeps it np.minimum or np.maximum.
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -525,23 +513,25 @@ def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     return np.array(list(map(math.pow, base.tolist(), repeat(exponent))), dtype=float)
 
 
-def _trial_steps(d0: np.ndarray, d1: np.ndarray, interval: float) -> np.ndarray:
-    """:func:`_trial_step` of each row."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    return np.minimum(h0, interval)
-
-
-def _initial_steps(h0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                   interval: float) -> np.ndarray:
-    """:func:`_initial_step` of each row; Python's max(d1, d2) keeps d1 unless
-    d2 is larger, and its min(a, b, c) takes a later one only if smaller."""
+def _starting_steps(field: Callable[[np.ndarray, np.ndarray], np.ndarray], y: np.ndarray,
+                    fy: np.ndarray, interval: float, rtol: float, atol: float) -> np.ndarray:
+    """The initial step of each row of the stack y (k, n), whose field values
+    are fy, as scipy's DOP853 selects it, to the bit (Hairer, Norsett &
+    Wanner, II.4): over the tolerance scale, d0 and d1 are the RMS norms of
+    y and fy, the trial step h0 is 1e-6 if either is below 1e-5, else
+    0.01 d0 / d1, at most ``interval``, and d2 is the RMS norm of
+    ``field(h0, y + h0 fy) - fy`` over h0.  Python's max(d1, d2) keeps d1
+    unless d2 is larger, and its min(a, b, c) takes a later one only if
+    smaller."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), interval)
+    # h0 is 0 only where d1 overflowed: d2 is then inf or NaN, and the step 0
+    d2 = _rms((field(h0, y + h0[:, None] * fy) - fy) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
-    with np.errstate(divide="ignore", over="ignore"):
-        base = 0.01 / np.where(d2 > d1, d2, d1)
-    h1 = np.where(flat, np.fmax(1e-6, h0 * 1e-3), _pow(np.where(flat, 1.0, base), _EXPONENT))
-    h = 100 * h0
-    return np.minimum(np.where(h1 < h, h1, h), interval)
+    h1 = np.where(flat, np.fmax(1e-6, h0 * 1e-3),
+                  _pow(np.where(flat, 1.0, 0.01 / np.where(d2 > d1, d2, d1)), _EXPONENT))
+    return np.minimum(np.where(h1 < 100 * h0, h1, 100 * h0), interval)
 
 
 def _control_rows(h_abs: np.ndarray, e5: np.ndarray, e3: np.ndarray, n: int,
@@ -743,9 +733,10 @@ def _dop853_steps(f: VectorField, rhs, t: float, y: np.ndarray, t_end: float,
     list, the tolerance scale atol + rtol max|x| the controller enforced
     there, that max|x|, the field calls of the step's attempts and the
     step size the controller proposes next.  The start state's field value
-    is ``rhs(t, y)``, and an initial step is selected when ``h_abs`` is
-    None, at one more call.  Each attempt calls ``f`` unchecked for its
-    twelve stages (eleven and the step's end) and checks them once: a
+    is ``rhs(t, y)``, and when ``h_abs`` is None :func:`_starting_steps`
+    selects the initial step of this one row, at one more call.  Each
+    attempt calls ``f`` unchecked for its twelve stages (eleven and the
+    step's end) and checks them once, as :func:`_advance_dop853` does: a
     non-finite stage raises :class:`StiffnessError` at t + c_s h of the
     first one.  The stages are held in ``workspace``'s K, which the step's
     interpolant reads, so the consumer builds that before it resumes the
@@ -754,13 +745,9 @@ def _dop853_steps(f: VectorField, rhs, t: float, y: np.ndarray, t_end: float,
     n = len(y)
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
     fy = rhs(t, y)
-    if h_abs is None:
-        scale = atol + np.abs(y) * rtol
-        d1 = float(_rms(fy / scale))
-        h0 = _trial_step(float(_rms(y / scale)), d1, t_end - t)
-        change = float(_rms((rhs(t + h0, y + h0 * fy) - fy) / scale))
-        # h0 is 0 only when d1 overflowed; the step is then 0 and fails the step-size guard
-        h_abs = _initial_step(h0, d1, change / h0 if h0 else math.nan, t_end - t)
+    if h_abs is None:  # a step of 0 fails the step-size guard below
+        h_abs = float(_starting_steps(lambda h0, z: rhs(t + float(h0[0]), z[0]), y[None],
+                                      fy[None], t_end - t, rtol, atol)[0])
     K, views = workspace
     while t < t_end:
         # one step: attempts from h_abs down until one is accepted
@@ -1008,15 +995,19 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
 def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: IntegratorOptions):
     """The rows y of :func:`advance_starts` as rows of one DOP853.
 
-    The same tableau, initial step and controller as :func:`_run_mode`,
-    with each stage sum one matmul per row, and the step selection and
-    controller taken on all rows at once with every power a libm ``pow``
-    per row (:func:`_control_rows`).  The field is called once per stage on
-    the stack of running rows, so it must be row-wise; :func:`evaluate_rows`
-    checks it once for each stack shape the advance meets, and later stacks
-    of that shape call it directly.  Accepted states are recorded once per
-    attempt.  Returns the sample batches' start indices and states, the
-    escapes per start, and the StiffnessError of each start that met one.
+    The same tableau, initial step selection (:func:`_starting_steps`) and
+    controller as :func:`_run_mode`, with each stage sum one matmul per
+    row, so no row's values reach another's, and the controller taken on
+    all rows at once (:func:`_control_rows`).  The field is called once per
+    stage on the stack of running rows, so it must be row-wise;
+    :func:`evaluate_rows` checks it once for each stack shape the advance
+    meets.  An attempt's stages, like each of the initial step's two field
+    values, take one finiteness test, as in :func:`_dop853_steps`; only
+    when it fails are the rows scanned, and a row with a non-finite stage
+    records the StiffnessError of its first one and leaves before the
+    controller runs.  Accepted states are recorded once per attempt.
+    Returns the sample batches' start indices and states, the escapes per
+    start, and the StiffnessError of each start that met one.
     """
     n_rows, n = y.shape
     S = _N_STAGES
@@ -1027,39 +1018,36 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
     errors: dict[int, StiffnessError] = {}
     checked: set = set()  # stack shapes on which evaluate_rows has checked f
 
-    def field(F: np.ndarray, Y: np.ndarray, live: np.ndarray, t: np.ndarray, c: float,
-              h: np.ndarray) -> np.ndarray:
-        """F[r] = f(Y[r]) for each live row r, in one call on their stack.  A
-        row whose value is not finite records its StiffnessError at time
-        t + c h, leaves ``live`` and reads zero, as every row not live does."""
-        if live.all():
-            Z, at = Y, ...
+    def field(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """F[r] = f(Y[r]) for every row r, in one call on the stack."""
+        if Y.shape in checked:
+            F[...] = f(Y)
         else:
-            Z, at = Y[live], live
-            F[~live] = 0.0
-        if len(Z):
-            if Z.shape in checked:
-                value = f(Z)
-            else:
-                value = evaluate_rows(f, Z)
-                checked.add(Z.shape)
-            F[at] = value
-        if not np.isfinite(F).all():
-            for r in np.flatnonzero(~np.isfinite(F).all(axis=1)).tolist():
-                errors[int(rows[r])] = StiffnessError(
-                    f"vector field returned non-finite values at t ~ {t[r] + c * h[r]:.6g}")
-                live[r], F[r] = False, 0.0
+            F[...] = evaluate_rows(f, Y)
+            checked.add(Y.shape)
         return F
 
-    # the initial step of each row, from t = 0
+    def drop_non_finite(K: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+        """Each live row whose stages K[r] (taken at t + c h) are not all finite
+        records the StiffnessError of its first non-finite one and leaves."""
+        if not np.isfinite(K).all():
+            bad = ~np.isfinite(K).all(axis=2)
+            for r in np.flatnonzero(live & bad.any(axis=1)).tolist():
+                errors[int(rows[r])] = StiffnessError(
+                    _NON_FINITE_FIELD.format(t[r] + c[np.argmax(bad[r])] * h[r]))
+                live[r] = False
+
+    def trial(h0: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The field at the initial step selection's trial states, at t + h0."""
+        F = field(np.empty_like(Y), Y)
+        drop_non_finite(F[:, None], np.ones(1), h0)
+        return F
+
     live = np.ones(n_rows, dtype=bool)
     t = np.zeros(n_rows)
-    fy = field(np.empty_like(y), y, live, t, 0.0, t)
-    scale = atol + np.abs(y) * rtol
-    d1 = _rms(fy / scale)
-    h0 = _trial_steps(_rms(y / scale), d1, t_end)
-    f1 = field(np.empty_like(y), y + h0[:, None] * fy, live, t, 1.0, h0)
-    h_abs = _initial_steps(h0, d1, _rms((f1 - fy) / scale) / h0, t_end)
+    fy = field(np.empty_like(y), y)
+    drop_non_finite(fy[:, None], np.zeros(1), t)
+    h_abs = _starting_steps(trial, y, fy, t_end, rtol, atol)
     fresh = np.ones(n_rows, dtype=bool)  # a row whose next attempt starts a new step
     rejected = np.zeros(n_rows, dtype=bool)
 
@@ -1085,10 +1073,10 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
         KT = K.transpose(0, 2, 1)
         K[:, 0] = fy
         for s in range(1, S):
-            dy = np.matmul(KT[:, :, :s], _A[s, :s]) * h[:, None]
-            field(K[:, s], y + dy, live, t, _C[s], h)
+            field(K[:, s], y + np.matmul(KT[:, :, :s], _A[s, :s]) * h[:, None])
         y_new = y + h[:, None] * np.matmul(KT[:, :, :S], _B)
-        f_new = field(K[:, S], y_new, live, t, 1.0, h)
+        f_new = field(K[:, S], y_new)
+        drop_non_finite(K, _C, h)
         # the error norm and the controller, on the live rows
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         e5 = row_norms(np.matmul(KT, _E5) / scale)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchcert import invariance
+from switchcert import invariance, systems
 from switchcert.invariance import (
     OmegaEstimate,
     OmegaSharpEstimate,
@@ -19,7 +19,7 @@ from switchcert.invariance import (
     project_states,
 )
 from switchcert.lyapunov import LyapunovCandidate
-from switchcert.reports import fmt17
+from switchcert.reports import fmt17, median, verdict
 from switchcert.signals import INFINITY, SwitchingSignal
 from switchcert.systems import IntegratorOptions, IntegratorStats, Trajectory, integrate
 
@@ -190,20 +190,27 @@ def test_collapsed_tail_costs_one_distance_row(monkeypatch):
     _assert_matches_reference(points, TOL)
 
 
-def test_circular_tail_costs_blocks_and_merges(monkeypatch, two_centers_twin_batch):
-    # a two_centers tail of 1,111 samples, as DOP853 samples it, seeds 411
-    # clusters and merges 69 pairs.  One distance call per seed, per
-    # merge-pointer row and per merge side would be about 411 + 342 + 138
-    # calls; blocked, it is 25 seed blocks of doubling candidates, 22
-    # adjacency blocks over the 411 centroids (8,192 // 411 = 19 rows
-    # each), and one call per merge
-    traj = two_centers_twin_batch.trajectories[5]
-    tail = traj.states[traj.times >= traj.horizon * 0.5]
+def test_circular_tail_costs_blocks_and_merges(monkeypatch):
+    # three laps over 100 sites of the unit circle, 2 sin(pi / 100) = 0.063
+    # apart, at radii 1, 1 + 1.2 tol and 1 + 0.6 tol: lap 1 seeds 100
+    # clusters, each taking its site's lap-3 point too (0.6 tol away); lap 2
+    # (1.2 tol out) seeds 100 more; then each site's two centroids,
+    # 1 + 0.3 tol and 1 + 1.2 tol, lie 0.9 tol apart and merge
+    site = 2.0 * np.pi * np.arange(100) / 100.0
+    direction = np.stack([np.cos(site), np.sin(site)], axis=1)
+    tail = np.concatenate([r * direction for r in (1.0, 1.0 + 1.2 * TOL, 1.0 + 0.6 * TOL)])
     rows = _count_work(monkeypatch)
     reps, counts = _greedy_clusters(tail, TOL)
-    assert (len(tail), len(counts)) == (1111, 342)
-    assert rows == ([1, 2, 4, 7, 7, 7, 8, 8, 8, 9, 9, 9, 10, 10, 11, 12, 13, 15, 17, 20, 25, 33, 45,
-                     61, 73] + [19] * 21 + [12] + [1] * 69)
+    assert counts.tolist() == [3] * 100
+    # seeding: block b offers min(2^b, 8192 // free) candidates of the free
+    # points; a lap-1 seed takes two points and a lap-2 seed one, so the
+    # free counts run 300, 298, 294, 286, 270, 238, 174, and the last two
+    # blocks are capped: 8192 // 174 = 47 candidates (37 lap-1, 10 lap-2),
+    # then the 90 lap-2 points left
+    seed_rows = [1, 2, 4, 8, 16, 32, invariance._PAIR_BLOCK // 174, 90]
+    # merging: the 200 centroids' adjacency in blocks of 8192 // 200 = 40
+    # rows, then one call per merge
+    assert rows == seed_rows + [invariance._PAIR_BLOCK // 200] * 5 + [1] * 100
     _assert_matches_reference(tail, TOL)
 
 
@@ -448,7 +455,7 @@ def test_sorted_median_is_numpy_median():
                        np.append(rng.exponential(size=n - 1), math.inf),
                        np.full(n, math.inf), np.full(n, 1.7e308)):
             with np.errstate(over="ignore"):  # the mean of two 1.7e308 overflows in both
-                assert invariance._sorted_median(sorted(values.tolist())) == np.median(values)
+                assert median(values.tolist()[::-1]) == np.median(values)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -550,6 +557,42 @@ def test_constancy_fails_on_nan_value(center_orbit):
     assert rep.witness == (first_nan, first_nan, 2)
 
 
+def _reference_constancy(traj, V, tol):
+    """check_same_mode_constancy as a loop of per-point calls of V."""
+    modes = traj.sample_modes
+    spreads, witnesses = [], []
+    for gamma in sorted(set(modes.tolist())):
+        sel = np.flatnonzero(modes == gamma)
+        vals = np.array([V.value(traj.states[k], gamma) for k in sel])
+        spreads.append(vals.max() - vals.min())
+        witnesses.append((float(traj.times[sel[np.argmax(vals)]]),
+                          float(traj.times[sel[np.argmin(vals)]]), gamma))
+    return verdict("same-mode-value-constancy", spreads, tol, witnesses.__getitem__, {"tol": tol})
+
+
+@pytest.mark.parametrize("batch, scenario", [("ex1_batch", "ex1_scenario"),
+                                             ("two_centers_batch", "two_centers_scenario")])
+def test_constancy_matches_the_per_point_loop(request, batch, scenario):
+    V = request.getfixturevalue(scenario).V
+    for traj in request.getfixturevalue(batch).trajectories:
+        for candidate in (V, LyapunovCandidate(_square_nan_left)):
+            for tol in (1e-6, 1e3):
+                got = check_same_mode_constancy(traj, candidate, tol)
+                want = _reference_constancy(traj, candidate, tol)
+                assert (got.name, got.passed, got.witness, got.details) == (
+                    want.name, want.passed, want.witness, want.details)
+                assert systems._same_bits(np.array([got.worst]), np.array([want.worst]))
+
+
+def _per_point_square(x, gamma):
+    return float(np.dot(x, x))
+
+
+def test_constancy_rejects_a_per_point_value(center_orbit):
+    with pytest.raises(TypeError, match="_per_point_square is not row-wise"):
+        check_same_mode_constancy(center_orbit, LyapunovCandidate(_per_point_square), 1e-6)
+
+
 def test_constancy_fails_on_dissipative_trajectory(ex1_batch, ex1_scenario):
     traj = ex1_batch.trajectories[0]
     rep = check_same_mode_constancy(traj, ex1_scenario.V, tol=1e-6)
@@ -586,6 +629,17 @@ def test_lasalle_fail_on_circle(center_orbit):
     rep = lasalle_certify(center_orbit, np.zeros((1, 2)), TOL, 0.5)
     assert not rep.passed
     assert rep.worst == pytest.approx(1.0, abs=1e-3)
+
+
+def test_lasalle_witness_is_the_farthest_tail_sample(two_centers_batch):
+    candidate = np.array([[0.0, 0.0], [0.5, -0.5]])
+    for traj in two_centers_batch.trajectories:
+        rep = lasalle_certify(traj, candidate, TOL, 0.5)
+        assert not rep.passed
+        t, x = rep.witness
+        assert t >= traj.horizon * 0.5 and np.array_equal(x, traj.state_at_sample(t))
+        distance = np.linalg.norm(x[None, None, :] - candidate[None, :, :], axis=2).min()
+        assert float(distance) == rep.worst
 
 
 def test_lasalle_equilibrium(zero_trajectory):

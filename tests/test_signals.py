@@ -412,18 +412,29 @@ def test_distance_zero_implies_equal_ae():
 
 
 def test_distance_and_extraction_load_no_numpy_ma():
-    """signal_distance and extract_convergent_subsequence import no numpy.ma
-    (about 1 MB of memory), so a run may call them."""
+    """signal_distance, extract_convergent_subsequence and the per-mode checks
+    along a trajectory import no numpy.ma (about 1 MB of memory), so a run
+    may call them."""
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from switchcert.signals import (AdtClass, SwitchingSignal,\n"
         "    extract_convergent_subsequence, signal_distance)\n"
+        "from switchcert.invariance import check_same_mode_constancy, omega_sharp\n"
+        "from switchcert.lyapunov import check_return_monotonicity\n"
+        "from switchcert.scenarios import builtin_scenario\n"
+        "from switchcert.systems import integrate\n"
         "family = [SwitchingSignal(np.array([1.0 + 1.0 / k, 3.0]), np.array([1, 2, 1]), 10.0)\n"
         "          for k in range(1, 21)]\n"
         "assert signal_distance(family[0], family[-1], 10) > 0.0\n"
         "indices, limit = extract_convergent_subsequence(family, AdtClass(0.5, 1), tol=0.01)\n"
         "assert len(indices) >= 5 and limit.n_switches == 2\n"
+        "ex2 = builtin_scenario('example2')\n"
+        "signal = SwitchingSignal(np.array([1.0, 2.5, 4.0]), np.array([1, 2, 1, 2]), 6.0)\n"
+        "traj = integrate(ex2.system, [1.0, 0.5], signal)\n"
+        "assert not check_same_mode_constancy(traj, ex2.V, 1e-6)\n"
+        "assert set(omega_sharp(traj, 0.5, 0.01).modes.tolist()) == {1, 2}\n"
+        "assert check_return_monotonicity(ex2.V, traj)\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

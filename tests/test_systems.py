@@ -16,6 +16,7 @@ from conftest import (
 )
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.linalg import expm
 
 from switchcert import systems
@@ -260,6 +261,46 @@ def test_advance_starts_raises_the_first_failing_starts_error():
                                 ([[0.0], [1e307]], "stepper failed")):
             with pytest.raises(StiffnessError, match=message):
                 advance_starts(sys_, 1, np.array(starts), 1e9, opts)
+
+
+def _nan_past_one(x):
+    """Unit speed along x1, NaN once x1 reaches 1 or is NaN."""
+    return np.where((~(x.T[0] < 1.0))[..., None], math.nan, [1.0, 0.0])
+
+
+def test_advance_starts_drops_only_the_rows_whose_stages_fail():
+    # three starts reach x1 = 1 within the window, one starts past it (its
+    # error, at t = 0, is not overwritten by the initial step's trial call)
+    # and three never reach it; the first stage that meets NaN is an
+    # interior one, and the failing rows change no bit of the others' samples
+    starts = np.array([[-50.0, 0.0], [0.0, 0.0], [-60.0, 1.0], [0.4, 0.0], [-70.0, 0.0],
+                       [0.9, 2.0], [1.5, 0.0]])
+    stack_calls = []
+
+    def field(x):
+        out = _nan_past_one(x)
+        if x.ndim == 2:
+            stack_calls.append(bool(np.isnan(out).any()))
+        return out
+
+    sys_ = single_mode_system(field)
+    opts = IntegratorOptions(max_dx=math.inf)
+    with np.errstate(**systems._SOLVE_ERRSTATE):
+        kept_rows, kept_states, _, errors = systems._advance_dop853(field, starts, 3.0, opts)
+    first = stack_calls.index(True, 2)  # two calls select the initial step, then 12 per attempt
+    assert 1 <= (first - 2) % 12 + 1 < 12
+    assert sorted(errors) == [1, 3, 5, 6] and str(errors[6]).endswith("t ~ 0")
+    for k, err in errors.items():
+        with pytest.raises(StiffnessError) as want:
+            integrate(sys_, starts[k], SwitchingSignal.constant(1, 3.0), opts)
+        assert str(err) == str(want.value)
+    with pytest.raises(StiffnessError) as raised:
+        advance_starts(sys_, 1, starts, 3.0, opts)
+    assert str(raised.value) == str(errors[1])
+    rows, states = np.concatenate(kept_rows), np.concatenate(kept_states)
+    alone = advance_starts(sys_, 1, starts[[0, 2, 4]], 3.0, opts)
+    for k, want in zip([0, 2, 4], alone):
+        assert systems._same_bits(states[rows == k], want)
 
 
 def test_advance_starts_checks_the_field_once_per_stack_shape():
@@ -539,20 +580,28 @@ def test_control_rejects_when_the_denominator_underflows():
 
 
 def test_initial_step_rows_match_the_scalar_selection():
-    # d0 or d1 below 1e-5 take the fixed trial step, and d1 = d2 = 0 (at most
-    # 1e-15) the flat-field step; the rest draw norms over 1e-300..1e300
+    # scipy's selection, one call per row, is the oracle.  With atol = 1 and
+    # rtol = 0 the tolerance scale is 1, so the one-component start y0 = d0,
+    # field value f0 = d1 and trial value f1 = f0 + d2 h0 give the scaled
+    # norms d0, d1 and d2 (up to rounding in d2) wherever their squares are
+    # normal doubles; beyond, the norms overflow to inf or flush to 0 alike
+    # in both.  d0 or d1 below 1e-5 take the fixed trial step, and d1 = d2 = 0
+    # (at most 1e-15) the flat-field step; the rest draw norms over 1e-300..1e300
     rng = np.random.default_rng(7)
     special = [0.0, 5e-324, 1e-300, 1e-15, 2e-15, 9.99e-6, 1e-5, 1e-3, 1.0, 1e5, 1e300]
     d0, d1, d2 = (np.concatenate([rng.choice(special, 3000), 10.0 ** rng.uniform(-300, 300, 3000)])
                   for _ in range(3))
     d1[:200] = d2[:200] = 0.0
-    for interval in (1e-9, 0.1, 7.3, 1e9):
-        h0 = systems._trial_steps(d0, d1, interval)
-        assert h0.tolist() == [systems._trial_step(a, b, interval)
-                               for a, b in zip(d0.tolist(), d1.tolist())]
-        got = systems._initial_steps(h0, d1, d2, interval)
-        assert got.tolist() == [systems._initial_step(h, b, c, interval)
-                                for h, b, c in zip(h0.tolist(), d1.tolist(), d2.tolist())]
+    y0, f0 = d0[:, None], d1[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for interval in (1e-9, 0.1, 7.3, 1e9):
+            got = systems._starting_steps(lambda h0, y: f0 + d2[:, None] * h0[:, None], y0, f0,
+                                          interval, 0.0, 1.0)
+            want = [select_initial_step(lambda t, y, b=b, c=c: np.array([b + c * t]), 0.0,
+                                        np.array([a]), interval, math.inf, np.array([b]), 1, 7,
+                                        0.0, 1.0)
+                    for a, b, c in zip(d0.tolist(), d1.tolist(), d2.tolist())]
+            assert systems._same_bits(got, np.array(want, dtype=float))
 
 
 def test_integrate_matches_scipy_from_a_subnormal_start():
