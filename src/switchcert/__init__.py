@@ -41,7 +41,7 @@ from .systems import (
 )
 from .lyapunov import LyapunovCandidate, OutputFamily, SampleRegion, lie_derivative
 from .invariance import omega_limit, omega_sharp, project_states
-from .stability import TrajectoryBatch, fit_kl_envelope, fit_uniform_envelope, guas_report
+from .stability import fit_kl_envelope, fit_uniform_envelope, guas_report
 from .scenarios import Scenario, builtin_scenario
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "SwitchedSystem",
     "SwitchingSignal",
     "Trajectory",
-    "TrajectoryBatch",
     "builtin_scenario",
     "extract_convergent_subsequence",
     "fit_kl_envelope",

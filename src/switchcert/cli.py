@@ -246,7 +246,7 @@ Artifacts = dict[str, Callable[[Path], None]]
 
 def _trajectory_artifacts(scenario: Scenario, batch) -> Artifacts:
     files: Artifacts = {}
-    for k, traj in enumerate(batch.trajectories):
+    for k, traj in enumerate(batch):
         files[f"trajectory_{k:03d}.csv"] = partial(write_trajectory_csv, traj, V=scenario.V)
         files[f"signal_{k:03d}.txt"] = partial(save_signal, traj.signal, scenario.system.modes)
     return files
@@ -256,7 +256,7 @@ def _omega_artifacts(scenario: Scenario, batch) -> tuple[list, Artifacts]:
     """Omega and omega-sharp estimates of every trajectory, and their files."""
     checks = scenario.checks
     estimates, files = [], {}
-    for k, traj in enumerate(batch.trajectories):
+    for k, traj in enumerate(batch):
         est = omega_limit(traj, checks.tail_fraction, checks.cluster_tol)
         sharp = omega_sharp(traj, checks.tail_fraction, checks.cluster_tol)
         estimates.append((est, sharp))

@@ -395,9 +395,7 @@ def _paired(rise: np.ndarray) -> np.ndarray:
     return np.zeros(1) if np.max(rise) == -math.inf else rise
 
 
-def check_return_monotonicity(
-    V: LyapunovCandidate, traj: Trajectory, tol: float = 1e-9
-) -> CheckReport:
+def check_return_monotonicity(V: LyapunovCandidate, traj: Trajectory, tol: float) -> CheckReport:
     """Two related monotonicity checks along one trajectory, as one report.
 
     ``details["across_switches"]`` compares, for every ordered pair of

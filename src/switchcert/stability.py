@@ -1,5 +1,9 @@
 """Empirical stability classification over trajectory batches.
 
+A batch is the tuple of trajectories that ``simulate_batch`` runs for
+one scenario; a batch-level check reads its horizon as the longest
+horizon among the trajectories.
+
 Uniform stability is probed by an overshoot table: restart the clock at
 21 grid times spanning the first half of the horizon, bin the restart
 radius, and record the largest subsequent norm per bin.  Asymptotic
@@ -35,7 +39,7 @@ from .lyapunov import (
     check_return_monotonicity,
     distinguishability_probe,
 )
-from .reports import CheckReport, fmt17, write_rows
+from .reports import CheckReport, fmt17, verdict, write_rows
 from .scenarios import FeedbackSource, FileSource, GeneratedSource, Scenario
 from .signals import generate_adt, validate_adt
 from .systems import (
@@ -48,21 +52,7 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryBatch:
-    """Trajectories sharing one scenario's parameters."""
-
-    scenario: str
-    initial_states: np.ndarray
-    signal_source: str
-    horizon: float
-    trajectories: tuple[Trajectory, ...]
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
-
-
-def simulate_batch(scenario: Scenario) -> TrajectoryBatch:
+def simulate_batch(scenario: Scenario) -> tuple[Trajectory, ...]:
     """Run every trajectory a scenario's signal source prescribes.
 
     A feedback source yields one trajectory per initial condition; a
@@ -72,18 +62,10 @@ def simulate_batch(scenario: Scenario) -> TrajectoryBatch:
     sys_, opts, src = scenario.system, scenario.integrator, scenario.source
     ics = scenario.initial_states
     if isinstance(src, FeedbackSource):
-        trajs = [integrate_feedback(sys_, x0, src.rule, scenario.horizon, opts) for x0 in ics]
-    else:
-        signals = src.signals if isinstance(src, FileSource) else (
-            generate_adt(seed, src.adt, sys_.modes, scenario.horizon) for seed in src.seeds)
-        trajs = [integrate(sys_, ics[i % len(ics)], sig, opts) for i, sig in enumerate(signals)]
-    return TrajectoryBatch(
-        scenario=scenario.name,
-        initial_states=ics,
-        signal_source=src.describe(),
-        horizon=scenario.horizon,
-        trajectories=tuple(trajs),
-    )
+        return tuple(integrate_feedback(sys_, x0, src.rule, scenario.horizon, opts) for x0 in ics)
+    signals = src.signals if isinstance(src, FileSource) else (
+        generate_adt(seed, src.adt, sys_.modes, scenario.horizon) for seed in src.seeds)
+    return tuple(integrate(sys_, ics[i % len(ics)], sig, opts) for i, sig in enumerate(signals))
 
 
 def _restarts(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -128,16 +110,16 @@ _OVERSHOOT_BINS = 20  # geometric restart-radius bins
 _BIN_SLACK = 3.0  # allowed overshoot per unit of the smallest bin's upper edge
 
 
-def fit_uniform_envelope(batch: TrajectoryBatch) -> UniformEnvelope:
+def fit_uniform_envelope(batch: tuple[Trajectory, ...]) -> UniformEnvelope:
     """Tabulate worst-case overshoot against restart radius.
 
     Passes iff the smallest populated bin's overshoot is at most
     ``_BIN_SLACK`` times that bin's upper edge (the sampled rendering of
     "alpha(r) -> 0 as r -> 0") and restarts at radius zero stay at zero.
     """
-    if not all(np.all(np.isfinite(traj.norms)) for traj in batch.trajectories):
+    if not all(np.all(np.isfinite(traj.norms)) for traj in batch):
         raise ValueError("batch contains an unbounded trajectory")
-    _, r, sup = (np.concatenate(column) for column in zip(*map(_restarts, batch.trajectories)))
+    _, r, sup = (np.concatenate(column) for column in zip(*map(_restarts, batch)))
     zero = r <= 1e-12
     zero_sup = float(sup[zero].max(initial=0.0))
     r, sup = r[~zero], sup[~zero]
@@ -201,7 +183,7 @@ class KLEnvelope:
 _KL_FLOOR = 1e-9  # norms at or below it are the origin to the KL fit
 
 
-def fit_kl_envelope(batch: TrajectoryBatch) -> KLEnvelope:
+def fit_kl_envelope(batch: tuple[Trajectory, ...]) -> KLEnvelope:
     """Least-squares exponential envelope over every batch sample.
 
     Samples below ``_KL_FLOOR`` (and trajectories starting there) are
@@ -220,7 +202,7 @@ def fit_kl_envelope(batch: TrajectoryBatch) -> KLEnvelope:
     is at most 0.05 times its start norm, before non-decay is declared.
     """
     ts, ys = [], []
-    for traj in batch.trajectories:
+    for traj in batch:
         r0 = float(traj.norms[0])
         if r0 <= _KL_FLOOR:
             continue
@@ -235,10 +217,10 @@ def fit_kl_envelope(batch: TrajectoryBatch) -> KLEnvelope:
     design = np.column_stack([np.ones_like(t), -t])
     (log_c, lam), *_ = np.linalg.lstsq(design, y, rcond=None)
     lam = float(lam)
-    if lam <= math.log(2.0) / batch.horizon:
+    if lam <= math.log(2.0) / max(traj.horizon for traj in batch):
         # fallback: nonparametric late-window decay ratio
         ratios = []
-        for traj in batch.trajectories:
+        for traj in batch:
             r0 = float(traj.norms[0])
             if r0 <= _KL_FLOOR:
                 continue
@@ -259,7 +241,8 @@ def fit_kl_envelope(batch: TrajectoryBatch) -> KLEnvelope:
 # -- uniform attraction time -------------------------------------------------------
 
 
-def check_uniform_attraction(batch: TrajectoryBatch, radius: float, eps: float) -> CheckReport:
+def check_uniform_attraction(batch: tuple[Trajectory, ...], radius: float,
+                             eps: float) -> CheckReport:
     """Measure a batch-uniform settling time into the eps ball.
 
     For every trajectory and restart time with |x(t0)| < radius, find
@@ -271,7 +254,7 @@ def check_uniform_attraction(batch: TrajectoryBatch, radius: float, eps: float) 
     """
     needed = 0.0
     details = {"radius": radius, "eps": eps, "n_restarts": 0}
-    for k, traj in enumerate(batch.trajectories):
+    for k, traj in enumerate(batch):
         t0, r0, _ = _restarts(traj)
         t0 = t0[~(r0 >= radius)]
         if not t0.size:
@@ -283,7 +266,7 @@ def check_uniform_attraction(batch: TrajectoryBatch, radius: float, eps: float) 
                                witness=(float(t0[0]), k), details=details)
         details["n_restarts"] += t0.size
         needed = max(needed, float(traj.times[settled[0]] - t0[0]))
-    grid = np.linspace(0.0, batch.horizon, 201)
+    grid = np.linspace(0.0, max(traj.horizon for traj in batch), 201)
     feasible = grid[grid >= needed]
     return CheckReport("uniform-attraction", feasible.size > 0,
                        worst=float(feasible.min()) if feasible.size else math.inf,
@@ -365,19 +348,19 @@ class AggregateReport:
         return rec
 
 
-def _fold(check, batch: TrajectoryBatch, *args) -> tuple[bool, float]:
-    """Whether ``check(traj, *args)`` passed on every trajectory, and the worst
-    of their worsts: the first NaN if there is one, else the largest."""
-    reports = [check(traj, *args) for traj in batch.trajectories]
-    worsts = np.array([-math.inf, *(rep.worst for rep in reports)])
-    return all(rep.passed for rep in reports), float(worsts[np.argmax(worsts)])
+def _fold(check, batch: tuple[Trajectory, ...], tol: float) -> CheckReport:
+    """:func:`verdict` over the worsts of ``check(traj, tol)`` on every trajectory;
+    a failing fold's witness is (trajectory index, that report's witness)."""
+    reports = [check(traj, tol) for traj in batch]
+    return verdict("batch", [-math.inf, *(rep.worst for rep in reports)], tol,
+                   lambda i: (i - 1, reports[i - 1].witness), {})
 
 
 def _entry(section: str, name: str, passed: bool, summary: str, **data) -> ReportEntry:
     return ReportEntry(section, name, bool(passed), summary, data)
 
 
-def _feedback_adt_entries(batch: TrajectoryBatch) -> list[ReportEntry]:
+def _feedback_adt_entries(batch: tuple[Trajectory, ...]) -> list[ReportEntry]:
     """Dwell-time regularity of realized feedback signals.
 
     tau_d is taken as half the smallest measured inter-switch gap per
@@ -387,12 +370,11 @@ def _feedback_adt_entries(batch: TrajectoryBatch) -> list[ReportEntry]:
     # each signal lies in class(gap / 2, 1) of its own min gap (k + 1 switches span at
     # least k * gap, within the bound 1 + k * gap / (gap / 2) = 1 + 2k), so the spread
     # of the gaps alone decides; a gap is inf below 2 switches
-    gaps = [gap for traj in batch.trajectories
-            if not math.isinf(gap := traj.signal.min_switch_gap())]
+    gaps = [gap for traj in batch if not math.isinf(gap := traj.signal.min_switch_gap())]
     if not gaps:
         return [_entry("hypothesis", "adt-regularity", True,
                        "no realized signal switched twice; dwell-time vacuous",
-                       n_signals=len(batch.trajectories))]
+                       n_signals=len(batch))]
     spread = max(gaps) / min(gaps) - 1.0
     return [_entry(
         "hypothesis", "adt-regularity", spread <= 0.10,
@@ -402,7 +384,7 @@ def _feedback_adt_entries(batch: TrajectoryBatch) -> list[ReportEntry]:
     )]
 
 
-def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> AggregateReport:
+def guas_report(scenario: Scenario, batch: tuple[Trajectory, ...] | None = None) -> AggregateReport:
     """Compose all hypothesis and conclusion checks into one verdict.
 
     The tolerances a scenario's ``checks`` do not hold are fixed in the
@@ -422,11 +404,11 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
     entries.append(_entry("hypothesis", "covering-union", union.passed,
                           f"worst membership margin {union.worst:.3g}", worst=union.worst))
 
-    compliant, worst_margin = _fold(check_covering_compliance, batch, sys_.covering,
-                                    checks.compliance_tol)
-    entries.append(_entry("hypothesis", "covering-compliance", compliant,
-                          f"worst boundary margin {worst_margin:.3g} over batch",
-                          worst=worst_margin, tol=checks.compliance_tol))
+    compliance = _fold(lambda traj, tol: check_covering_compliance(traj, sys_.covering, tol),
+                       batch, checks.compliance_tol)
+    entries.append(_entry("hypothesis", "covering-compliance", compliance.passed,
+                          f"worst boundary margin {compliance.worst:.3g} over batch",
+                          worst=compliance.worst, tol=checks.compliance_tol))
 
     classk = check_class_k_bounds(V, sys_, region)
     entries.append(_entry("hypothesis", "class-k-bounds", classk.passed,
@@ -444,17 +426,17 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
                           f"worst relative error {grad.worst if grad.worst is not None else 0.0:.3g}",
                           worst=grad.worst if grad.worst is not None else 0.0))
 
-    mono_ok, worst_rise = _fold(
-        lambda traj: check_return_monotonicity(V, traj, checks.monotonicity_tol), batch)
-    entries.append(_entry("hypothesis", "return-monotonicity", mono_ok,
-                          f"worst same-mode rise {worst_rise:.3g}",
-                          worst=worst_rise, tol=checks.monotonicity_tol))
+    mono = _fold(lambda traj, tol: check_return_monotonicity(V, traj, tol), batch,
+                 checks.monotonicity_tol)
+    entries.append(_entry("hypothesis", "return-monotonicity", mono.passed,
+                          f"worst same-mode rise {mono.worst:.3g}",
+                          worst=mono.worst, tol=checks.monotonicity_tol))
 
     if isinstance(scenario.source, FeedbackSource):
         entries.extend(_feedback_adt_entries(batch))
     elif isinstance(scenario.source, GeneratedSource):
         adt = scenario.source.adt
-        ok = all(validate_adt(t.signal, adt) for t in batch.trajectories)
+        ok = all(validate_adt(t.signal, adt) for t in batch)
         entries.append(_entry("hypothesis", "adt-regularity", ok,
                               f"all signals in class(tau_d={adt.tau_d:g}, n0={adt.n0})",
                               tau_d=adt.tau_d, n0=adt.n0))
@@ -487,7 +469,7 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
 
     radius = checks.attraction_radius
     if radius is None:
-        radius = 1.01 * float(np.linalg.norm(batch.initial_states, axis=1).max())
+        radius = 1.01 * float(np.linalg.norm(scenario.initial_states, axis=1).max())
     attraction = check_uniform_attraction(batch, radius, checks.attraction_eps)
     entries.append(_entry("conclusion", "uniform-attraction", attraction.passed,
                           f"T_hat={attraction.worst:.4g} for radius {radius:g}, "
@@ -496,20 +478,20 @@ def guas_report(scenario: Scenario, batch: TrajectoryBatch | None = None) -> Agg
                           eps=checks.attraction_eps))
 
     origin = np.zeros((1, sys_.dimension))
-    lasalle_ok, sup_dist = _fold(lasalle_certify, batch, origin, checks.lasalle_tol,
-                                 checks.tail_fraction)
+    lasalle = _fold(lambda traj, tol: lasalle_certify(traj, origin, tol, checks.tail_fraction),
+                    batch, checks.lasalle_tol)
     gamma_star = modes_containing_origin(sys_.covering, sys_.modes, sys_.dimension)
-    entries.append(_entry("conclusion", "lasalle-origin", lasalle_ok,
-                          f"worst tail distance to origin {sup_dist:.3g} "
+    entries.append(_entry("conclusion", "lasalle-origin", lasalle.passed,
+                          f"worst tail distance to origin {lasalle.worst:.3g} "
                           f"(candidate {{0}} x {set(gamma_star)})",
-                          sup_distance=sup_dist, tol=checks.lasalle_tol))
+                          sup_distance=lasalle.worst, tol=checks.lasalle_tol))
 
     hypotheses_ok = all(e.passed for e in entries if e.section == "hypothesis")
     guas_observed = all(e.passed for e in entries if e.section == "conclusion")
     return AggregateReport(
         scenario=scenario.name,
         batch_size=len(batch),
-        signal_source=batch.signal_source,
+        signal_source=scenario.source.describe(),
         entries=tuple(entries),
         hypotheses_ok=hypotheses_ok,
         guas_observed=guas_observed,
@@ -522,7 +504,6 @@ __all__ = [
     "AggregateReport",
     "KLEnvelope",
     "ReportEntry",
-    "TrajectoryBatch",
     "UniformEnvelope",
     "check_uniform_attraction",
     "fit_kl_envelope",

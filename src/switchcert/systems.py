@@ -1218,9 +1218,7 @@ def check_equilibrium(system: SwitchedSystem) -> CheckReport:
                    {"modes_containing_origin": gamma_star, "residuals": residuals})
 
 
-def check_covering_compliance(
-    traj: Trajectory, covering: Covering, tol: float = 1e-6
-) -> CheckReport:
+def check_covering_compliance(traj: Trajectory, covering: Covering, tol: float) -> CheckReport:
     """Check b_{sigma(t)}(x(t)) <= tol at every sample.
 
     ``worst`` is the largest margin; ``details["violations"]`` lists the

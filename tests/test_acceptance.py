@@ -40,9 +40,9 @@ def report(num: int, passed: bool, detail: str) -> None:
 def test_acceptance_1_example1_guas(ex1_batch, ex1_scenario):
     """16-point grid, horizon 60: final norm <= 1e-3 and V nonincreasing
     within 1e-7 total slack on every trajectory."""
-    worst_end = max(float(t.norms[-1]) for t in ex1_batch.trajectories)
+    worst_end = max(float(t.norms[-1]) for t in ex1_batch)
     worst_rise = 0.0
-    for traj in ex1_batch.trajectories:
+    for traj in ex1_batch:
         rep = check_return_monotonicity(ex1_scenario.V, traj, tol=1e-7)
         worst_rise = max(worst_rise, rep.worst)
     ok = worst_end <= 1e-3 and worst_rise <= 1e-7
@@ -55,7 +55,7 @@ def test_acceptance_2_example1_signal_regularity(ex1_batch):
     half its measured minimum inter-switch gap; gaps stable within 10%."""
     gaps = []
     all_valid = True
-    for traj in ex1_batch.trajectories:
+    for traj in ex1_batch:
         gap = traj.signal.min_switch_gap()
         gaps.append(gap)
         all_valid &= validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).passed
@@ -70,7 +70,7 @@ def test_acceptance_3_projection_identity(ex1_batch, ex2_batch, center_orbit,
     """Hausdorff distance between the state limit estimate and the projected
     state-mode estimate is <= 2 * cluster_tol on every bounded trajectory."""
     cluster_tol = 1e-2
-    suite = (list(ex1_batch.trajectories) + list(ex2_batch.trajectories[:6])
+    suite = (list(ex1_batch) + list(ex2_batch[:6])
              + [center_orbit, zero_trajectory])
     worst = 0.0
     for traj in suite:
@@ -117,7 +117,7 @@ def test_acceptance_6_example2_guas_random_switching(ex2_batch):
     """32 random dwell-time signals (tau_d 0.5, n0 2), horizon 100: every
     trajectory reaches |x| <= 1e-2 and the decay envelope fit succeeds."""
     assert len(ex2_batch) == 32
-    worst_end = max(float(t.norms[-1]) for t in ex2_batch.trajectories)
+    worst_end = max(float(t.norms[-1]) for t in ex2_batch)
     env = fit_kl_envelope(ex2_batch)
     ok = worst_end <= 1e-2 and env.passed and env.lam > 0.0 and env.worst_slack >= 0.0
     report(6, ok, f"max |x(100)| = {worst_end:.3e} (<= 1e-2), "
@@ -131,10 +131,10 @@ def test_acceptance_7_negative_control(two_centers_scenario, two_centers_batch):
     env = fit_kl_envelope(two_centers_batch)
     # no significant positive rate: the raw least-squares rate on conserved
     # orbits is integrator noise, bounded here by the halving-rate floor
-    kl_failed = (not env.passed) and env.lam <= math.log(2.0) / two_centers_batch.horizon
+    kl_failed = (not env.passed) and env.lam <= math.log(2.0) / two_centers_scenario.horizon
     lasalle_failed = not all(
         lasalle_certify(t, np.zeros((1, 2)), 1e-2, 0.5).passed
-        for t in two_centers_batch.trajectories
+        for t in two_centers_batch
     )
     rep = guas_report(two_centers_scenario, two_centers_batch)
     by_name = {e.name: e for e in rep.entries}

@@ -741,18 +741,40 @@ def test_subcommands_are_selections_of_run(small_scenario):
             assert (dirs[cmd] / name).read_bytes() == (dirs["run"] / name).read_bytes(), name
 
 
-def test_perfbench_tracer_wraps_resolve(small_scenario):
-    """Every layer the benchmark tracer wraps is bound where it is called."""
-    import importlib
+def _perfbench_tracing():
+    """The benchmark's tracer module, loaded from its file."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   REPO / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module, attr, _name, _harvest in tracing.WRAPS:
-        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    return tracing
 
+
+def test_perfbench_hooks_resolve():
+    """Every layer the benchmark tracer wraps is bound where it is called
+    (``lyapunov`` imports ``integrate`` for the tracer alone), and every
+    attribute its counter harvests read exists on the values those layers return."""
+    import importlib
+    from dataclasses import fields
+
+    from switchcert.invariance import OmegaEstimate
+    from switchcert.lyapunov import ProbeReport
+    from switchcert.systems import IntegratorStats, Trajectory
+
+    for module, attr, _name, _harvest in _perfbench_tracing().WRAPS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    read = [(Trajectory, {"stats", "times"}), (IntegratorStats, {"n_steps", "n_rhs", "n_events"}),
+            (SwitchingSignal, {"n_switches"}), (OmegaEstimate, {"points", "counts"}),
+            (ProbeReport, {"n_probed"})]
+    for cls, names in read:
+        assert names <= {f.name for f in fields(cls)} | set(dir(cls)), cls
+
+
+def test_perfbench_tracer_wraps_resolve(small_scenario):
+    """A traced run calls every layer the benchmark tracer wraps in ``cli``."""
+    tracing = _perfbench_tracing()
     path, tmp = small_scenario
     tracer = tracing.Tracer()
     tracer.install()

@@ -218,7 +218,7 @@ def test_circular_tail_costs_blocks_and_merges(monkeypatch):
 
 
 def test_omega_limit_converging_trajectory(ex1_batch):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     est = omega_limit(traj, 0.5, TOL)
     assert est.points.shape[0] == 1
     assert np.linalg.norm(est.points[0]) <= TOL
@@ -280,7 +280,7 @@ def test_omega_sharp_finitely_many_switches(ex1_scenario):
 
 
 def test_omega_sharp_feedback_pairs(ex1_batch):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     est = omega_sharp(traj, 0.5, TOL)
     assert set(est.modes.tolist()) == {1, 2}
     assert np.all(np.linalg.norm(est.states, axis=1) <= TOL)
@@ -297,28 +297,28 @@ def test_omega_sharp_equilibrium_recurring_modes(zero_trajectory):
 def test_omega_sharp_huge_finite_floor_keeps_terminal_segment(ex1_batch):
     # samples past the final switch have infinite dwell: they satisfy any
     # finite floor, so only the terminal mode survives
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     est = omega_sharp(traj, 0.5, TOL, r_min=1e6)
     assert not est.empty
     assert np.all(np.isinf(est.dwells))
 
 
 def test_omega_sharp_empty_when_filter_unsatisfiable(ex1_batch):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     est = omega_sharp(traj, 0.5, TOL, r_min=math.inf)
     assert est.empty
     assert "dwell residual" in est.diagnostics
 
 
 def test_omega_sharp_min_hits_drops_sparse_clusters(ex1_batch):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     full = omega_sharp(traj, 0.5, TOL, min_hits=1)
     heavy = omega_sharp(traj, 0.5, TOL, min_hits=10 ** 9)
     assert heavy.modes.size <= full.modes.size
 
 
 def test_omega_sharp_csv(tmp_path, ex1_batch):
-    est = omega_sharp(ex1_batch.trajectories[0], 0.5, TOL)
+    est = omega_sharp(ex1_batch[0], 0.5, TOL)
     path = tmp_path / "sharp.csv"
     est.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -327,7 +327,7 @@ def test_omega_sharp_csv(tmp_path, ex1_batch):
 
 
 def test_omega_sharp_csv_empty_keeps_state_columns(tmp_path, ex1_batch):
-    est = omega_sharp(ex1_batch.trajectories[0], 0.5, TOL, r_min=math.inf)
+    est = omega_sharp(ex1_batch[0], 0.5, TOL, r_min=math.inf)
     assert est.empty
     est.to_csv(tmp_path / "sharp.csv")
     assert (tmp_path / "sharp.csv").read_text() == "xi_1,xi_2,gamma,r_hat\n"
@@ -353,10 +353,10 @@ def test_estimate_csv_matches_cell_by_cell_writer(tmp_path, ex1_batch, two_cente
     odd = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-300], [0.1, 1 / 3]])
     estimates = [
         omega_limit(center_orbit, 0.5, TOL),
-        omega_limit(two_centers_batch.trajectories[0], 0.5, TOL),
+        omega_limit(two_centers_batch[0], 0.5, TOL),
         OmegaEstimate(odd, (0.0, 1.0), TOL, np.array([1, 2, 3])),
-        omega_sharp(ex1_batch.trajectories[0], 0.5, TOL),
-        omega_sharp(two_centers_batch.trajectories[0], 0.5, TOL),
+        omega_sharp(ex1_batch[0], 0.5, TOL),
+        omega_sharp(two_centers_batch[0], 0.5, TOL),
         OmegaSharpEstimate(odd, np.array([1, 2, 3]), np.array([math.inf, 0.30000000000000004, 2.0]),
                            (0.0, 1.0), TOL, 0.0, 1, np.array([1, 2, 3])),
     ]
@@ -409,7 +409,7 @@ def _assert_omega_sharp_matches_reference(traj, tol, min_hits=1):
 def test_omega_sharp_matches_per_representative_loop(monkeypatch, block, ex1_batch,
                                                      two_centers_batch, zero_trajectory):
     monkeypatch.setattr(invariance, "_DISTANCE_BLOCK", block)  # 1: one representative per block
-    trajs = list(two_centers_batch.trajectories[:4]) + list(ex1_batch.trajectories[:2])
+    trajs = list(two_centers_batch[:4]) + list(ex1_batch[:2])
     for traj in trajs + [zero_trajectory]:
         for tol, min_hits in ((TOL, 1), (1e-3, 1), (0.1, 3)):
             _assert_omega_sharp_matches_reference(traj, tol, min_hits)
@@ -485,7 +485,7 @@ def test_omega_sharp_drifted_centroid_takes_nearest_member(monkeypatch, two_cent
         return np.vstack([reps, points[:1] + 5.0 * tol]), np.append(counts, 1)
 
     monkeypatch.setattr(invariance, "_greedy_clusters", with_stray)
-    _assert_omega_sharp_matches_reference(two_centers_batch.trajectories[0], TOL)
+    _assert_omega_sharp_matches_reference(two_centers_batch[0], TOL)
 
 
 def test_project_states_dedupes():
@@ -514,7 +514,7 @@ def test_project_states_empty():
 
 
 def test_projection_identity_across_estimators(ex1_batch, center_orbit, zero_trajectory):
-    suite = list(ex1_batch.trajectories[:6]) + [center_orbit, zero_trajectory]
+    suite = list(ex1_batch[:6]) + [center_orbit, zero_trajectory]
     for traj in suite:
         omega = omega_limit(traj, 0.5, TOL)
         sharp = omega_sharp(traj, 0.5, TOL, r_min=0.0)
@@ -523,7 +523,7 @@ def test_projection_identity_across_estimators(ex1_batch, center_orbit, zero_tra
 
 
 def test_monotone_attraction_to_estimate(ex1_batch, center_orbit):
-    for traj in (ex1_batch.trajectories[0], center_orbit):
+    for traj in (ex1_batch[0], center_orbit):
         est = omega_limit(traj, 0.5, TOL)
         tail = traj.times >= traj.horizon * 0.5
         d = np.linalg.norm(
@@ -574,7 +574,7 @@ def _reference_constancy(traj, V, tol):
                                              ("two_centers_batch", "two_centers_scenario")])
 def test_constancy_matches_the_per_point_loop(request, batch, scenario):
     V = request.getfixturevalue(scenario).V
-    for traj in request.getfixturevalue(batch).trajectories:
+    for traj in request.getfixturevalue(batch):
         for candidate in (V, LyapunovCandidate(_square_nan_left)):
             for tol in (1e-6, 1e3):
                 got = check_same_mode_constancy(traj, candidate, tol)
@@ -594,7 +594,7 @@ def test_constancy_rejects_a_per_point_value(center_orbit):
 
 
 def test_constancy_fails_on_dissipative_trajectory(ex1_batch, ex1_scenario):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     rep = check_same_mode_constancy(traj, ex1_scenario.V, tol=1e-6)
     assert not rep.passed
     # V drops from |x0|^2 to ~0 across the dissipative arcs
@@ -604,7 +604,7 @@ def test_constancy_fails_on_dissipative_trajectory(ex1_batch, ex1_scenario):
 def test_weak_invariance_residual_shadow(ex1_scenario, ex1_batch):
     # each limit pair, replayed under its own mode for its dwell estimate,
     # either keeps V constant (conserving mode) or sits at the origin
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     est = omega_sharp(traj, 0.5, TOL)
     for state, mode, dwell in est.pairs:
         if np.linalg.norm(state) <= TOL:
@@ -620,7 +620,7 @@ def test_weak_invariance_residual_shadow(ex1_scenario, ex1_batch):
 
 
 def test_lasalle_pass_on_converging(ex1_batch):
-    rep = lasalle_certify(ex1_batch.trajectories[0], np.zeros((1, 2)), TOL, 0.5)
+    rep = lasalle_certify(ex1_batch[0], np.zeros((1, 2)), TOL, 0.5)
     assert rep.passed
     assert rep.worst <= TOL
 
@@ -633,7 +633,7 @@ def test_lasalle_fail_on_circle(center_orbit):
 
 def test_lasalle_witness_is_the_farthest_tail_sample(two_centers_batch):
     candidate = np.array([[0.0, 0.0], [0.5, -0.5]])
-    for traj in two_centers_batch.trajectories:
+    for traj in two_centers_batch:
         rep = lasalle_certify(traj, candidate, TOL, 0.5)
         assert not rep.passed
         t, x = rep.witness

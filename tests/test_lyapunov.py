@@ -190,7 +190,7 @@ def test_strict_decrease_single_contraction():
 
 
 def test_return_monotonicity_feedback(ex1_scenario, ex1_batch):
-    for traj in ex1_batch.trajectories[:6]:
+    for traj in ex1_batch[:6]:
         rep = check_return_monotonicity(ex1_scenario.V, traj, tol=1e-7)
         assert rep.passed
 
@@ -201,7 +201,7 @@ def test_return_monotonicity_constant_value(ex1_scenario, center_orbit):
 
 
 def test_return_monotonicity_reversed_fails(ex1_scenario, ex1_batch):
-    reversed_traj = reverse_trajectory(ex1_batch.trajectories[0])
+    reversed_traj = reverse_trajectory(ex1_batch[0])
     rep = check_return_monotonicity(ex1_scenario.V, reversed_traj, tol=1e-7)
     assert not rep.details["across_samples"].passed
     assert rep.details["across_samples"].witness is not None
@@ -210,7 +210,7 @@ def test_return_monotonicity_reversed_fails(ex1_scenario, ex1_batch):
 def test_sample_check_dominates_switch_check(ex1_scenario, ex1_batch):
     # the all-samples check is the stronger one: its worst rise bounds the
     # switch-pair worst rise up to the value drop over one sampling sliver
-    for traj in ex1_batch.trajectories[:4]:
+    for traj in ex1_batch[:4]:
         rep = check_return_monotonicity(ex1_scenario.V, traj, tol=1e-7)
         if rep.details["across_samples"].passed:
             assert (rep.details["across_switches"].worst
@@ -525,11 +525,11 @@ def test_region_checks_match_per_point_reference(region):
 def test_return_monotonicity_matches_per_sample_reference(ex1_batch, ex2_batch,
                                                           two_centers_batch, center_orbit):
     ex1, ex2 = builtin_scenario("example1"), builtin_scenario("example2")
-    cases = [(ex1.V, t) for t in ex1_batch.trajectories[:6]]
-    cases += [(ex2.V, t) for t in ex2_batch.trajectories[:3]]
-    cases += [(ex1.V, t) for t in two_centers_batch.trajectories[:3]]
-    cases += [(ex1.V, center_orbit), (ex1.V, reverse_trajectory(ex1_batch.trajectories[0])),
-              (ex2.V, reverse_trajectory(ex2_batch.trajectories[0]))]
+    cases = [(ex1.V, t) for t in ex1_batch[:6]]
+    cases += [(ex2.V, t) for t in ex2_batch[:3]]
+    cases += [(ex1.V, t) for t in two_centers_batch[:3]]
+    cases += [(ex1.V, center_orbit), (ex1.V, reverse_trajectory(ex1_batch[0])),
+              (ex2.V, reverse_trajectory(ex2_batch[0]))]
     failing = 0
     for V, traj in cases:
         for tol in (1e-7, 0.0):

@@ -91,7 +91,7 @@ def test_scenarios_pickle_and_simulate_alike(tmp_path):
         assert not copy.initial_states.flags.writeable
         expected, got = simulate_batch(scenario), simulate_batch(copy)
         assert len(got) == len(expected) > 0, scenario.name
-        for a, b in zip(expected.trajectories, got.trajectories):
+        for a, b in zip(expected, got):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
             assert a.signal == b.signal
             traj = pickle.loads(pickle.dumps(b))
@@ -128,7 +128,7 @@ def test_builtin_functions_are_rowwise(request, name, batch_fixture):
 
     scenario = builtin_scenario(name)
     region = SampleRegion(0.1, 3.0).all_points(2)
-    states = np.vstack([t.states for t in request.getfixturevalue(batch_fixture).trajectories[:2]])
+    states = np.vstack([t.states for t in request.getfixturevalue(batch_fixture)[:2]])
     for pts in (region, states, region[:1], region[:2], states[-2:]):
         for label, fn, args in _rowwise_functions(scenario):
             want = np.array([np.asarray(fn(x, *args), dtype=float) for x in pts])

@@ -434,7 +434,7 @@ def test_distance_and_extraction_load_no_numpy_ma():
         "traj = integrate(ex2.system, [1.0, 0.5], signal)\n"
         "assert not check_same_mode_constancy(traj, ex2.V, 1e-6)\n"
         "assert set(omega_sharp(traj, 0.5, 0.01).modes.tolist()) == {1, 2}\n"
-        "assert check_return_monotonicity(ex2.V, traj)\n"
+        "assert check_return_monotonicity(ex2.V, traj, ex2.checks.monotonicity_tol)\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

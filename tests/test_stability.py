@@ -1,30 +1,30 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from switchcert.reports import CheckReport
 from switchcert.scenarios import FileSource, GeneratedSource
 from switchcert.signals import AdtClass, ModeSet, SwitchingSignal, load_signal, save_signal
 from switchcert.stability import (
-    TrajectoryBatch,
+    _fold,
     check_uniform_attraction,
     fit_kl_envelope,
     fit_uniform_envelope,
     guas_report,
     simulate_batch,
 )
-from switchcert.systems import Covering, FiniteEscapeError, SwitchedSystem, integrate
+from switchcert.systems import (Covering, FiniteEscapeError, IntegratorStats, SwitchedSystem,
+                                Trajectory, integrate)
 from dataclasses import replace
 
 
 @pytest.fixture(scope="module")
 def zero_batch(ex1_scenario):
     signal = SwitchingSignal(np.array([1.0]), np.array([1, 2]), 20.0)
-    trajs = tuple(
-        integrate(ex1_scenario.system, [0.0, 0.0], signal) for _ in range(3)
-    )
-    return TrajectoryBatch("zero", np.zeros((3, 2)), "prescribed", 20.0, trajs)
+    return tuple(integrate(ex1_scenario.system, [0.0, 0.0], signal) for _ in range(3))
 
 
 # -- uniform envelope ------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_uniform_envelope_regularization_monotone(ex1_batch):
 
 def test_uniform_envelope_restart_consistency(ex1_scenario, ex1_batch):
     # restarting the clock equals starting fresh from the restart state
-    traj = ex1_batch.trajectories[-1]
+    traj = ex1_batch[-1]
     t0 = 7.0
     k = np.searchsorted(traj.times, t0)
     suffix_sup = float(traj.norms[k:].max())
@@ -76,13 +76,21 @@ def test_uniform_envelope_restart_consistency(ex1_scenario, ex1_batch):
     assert abs(float(fresh.norms.max()) - suffix_sup) <= 1e-6
 
 
-def test_uniform_envelope_rejects_unbounded(ex1_scenario):
+def test_uniform_envelope_accepts_bounded_growth(ex1_scenario):
     m = ModeSet(1)
     sys_ = SwitchedSystem(1, {1: lambda x: x}, m, Covering.trivial(m))
     traj = integrate(sys_, [1.0], SwitchingSignal.constant(1, 5.0))
-    bad = TrajectoryBatch("x", np.ones((1, 1)), "na", 5.0, (traj,))
-    env = fit_uniform_envelope(bad)  # bounded growth stays below the blow-up bound
+    env = fit_uniform_envelope((traj,))  # bounded growth stays below the blow-up bound
     assert env.n_pairs > 0
+
+
+def test_uniform_envelope_rejects_an_inf_state():
+    # Trajectory does not check finiteness and integrate raises
+    # FiniteEscapeError first, so only a hand-built trajectory gets here
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0], [math.inf]]),
+                      SwitchingSignal.constant(1, 1.0), IntegratorStats())
+    with pytest.raises(ValueError, match="unbounded trajectory"):
+        fit_uniform_envelope((traj,))
 
 
 # -- KL envelope ------------------------------------------------------------------
@@ -98,16 +106,16 @@ def test_kl_envelope_exponential_batch(ex1_batch):
 
 def test_kl_envelope_sound_on_samples(ex1_batch):
     env = fit_kl_envelope(ex1_batch)
-    for traj in ex1_batch.trajectories:
+    for traj in ex1_batch:
         r0 = float(traj.norms[0])
         bound = env.C * r0 * np.exp(-env.lam * traj.times)
         assert np.all(traj.norms <= bound * (1.0 + 1e-9) + 1e-9)
 
 
-def test_kl_envelope_fails_on_circles(two_centers_batch):
+def test_kl_envelope_fails_on_circles(two_centers_scenario, two_centers_batch):
     env = fit_kl_envelope(two_centers_batch)
     assert not env.passed
-    assert env.lam <= math.log(2.0) / two_centers_batch.horizon
+    assert env.lam <= math.log(2.0) / two_centers_scenario.horizon
     assert env.table_decay is not None and env.table_decay > 0.5
 
 
@@ -120,8 +128,7 @@ def test_kl_fallback_skips_a_start_at_the_origin(two_centers_batch, zero_batch):
     # the circles fail the fit; a start at the origin joins neither the fit
     # nor the late-window decay table
     alone = fit_kl_envelope(two_centers_batch)
-    mixed = fit_kl_envelope(replace(two_centers_batch, trajectories=(
-        zero_batch.trajectories[0], *two_centers_batch.trajectories)))
+    mixed = fit_kl_envelope((zero_batch[0], *two_centers_batch))
     assert not mixed.passed and mixed.table_decay == alone.table_decay
     assert mixed.n_samples == alone.n_samples
 
@@ -129,10 +136,10 @@ def test_kl_fallback_skips_a_start_at_the_origin(two_centers_batch, zero_batch):
 # -- uniform attraction --------------------------------------------------------------
 
 
-def test_attraction_finite_time(ex1_batch):
+def test_attraction_finite_time(ex1_scenario, ex1_batch):
     rep = check_uniform_attraction(ex1_batch, radius=2.1, eps=0.1)
     assert rep.passed
-    assert 0.0 < rep.worst < ex1_batch.horizon
+    assert 0.0 < rep.worst < ex1_scenario.horizon
 
 
 def test_attraction_fails_on_circles(two_centers_batch):
@@ -161,7 +168,7 @@ def test_simulate_batch_generated_is_deterministic(ex2_scenario):
                     horizon=10.0)
     a = simulate_batch(small)
     b = simulate_batch(small)
-    for ta, tb in zip(a.trajectories, b.trajectories):
+    for ta, tb in zip(a, b):
         assert np.array_equal(ta.states, tb.states)
         assert ta.signal == tb.signal
 
@@ -174,7 +181,7 @@ def test_simulate_batch_file_source(tmp_path, ex1_scenario):
                   initial_states=np.array([[1.0, 0.0]]))
     batch = simulate_batch(scn)
     assert len(batch) == 1
-    assert batch.trajectories[0].signal == sig
+    assert batch[0].signal == sig
 
 
 def test_simulate_batch_file_horizon_mismatch(ex1_scenario):
@@ -240,6 +247,32 @@ def test_guas_report_keeps_a_nan_worst(ex1_scenario, ex1_batch):
     entry = next(e for e in rep.entries if e.name == "return-monotonicity")
     assert not entry.passed and math.isnan(entry.data["worst"])
     assert "rise nan" in entry.summary
+
+
+def test_fold_is_the_verdict_over_trajectory_worsts():
+    # the check is the identity on stand-in per-trajectory reports, each
+    # passing iff its worst is at most tol, as the three folded checks do
+    def old_rule(reports):  # the per-report rule the fold replaced
+        worsts = np.array([-math.inf, *(rep.worst for rep in reports)])
+        return all(rep.passed for rep in reports), float(worsts[np.argmax(worsts)])
+
+    tol = 1.0
+    reports = [CheckReport("r", worst <= tol, worst=worst, witness=None if worst <= tol else k)
+               for k, worst in enumerate([math.nan, 5.0, -math.inf, 0.5, math.nan])]
+    for n in range(len(reports) + 1):
+        for batch in itertools.permutations(reports, n):
+            folded = _fold(lambda rep, tol: rep, batch, tol)
+            passed, worst = old_rule(batch)
+            assert folded.passed == passed
+            assert folded.worst == worst or math.isnan(folded.worst) and math.isnan(worst)
+            if passed:
+                assert folded.witness is None
+                continue
+            # the witness is the first NaN trajectory's, else the first largest's
+            worsts = [rep.worst for rep in batch]
+            k = next((i for i, w in enumerate(worsts) if math.isnan(w)), None)
+            k = worsts.index(max(worsts)) if k is None else k
+            assert folded.witness == (k, batch[k].witness)
 
 
 def test_guas_report_degenerate_kl_summary(ex1_scenario, zero_batch):

@@ -1086,7 +1086,7 @@ def test_feedback_equilibrium_never_switches():
 
 
 def test_feedback_realized_signal_has_dwell_time(ex1_batch):
-    for traj in ex1_batch.trajectories:
+    for traj in ex1_batch:
         gap = traj.signal.min_switch_gap()
         assert gap > 0.0
         assert validate_adt(traj.signal, AdtClass(gap / 2.0, 1)).passed
@@ -1097,7 +1097,7 @@ def test_feedback_realized_signal_has_dwell_time(ex1_batch):
 def test_feedback_event_boundary_accuracy(ex1_batch):
     rule = half_plane_rule()
     opts = IntegratorOptions()
-    for traj in ex1_batch.trajectories[:4]:
+    for traj in ex1_batch[:4]:
         signal = traj.signal
         for i, t in enumerate(signal.switch_times):
             x = traj.state_at_sample(float(t))
@@ -1159,7 +1159,7 @@ def _assert_closed_form_end(system, matrices, trajectories):
                                                  ("two_centers", "two_centers_batch")])
 def test_feedback_batch_matches_closed_form_flow(request, name, batch_fixture):
     _assert_closed_form_end(builtin_scenario(name).system, _MATRICES[name],
-                            request.getfixturevalue(batch_fixture).trajectories)
+                            request.getfixturevalue(batch_fixture))
 
 
 @pytest.mark.parametrize("name, horizon", [("example1", 10.0), ("two_centers", 60.0)])
@@ -1221,7 +1221,7 @@ def test_two_centers_half_turn_dwells(two_centers_scenario, two_centers_batch):
     event_tol = scenario.integrator.event_tol
     more = [integrate_feedback(scenario.system, x0, scenario.source.rule, 30.0, scenario.integrator)
             for x0 in ([0.01, -0.002], [3.0, 1.0], [-20.0, 7.0])]
-    for traj in [*two_centers_batch.trajectories, *more]:
+    for traj in [*two_centers_batch, *more]:
         dwells = np.diff(traj.signal.switch_times)
         assert dwells.size > 5
         assert np.max(np.abs(dwells - math.pi)) <= event_tol + 1e-13
@@ -1358,17 +1358,17 @@ def test_linear_samples_are_within_max_dx(f1, f2, x0, max_dx, feedback):
 def test_two_centers_orbits_keep_their_radius(two_centers_batch):
     # the exact flow of a rotation keeps |x| to roundoff; DOP853 at rtol 1e-9
     # drifts these circles by up to 9e-9
-    assert len(two_centers_batch.trajectories) == 8
-    for traj in two_centers_batch.trajectories:
+    assert len(two_centers_batch) == 8
+    for traj in two_centers_batch:
         assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-13
 
 
 @pytest.mark.parametrize("name, batch_fixture", [("example1", "ex1_batch"),
                                                  ("two_centers", "two_centers_batch")])
 def test_linear_batches_switch_as_their_dop853_twins(request, name, batch_fixture):
-    exact = request.getfixturevalue(batch_fixture).trajectories
+    exact = request.getfixturevalue(batch_fixture)
     twin = (request.getfixturevalue("two_centers_twin_batch") if name == "two_centers"
-            else simulate_batch(twin_scenario(name))).trajectories
+            else simulate_batch(twin_scenario(name)))
     assert [t.stats.n_events for t in exact] == [t.stats.n_events for t in twin]
     assert sum(t.stats.n_events for t in exact) > 100
     for a, b in zip(exact, twin):
@@ -1426,13 +1426,13 @@ def test_unstable_linear_mode_escapes_at_its_log_time(max_dx):
 
 def test_compliance_example_trajectory(ex1_batch):
     cov = half_plane_covering()
-    for traj in ex1_batch.trajectories:
+    for traj in ex1_batch:
         assert check_covering_compliance(traj, cov, tol=1e-6).passed
 
 
 def test_compliance_trivial_covering(ex1_batch):
     cov = Covering.trivial(ModeSet(2))
-    rep = check_covering_compliance(ex1_batch.trajectories[0], cov, tol=0.0)
+    rep = check_covering_compliance(ex1_batch[0], cov, tol=0.0)
     assert rep.passed and rep.worst == -1.0
 
 
@@ -1470,7 +1470,7 @@ def test_compliance_matches_per_sample_reference(ex1_batch, two_centers_batch):
     sys_ = builtin_scenario("example1").system
     swapped = integrate(sys_, [1.0, 0.0], SwitchingSignal(np.array([0.7, 2.0]),
                                                           np.array([1, 2, 1]), 4.0))
-    trajs = list(ex1_batch.trajectories[:4]) + list(two_centers_batch.trajectories[:4]) + [swapped]
+    trajs = list(ex1_batch[:4]) + list(two_centers_batch[:4]) + [swapped]
     for traj in trajs:
         for cov, tol in ((half_plane_covering(), 1e-6), (half_plane_covering(), 0.0),
                          (Covering.trivial(ModeSet(2)), 0.0)):
@@ -1557,7 +1557,7 @@ def test_trajectory_csv_roundtrip(tmp_path, ex1_scenario):
 
 
 def test_trajectory_csv_values_match_per_sample_calls(tmp_path, ex1_scenario, ex1_batch):
-    traj = ex1_batch.trajectories[0]
+    traj = ex1_batch[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path, V=ex1_scenario.V)
     column = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
