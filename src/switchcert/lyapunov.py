@@ -403,8 +403,8 @@ def check_return_monotonicity(V: LyapunovCandidate, traj: Trajectory, tol: float
     the value at the end of the earlier same-mode interval.
     ``details["across_samples"]`` is the stronger all-sample-pairs check:
     V may never rise (beyond tol) between same-mode samples.  The second
-    implies the first.  ``worst`` is the larger rise of the two, and the
-    witness that of the sub-check which found it.
+    implies the first.  :func:`verdict` over the two decides: ``worst`` is
+    the larger rise, and the witness that of the sub-check which found it.
     """
     sig = traj.signal
 
@@ -428,10 +428,9 @@ def check_return_monotonicity(V: LyapunovCandidate, traj: Trajectory, tol: float
     rep_b = verdict("same-mode-sample-monotonicity", _paired(rise_b), tol,
                     lambda k: (float(traj.times[low_at[k]]), float(traj.times[k]), int(modes[k])),
                     {"n_samples": int(traj.times.size), "tol": tol})
-    top = rep_b if math.isnan(rep_b.worst) or rep_b.worst > rep_a.worst else rep_a
-    return CheckReport("return-monotonicity", rep_a.passed and rep_b.passed, worst=top.worst,
-                       witness=top.witness,
-                       details={"across_switches": rep_a, "across_samples": rep_b})
+    subs = (rep_a, rep_b)
+    return verdict("return-monotonicity", [rep.worst for rep in subs], tol,
+                   lambda i: subs[i].witness, {"across_switches": rep_a, "across_samples": rep_b})
 
 
 # -- distinguishability probe --------------------------------------------------
@@ -459,16 +458,6 @@ class ProbeReport:
         return self.passed
 
 
-def _first_max_per_run(values: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """Per run of consecutive values, the first largest value (the first
-    NaN, if any): what ``max`` over the run keeps, except that NaN wins."""
-    offsets = np.cumsum(lengths) - lengths
-    top = np.repeat(np.maximum.reduceat(values, offsets), lengths)  # NaN propagates
-    hit = (values == top) | np.isnan(values)
-    return values[np.minimum.reduceat(np.where(hit, np.arange(values.size), values.size),
-                                      offsets)]
-
-
 def distinguishability_probe(
     system: SwitchedSystem,
     W: OutputFamily,
@@ -476,22 +465,21 @@ def distinguishability_probe(
     delta: float,
     region: SampleRegion,
     threshold: float | None = None,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = IntegratorOptions(),
 ) -> ProbeReport:
     """Probe whether mode gamma can hide at zero output away from 0.
 
     All starts are stepped together by :func:`~switchcert.systems.advance_starts`,
     which takes for each start exactly the steps a per-start
-    :func:`~switchcert.systems.integrate` under the constant signal would;
-    ``opts`` must therefore sample accepted steps only (``max_dx = inf``).
+    :func:`~switchcert.systems.integrate` under the constant signal would
+    and samples its accepted steps.  :func:`verdict` over the negated
+    per-start peaks decides, so the least peak (the first NaN, if any)
+    is ``min_peak``; with no start probed it is inf and the probe fails.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if threshold is None:
         threshold = 1e-8 * region.r_min ** 2
-    if opts is None:
-        opts = IntegratorOptions(max_dx=math.inf)
-    min_peak, witness = math.inf, None
     skipped, probed, runs = [], [], []
     starts = region.all_points(system.dimension)
     for x0, states in zip(starts, advance_starts(system, gamma, starts, delta, opts)):
@@ -500,18 +488,21 @@ def distinguishability_probe(
         else:
             probed.append(x0)
             runs.append(states)
-    if runs:
-        peaks = _first_max_per_run(W(gamma, np.concatenate(runs)), [len(r) for r in runs])
-        i = int(np.argmin(peaks))  # the first NaN, else the first least peak
-        min_peak, witness = float(peaks[i]), np.array(probed[i])
-    n_probed = len(probed)
-    passed = n_probed > 0 and min_peak >= threshold
+    peaks = np.empty(0)
+    if runs:  # one row of outputs per start; _first_extremum pads it with -inf
+        lengths = np.array([len(r) for r in runs])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        table = np.zeros(mask.shape)
+        table[mask] = W(gamma, np.concatenate(runs))
+        peaks = _first_extremum(table, mask, largest=True)
+    rep = verdict("distinguishability", np.append(-peaks, -math.inf), -threshold,
+                  lambda i: np.array(probed[i]), {})
     return ProbeReport(
-        passed=passed,
-        min_peak=min_peak,
+        passed=rep.passed and len(probed) > 0,
+        min_peak=-rep.worst,
         threshold=threshold,
-        witness=None if passed else witness,
-        n_probed=n_probed,
+        witness=rep.witness,
+        n_probed=len(probed),
         skipped=tuple(skipped),
     )
 

@@ -532,7 +532,7 @@ def extract_convergent_subsequence(
             j += 1
         mode = int(limit_modes[j])
         t = min(float(limit_times[j]), horizon)
-        if t <= 0.0:
+        if coincide(0.0, t):
             out_modes[-1] = mode
         elif mode != out_modes[-1]:
             out_times.append(t)

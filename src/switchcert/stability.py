@@ -25,7 +25,7 @@ it reports what a finite batch showed, never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -444,7 +444,7 @@ def guas_report(scenario: Scenario, batch: tuple[Trajectory, ...] | None = None)
     if scenario.W is not None:
         for gamma in sys_.modes.labels:
             probe = distinguishability_probe(sys_, scenario.W, gamma, checks.probe_delta, region,
-                                             opts=replace(scenario.integrator, max_dx=math.inf))
+                                             opts=scenario.integrator)
             entries.append(_entry(
                 "hypothesis", f"distinguishability-mode{gamma}", probe.passed,
                 f"min output peak {probe.min_peak:.3g} over {probe.n_probed} starts "

@@ -963,7 +963,8 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     """Advance every start under mode gamma over [0, t_end], all starts at once.
 
     Each row takes exactly the steps that :func:`integrate` takes for that
-    start alone under the constant signal with ``max_dx = inf``.  A
+    start alone under the constant signal with ``max_dx = inf``, whatever
+    ``opts.max_dx`` says: it samples accepted steps only.  A
     :class:`LinearField` mode takes the propagator steps of
     :func:`_linear_steps` on every row, each step one elementwise pass over
     the stack (:func:`_advance_linear`).  Any other mode steps the rows as
@@ -973,8 +974,6 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
     that of the first start which met one, as a loop over starts would.
     """
-    if opts.max_dx != math.inf:
-        raise ValueError("advance_starts samples accepted steps only; it needs max_dx = inf")
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     y = np.array(starts, dtype=float)
@@ -1219,24 +1218,14 @@ def check_equilibrium(system: SwitchedSystem) -> CheckReport:
 
 
 def check_covering_compliance(traj: Trajectory, covering: Covering, tol: float) -> CheckReport:
-    """Check b_{sigma(t)}(x(t)) <= tol at every sample.
-
-    ``worst`` is the largest margin; ``details["violations"]`` lists the
-    first 100 violating samples as (t, mode, margin), the first of them
-    being the witness.  A NaN margin is a violation.
-    """
+    """Check b_{sigma(t)}(x(t)) <= tol at every sample, by :func:`verdict`
+    over the margins: a failing report's witness is the worst sample's
+    (t, mode, margin).  A NaN margin is a violation."""
     modes = traj.sample_modes
     margins = evaluate_by_mode(covering.margin, traj.states, modes)
-    bad = np.flatnonzero(~(margins <= tol))
-    violations = tuple(
-        (float(traj.times[i]), int(modes[i]), float(margins[i])) for i in bad[:100]
-    )
-    return CheckReport(
-        "covering-compliance", bad.size == 0,
-        worst=float(np.max(margins)) if margins.size else -math.inf,
-        witness=violations[0] if violations else None,
-        details={"violations": violations, "n_checked": int(margins.size)},
-    )
+    return verdict("covering-compliance", margins, tol,
+                   lambda i: (float(traj.times[i]), int(modes[i]), float(margins[i])),
+                   {"n_checked": int(margins.size)})
 
 
 # -- export -----------------------------------------------------------------

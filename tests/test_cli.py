@@ -598,6 +598,18 @@ _LOCATED_BAD_INPUTS = [
     pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
                                          "[signal]\ntau_d = 0.5\n")],
                  "scn.ini:3: missing required key 'source' in [signal]", id="source_missing"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example2\n"
+                                         "[signal]\nsource = feedback\n")],
+                 "scn.ini:4: source 'feedback': system 'example2' does not define a feedback rule",
+                 id="source_feedback_without_rule"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = example1\n"
+                                         "[signal]\nsource = banana\n")],
+                 "scn.ini:4: source must be feedback, generate or file, got 'banana'",
+                 id="source_unknown"),
+    pytest.param(lambda tmp: [write(tmp, "[scenario]\nsystem = two_centers\n"
+                                         "[initial_conditions]\npoints = 1 x, 0 1\n")],
+                 "scn.ini:4: points must be ','-separated coordinate lists",
+                 id="points_not_numbers"),
     # a signal file is read and checked with the scenario, its faults located at paths
     pytest.param(lambda tmp: [_signal_ini(tmp)],
                  "scn.ini:11: paths: {tmp}/sig.txt: No such file or directory",

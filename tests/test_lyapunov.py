@@ -273,22 +273,30 @@ def test_probe_with_every_start_escaped_fails():
     assert not rep.passed and rep.min_peak == math.inf and rep.witness is None
 
 
-def test_probe_rejects_finite_max_dx(ex2_scenario):
-    with pytest.raises(ValueError, match="max_dx"):
-        distinguishability_probe(ex2_scenario.system, ex2_scenario.W, 1, 0.1, REGION,
-                                 opts=IntegratorOptions(max_dx=0.05))
+def test_probe_ignores_max_dx(ex2_scenario):
+    # the probe samples accepted steps only, so the sampling resolution does not reach it
+    for W in (ex2_scenario.W, OutputFamily({1: lambda x: 0.0, 2: lambda x: 0.0})):
+        for gamma in (1, 2):
+            fine, coarse = (distinguishability_probe(ex2_scenario.system, W, gamma, 0.5, REGION,
+                                                     opts=IntegratorOptions(max_dx=max_dx))
+                            for max_dx in (0.05, math.inf))
+            assert (fine.passed, fine.min_peak, fine.threshold, fine.n_probed, fine.skipped) == (
+                coarse.passed, coarse.min_peak, coarse.threshold, coarse.n_probed, coarse.skipped)
+            assert (fine.witness is None) == (coarse.witness is None)
+            assert fine.witness is None or np.array_equal(fine.witness, coarse.witness)
 
 
 _first_coordinate_squared = example2_outputs().functions[1]  # x1 ** 2, row-wise
 
 
-def _reference_probe(system, W, gamma, delta, region, threshold=None, opts=None):
+_ACCEPTED_STEPS = IntegratorOptions(max_dx=math.inf)  # integrate samples accepted steps only
+
+
+def _reference_probe(system, W, gamma, delta, region, threshold=None, opts=_ACCEPTED_STEPS):
     """The probe as one ``integrate`` per start; returns its report and the
     per-start sampled states (None for a skipped start)."""
     if threshold is None:
         threshold = 1e-8 * region.r_min ** 2
-    if opts is None:
-        opts = IntegratorOptions(max_dx=math.inf)
     min_peak, witness = math.inf, None
     skipped, runs = [], []
     starts = region.all_points(system.dimension)
@@ -312,11 +320,10 @@ def _reference_probe(system, W, gamma, delta, region, threshold=None, opts=None)
 
 
 def _assert_probe_matches_reference(system, W, gamma, delta, region, threshold=None,
-                                    opts=None):
+                                    opts=_ACCEPTED_STEPS):
     want, want_runs = _reference_probe(system, W, gamma, delta, region, threshold, opts)
     got = distinguishability_probe(system, W, gamma, delta, region, threshold, opts)
-    got_runs = advance_starts(system, gamma, region.all_points(system.dimension), delta,
-                              opts or IntegratorOptions(max_dx=math.inf))
+    got_runs = advance_starts(system, gamma, region.all_points(system.dimension), delta, opts)
     got_runs = [None if isinstance(r, FiniteEscapeError) else r for r in got_runs]
     assert [r is None for r in got_runs] == [r is None for r in want_runs]
     got_runs = [r for r in got_runs if r is not None]

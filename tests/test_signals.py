@@ -525,6 +525,32 @@ def test_extract_interleaved_constant_families():
     assert limit == SwitchingSignal.constant(1, 5.0)
 
 
+def test_extract_vanishing_first_switch_sets_the_initial_mode():
+    # sigma_k = 2 on [0, 1/k), 1 on [1/k, 3), 2 after: the first switch tends
+    # to 0, and Wynn's estimate of its limit lands a few ulps above 0
+    adt = AdtClass(0.5, 2)
+    family = [sig([1.0 / k, 3.0], [2, 1, 2], 10.0) for k in range(4, 54)]
+    _, limit = extract_convergent_subsequence(family, adt, 0.01)
+    assert limit == sig([3.0], [1, 2], 10.0)
+
+
+def test_extract_merges_switches_that_converge_together():
+    # two switches 1/k apart under n0 = 2 meet at t = 2 in the limit: the
+    # coincidence group keeps its last mode, which the initial mode repeats
+    adt = AdtClass(0.5, 2)
+    family = [sig([2.0, 2.0 + 1.0 / k], [1, 2, 1], 10.0) for k in range(4, 54)]
+    _, limit = extract_convergent_subsequence(family, adt, 0.01)
+    assert limit == SwitchingSignal.constant(1, 10.0)
+
+
+def test_extract_failure_when_modes_scatter():
+    # six mode orders, two signals each at most: no mode cluster reaches ceil(sqrt(6)) = 3
+    family = [sig([2.0], modes, 10.0) for modes in ([1, 2], [2, 1], [1, 3], [3, 1], [2, 3], [3, 2])]
+    with pytest.raises(ExtractionFailure) as err:
+        extract_convergent_subsequence(family, AdtClass(0.5, 2), 0.01)
+    assert (err.value.achieved, err.value.required, err.value.stage) == (2, 3, "mode[0]")
+
+
 def test_extract_too_few_signals():
     with pytest.raises(ValueError):
         extract_convergent_subsequence([SwitchingSignal.constant(1, 5.0)], AdtClass(1.0, 1), 0.1)

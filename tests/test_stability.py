@@ -195,9 +195,9 @@ def test_simulate_batch_file_horizon_mismatch(ex1_scenario):
 
 
 def test_probe_integrates_under_scenario_tolerances(ex2_scenario):
-    """The distinguishability probe runs under the scenario's integrator options (with
-    max_dx = inf): a blow-up bound inside the sampled region drops the starts beyond
-    it, where the default options probe all 576."""
+    """The distinguishability probe runs under the scenario's integrator options: a
+    blow-up bound inside the sampled region drops the starts beyond it, where the
+    default options probe all 576."""
     from switchcert.scenarios import polar_grid
 
     small = replace(ex2_scenario, horizon=5.0, initial_states=polar_grid([0.5], 4),

@@ -1442,18 +1442,23 @@ def test_compliance_swapped_modes_violates():
     # mode 1 active while the state sits in the open right half-plane
     rep = check_covering_compliance(traj, half_plane_covering(), tol=1e-6)
     assert not rep.passed
-    t, mode, margin = rep.details["violations"][0]
+    t, mode, margin = rep.witness
     assert mode == 1 and margin > 0.0
+    assert (rep.worst, rep.witness) == _reference_compliance(traj, half_plane_covering())
 
 
-def _reference_compliance(traj, covering, tol):
-    """check_covering_compliance's (worst, violations), one margin call per sample."""
-    margins = np.array([float(covering.boundaries[int(g)](x))
-                        for g, x in zip(traj.sample_modes, traj.states)])
-    bad = np.nonzero(margins > tol)[0]
-    violations = tuple((float(traj.times[i]), int(traj.sample_modes[i]), float(margins[i]))
-                       for i in bad[:100])
-    return float(np.max(margins)), violations
+def _reference_compliance(traj, covering):
+    """check_covering_compliance's (worst, worst sample), one margin call per
+    sample: a scan with a strict comparison keeps the first largest margin,
+    and the first NaN ends it.  The worst sample is (t, mode, margin)."""
+    worst, at = -math.inf, None
+    for t, g, x in zip(traj.times, traj.sample_modes, traj.states):
+        m = float(covering.boundaries[int(g)](x))
+        if m > worst or math.isnan(m):
+            worst, at = m, (float(t), int(g), m)
+        if math.isnan(m):
+            break
+    return worst, at
 
 
 def _reference_check_union(covering, points):
@@ -1475,10 +1480,11 @@ def test_compliance_matches_per_sample_reference(ex1_batch, two_centers_batch):
         for cov, tol in ((half_plane_covering(), 1e-6), (half_plane_covering(), 0.0),
                          (Covering.trivial(ModeSet(2)), 0.0)):
             rep = check_covering_compliance(traj, cov, tol)
-            worst, violations = _reference_compliance(traj, cov, tol)
-            assert (rep.worst, rep.details["violations"]) == (worst, violations)
+            worst, at = _reference_compliance(traj, cov)
+            assert rep.worst == worst and math.copysign(1.0, rep.worst) == math.copysign(1.0, worst)
+            assert rep.passed == (worst <= tol)
             assert rep.details["n_checked"] == traj.times.size
-            assert rep.witness == (violations[0] if violations else None)
+            assert rep.witness == (None if rep.passed else at)
     assert not check_covering_compliance(swapped, half_plane_covering(), 1e-6).passed
 
 
