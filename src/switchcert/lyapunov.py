@@ -25,7 +25,9 @@ sample, with the same values as a loop over points.  Each check that
 reduces one value per sample to a verdict does so through
 :func:`~switchcert.reports.verdict`: it keeps the first worst sample in
 scan order, and a NaN is worse than any number, so it fails the check
-with the first NaN sample as witness.
+with the first NaN sample as witness.  The probe's per-start peaks and
+the per-shell tables keep that rule per group, in one reduction over
+(group, value) rows (:func:`_group_extremes`).
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 
 from .reports import CheckReport, distinct, verdict, write_rows
 from .systems import (
-    FiniteEscapeError,
     IntegratorOptions,
     SwitchedSystem,
     Trajectory,
@@ -262,38 +263,31 @@ class EnvelopeReport:
                    [self.radii.tolist(), self.lower.tolist(), self.upper.tolist()])
 
 
-def _shell_table(system: SwitchedSystem, region: SampleRegion,
-                 values: Callable[[np.ndarray, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``values(points, gamma)`` at the covering-admissible shell points.
-
-    Returns a (shells, modes * directions) table whose row holds one
-    shell in the order of a loop over modes, then points, and the mask
-    of its admissible entries (inadmissible entries read 0).
-    """
-    n_shells, per_shell = region.n_radii, region.n_directions
-    pts = region.all_points(system.dimension)[:n_shells * per_shell]
-    table = np.zeros((system.modes.size, len(pts)))
-    mask = np.zeros(table.shape, dtype=bool)
-    for j, (gamma, inside) in enumerate(_admissible(system, pts).items()):
-        mask[j, inside] = True
-        if inside.size:
-            table[j, inside] = values(pts[inside], gamma)
-    shape = (system.modes.size, n_shells, per_shell)
-
-    def by_shell(a: np.ndarray) -> np.ndarray:
-        return a.reshape(shape).transpose(1, 0, 2).reshape(n_shells, -1)
-
-    return by_shell(table), by_shell(mask)
+def _shell_values(system: SwitchedSystem, region: SampleRegion,
+                  values: Callable[[np.ndarray, int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``values(points, gamma)`` at the covering-admissible shell points, in
+    the order of a loop over modes, then points, as rows: each value's
+    shell index, and the values."""
+    per_shell = region.n_directions
+    pts = region.all_points(system.dimension)[:region.n_radii * per_shell]
+    shells, out = [], []
+    for gamma, inside in _admissible(system, pts).items():
+        shells.append(inside // per_shell)
+        out.append(values(pts[inside], gamma) if inside.size else np.empty(0))
+    return np.concatenate(shells), np.concatenate(out)
 
 
-def _first_extremum(table: np.ndarray, mask: np.ndarray, largest: bool) -> np.ndarray:
-    """Per row, the first largest (or least) masked entry, as a scan with a
-    strict comparison keeps it, except that the first NaN wins; NaN for a
-    row with no masked entry."""
-    masked = np.where(mask, table, -math.inf if largest else math.inf)
+def _group_extremes(groups: np.ndarray, values: np.ndarray, n: int, largest: bool) -> np.ndarray:
+    """Per group 0..n-1, the first largest (or least) of its ``values`` in
+    their order, as a scan with a strict comparison keeps it, except that
+    the first NaN wins; NaN for a group with no value."""
+    order = np.argsort(groups, kind="stable")
+    groups = groups[order]
+    counts = np.bincount(groups, minlength=n)
+    table = np.full((n, max(1, counts.max(initial=0))), -math.inf if largest else math.inf)
+    table[groups, np.arange(groups.size) - (np.cumsum(counts) - counts)[groups]] = values[order]
     pick = np.argmax if largest else np.argmin  # both return the first NaN, else the first extremum
-    out = masked[np.arange(len(masked)), pick(masked, axis=1)]
-    return np.where(mask.any(axis=1), out, math.nan)
+    return np.where(counts > 0, table[np.arange(n), pick(table, axis=1)], math.nan)
 
 
 def check_class_k_bounds(
@@ -305,15 +299,15 @@ def check_class_k_bounds(
     V(0, gamma) = 0 for every mode whose region contains the origin.
     """
     radii = region.radii()
-    table, mask = _shell_table(system, region, lambda x, g: evaluate_rows(V.value, x, g))
-    lower = _first_extremum(table, mask, largest=False)
-    upper = _first_extremum(table, mask, largest=True)
+    shells, values = _shell_values(system, region, lambda x, g: evaluate_rows(V.value, x, g))
+    lower = _group_extremes(shells, values, radii.size, largest=False)
+    upper = _group_extremes(shells, values, radii.size, largest=True)
     origin = {
         g: float(V.value(np.zeros(system.dimension), g))
         for g in modes_containing_origin(system.covering, system.modes, system.dimension)
     }
     reasons = []
-    if not mask.any(axis=1).all():
+    if not np.bincount(shells, minlength=radii.size).all():
         reasons.append("some radius shell has no covering-admissible sample")
     elif np.any(np.isnan(lower)):
         r_bad = float(radii[int(np.argmax(np.isnan(lower)))])
@@ -359,11 +353,13 @@ def check_strict_decrease(
     A shell's worst value is NaN when the Lie derivative is NaN at one of
     its points, and -inf when none of its points is admissible.
     """
-    table, mask = _shell_table(system, region, lambda x, g: lie_derivative(V, system, x, g))
-    worst = np.where(mask.any(axis=1), _first_extremum(table, mask, largest=True), -math.inf)
+    radii = region.radii()
+    shells, lie = _shell_values(system, region, lambda x, g: lie_derivative(V, system, x, g))
+    worst = np.where(np.bincount(shells, minlength=radii.size) > 0,
+                     _group_extremes(shells, lie, radii.size, largest=True), -math.inf)
     return StrictDecreaseReport(
         passed=bool(np.all(worst < 0.0)),
-        radii=region.radii(),
+        radii=radii,
         worst=worst,
         rate=-worst,
     )
@@ -480,30 +476,22 @@ def distinguishability_probe(
         raise ValueError(f"delta must be positive, got {delta}")
     if threshold is None:
         threshold = 1e-8 * region.r_min ** 2
-    skipped, probed, runs = [], [], []
     starts = region.all_points(system.dimension)
-    for x0, states in zip(starts, advance_starts(system, gamma, starts, delta, opts)):
-        if isinstance(states, FiniteEscapeError):
-            skipped.append(f"start {np.array2string(x0)} escaped at t~{states.escape_time:.3g}")
-        else:
-            probed.append(x0)
-            runs.append(states)
+    index, states, escapes = advance_starts(system, gamma, starts, delta, opts)
+    probed = [k for k in range(len(starts)) if k not in escapes]
     peaks = np.empty(0)
-    if runs:  # one row of outputs per start; _first_extremum pads it with -inf
-        lengths = np.array([len(r) for r in runs])
-        mask = np.arange(lengths.max()) < lengths[:, None]
-        table = np.zeros(mask.shape)
-        table[mask] = W(gamma, np.concatenate(runs))
-        peaks = _first_extremum(table, mask, largest=True)
+    if probed:  # W needs at least one state
+        peaks = _group_extremes(index, W(gamma, states), len(starts), largest=True)[probed]
     rep = verdict("distinguishability", np.append(-peaks, -math.inf), -threshold,
-                  lambda i: np.array(probed[i]), {})
+                  lambda i: np.array(starts[probed[i]]), {})
     return ProbeReport(
         passed=rep.passed and len(probed) > 0,
         min_peak=-rep.worst,
         threshold=threshold,
         witness=rep.witness,
         n_probed=len(probed),
-        skipped=tuple(skipped),
+        skipped=tuple(f"start {np.array2string(starts[k])} escaped at t~{e.escape_time:.3g}"
+                      for k, e in sorted(escapes.items())),
     )
 
 

@@ -13,6 +13,7 @@ round-trips IEEE doubles exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
@@ -45,13 +46,14 @@ def write_rows(path, header: list[str], cells: list[str], columns: list[list]) -
 
 
 def require_ranges(settings: Any, positive: tuple[str, ...] = (),
-                   nonnegative: tuple[str, ...] = ()) -> None:
+                   nonnegative: tuple[str, ...] = (), finite: tuple[str, ...] = ()) -> None:
     """Raise ValueError naming the first field of ``settings`` out of range.
 
     NaN is out of every range; a field set to None is unset and skipped.
     """
     for names, in_range, expected in ((positive, lambda v: v > 0, "positive"),
-                                      (nonnegative, lambda v: v >= 0, "nonnegative")):
+                                      (nonnegative, lambda v: v >= 0, "nonnegative"),
+                                      (finite, math.isfinite, "finite")):
         for name in names:
             value = getattr(settings, name)
             if value is not None and not in_range(value):

@@ -214,7 +214,8 @@ class CheckSettings:
     def __post_init__(self) -> None:
         require_ranges(self, positive=("cluster_tol", "attraction_eps", "attraction_radius",
                                        "probe_delta"),
-                       nonnegative=("compliance_tol", "lasalle_tol", "monotonicity_tol"))
+                       nonnegative=("compliance_tol", "lasalle_tol", "monotonicity_tol"),
+                       finite=("probe_delta",))
         if not 0.0 < self.tail_fraction < 1.0:
             raise ValueError(f"tail_fraction must be in (0, 1), got {self.tail_fraction!r}")
 

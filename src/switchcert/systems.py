@@ -47,8 +47,10 @@ That batch shares the step loop's rules, one initial step selection
 stages, and keeps its own stage sums and controller (:func:`_control_rows`),
 whole-array passes with each power a libm ``pow`` per row.  Both kinds
 of mode share one row guard (:func:`_guard_rows`), the mode run's state
-guards on every row.  It samples accepted steps only and has no
-interpolant.  Each trajectory of :func:`integrate` and
+guards on every row.  It samples accepted steps only, has no
+interpolant, and returns its samples as rows: each sample's start index
+and state, grouped by start, with the escaped starts' errors apart.
+Each trajectory of :func:`integrate` and
 :func:`integrate_feedback` builds its stage array once and shares it
 among its constancy intervals.
 
@@ -322,7 +324,7 @@ class IntegratorOptions:
 
     def __post_init__(self) -> None:
         require_ranges(self, positive=("rtol", "atol", "event_tol", "max_dx", "bound"),
-                       nonnegative=("max_switches",))
+                       nonnegative=("max_switches",), finite=("rtol",))
 
 
 @dataclass
@@ -887,21 +889,21 @@ def _horner(rows: list, t_old: float, nu: float, t: float) -> list:
     return out
 
 
-def _guard_rows(rows: np.ndarray, t, y: np.ndarray, accepted, bound: float, out: list,
+def _guard_rows(rows: np.ndarray, t, y: np.ndarray, accepted, bound: float, escapes: dict,
                 errors: dict) -> np.ndarray:
     """The state guards of :func:`_run_mode` on the rows y of a batch, each at
     its step's end t (one time, or one per row).  Among the ``accepted``
     rows, one whose state is not finite records a :class:`StiffnessError`
     in ``errors`` and one whose norm passed ``bound`` its
-    :class:`FiniteEscapeError` in ``out``, under its start index ``rows[r]``.
-    Returns the mask of the accepted rows kept."""
+    :class:`FiniteEscapeError` in ``escapes``, under its start index
+    ``rows[r]``.  Returns the mask of the accepted rows kept."""
     t = np.broadcast_to(t, len(y))
     finite = np.isfinite(y).all(axis=1)
     escaped = finite & (row_norms(y) > bound)
     for r in np.flatnonzero(accepted & ~finite).tolist():
         errors[int(rows[r])] = StiffnessError(f"non-finite state at t ~ {float(t[r]):.6g}")
     for r in np.flatnonzero(accepted & escaped).tolist():
-        out[int(rows[r])] = FiniteEscapeError(float(t[r]), np.array(y[r]), bound)
+        escapes[int(rows[r])] = FiniteEscapeError(float(t[r]), np.array(y[r]), bound)
     return accepted & finite & ~escaped
 
 
@@ -911,19 +913,19 @@ def _advance_linear(field: LinearField, y: np.ndarray, t_end: float, opts: Integ
     :func:`_rows_times` over the stack's columns, so every row gets the
     bits of its own run.  Returns as :func:`_advance_dop853` does."""
     rows = np.arange(len(y))  # start index of each row still running
-    out: list = [None] * len(y)
     kept_rows, kept_states = [rows], [y]
+    escapes: dict[int, FiniteEscapeError] = {}
     errors: dict[int, StiffnessError] = {}
     h = _linear_step(field.norm, 0.0, math.inf)
     for t_new, (prop, _) in _propagator_steps(field, h, 0.0, t_end):
         y = np.stack(_rows_times(prop, y.T), axis=1)
-        kept = _guard_rows(rows, t_new, y, True, opts.bound, out, errors)
+        kept = _guard_rows(rows, t_new, y, True, opts.bound, escapes, errors)
         rows, y = rows[kept], y[kept]
         kept_rows.append(rows)
         kept_states.append(y)
         if not rows.size:
             break
-    return kept_rows, kept_states, out, errors
+    return kept_rows, kept_states, escapes, errors
 
 
 @np.errstate(**_SOLVE_ERRSTATE)
@@ -959,7 +961,7 @@ def integrate(
 
 @np.errstate(**_SOLVE_ERRSTATE)
 def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end: float,
-                   opts: IntegratorOptions) -> list:
+                   opts: IntegratorOptions) -> tuple[np.ndarray, np.ndarray, dict]:
     """Advance every start under mode gamma over [0, t_end], all starts at once.
 
     Each row takes exactly the steps that :func:`integrate` takes for that
@@ -968,11 +970,13 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
     :class:`LinearField` mode takes the propagator steps of
     :func:`_linear_steps` on every row, each step one elementwise pass over
     the stack (:func:`_advance_linear`).  Any other mode steps the rows as
-    one DOP853 (:func:`_advance_dop853`).  Returns, per start in order,
-    its states at t = 0 and after every accepted step as a (k, n) array,
-    or the :class:`FiniteEscapeError` of a start whose norm passed
-    ``opts.bound``.  A :class:`StiffnessError` is raised after the batch:
-    that of the first start which met one, as a loop over starts would.
+    one DOP853 (:func:`_advance_dop853`).  Returns the samples as rows
+    ``(index, states, escapes)``: each sample's start index and state, at
+    t = 0 and after every accepted step, grouped by start in time order,
+    and the :class:`FiniteEscapeError` of each start whose norm passed
+    ``opts.bound`` by start index, whose samples are left out.  A
+    :class:`StiffnessError` is raised after the batch: that of the first
+    start which met one, as a loop over starts would.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -981,14 +985,15 @@ def advance_starts(system: SwitchedSystem, gamma: int, starts: np.ndarray, t_end
         raise ValueError(f"starts must be finite rows of length {system.dimension}")
     f = system.field(gamma)
     advance = _advance_linear if isinstance(f, LinearField) else _advance_dop853
-    kept_rows, kept_states, out, errors = advance(f, y, t_end, opts)
+    kept_rows, kept_states, escapes, errors = advance(f, y, t_end, opts)
     if errors:
         raise errors[min(errors)]
-    sample_rows = np.concatenate(kept_rows)
-    samples = np.concatenate(kept_states)[np.argsort(sample_rows, kind="stable")]
-    ends = np.cumsum(np.bincount(sample_rows, minlength=len(y))).tolist()
-    return [samples[a:b] if run is None else run
-            for run, a, b in zip(out, [0, *ends[:-1]], ends)]
+    index = np.concatenate(kept_rows)
+    escaped = np.zeros(len(y), dtype=bool)
+    escaped[list(escapes)] = True
+    order = np.flatnonzero(~escaped[index])
+    order = order[np.argsort(index[order], kind="stable")]
+    return index[order], np.concatenate(kept_states)[order], escapes
 
 
 def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: IntegratorOptions):
@@ -1005,15 +1010,15 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
     when it fails are the rows scanned, and a row with a non-finite stage
     records the StiffnessError of its first one and leaves before the
     controller runs.  Accepted states are recorded once per attempt.
-    Returns the sample batches' start indices and states, the escapes per
-    start, and the StiffnessError of each start that met one.
+    Returns the sample batches' start indices and states, and the
+    FiniteEscapeError and StiffnessError of each start that met one.
     """
     n_rows, n = y.shape
     S = _N_STAGES
     rtol, atol = max(opts.rtol, _RTOL_FLOOR), opts.atol
     rows = np.arange(n_rows)  # start index of each row still running
-    out: list = [None] * n_rows
     kept_rows, kept_states = [rows], [y]  # the samples, one batch per accepted attempt
+    escapes: dict[int, FiniteEscapeError] = {}
     errors: dict[int, StiffnessError] = {}
     checked: set = set()  # stack shapes on which evaluate_rows has checked f
 
@@ -1090,11 +1095,11 @@ def _advance_dop853(f: VectorField, y: np.ndarray, t_end: float, opts: Integrato
         y = np.where(accepted[:, None], y_new, y)
         fy = np.where(accepted[:, None], f_new, fy)
         fresh = accepted
-        kept = _guard_rows(rows, t, y, accepted, opts.bound, out, errors)
+        kept = _guard_rows(rows, t, y, accepted, opts.bound, escapes, errors)
         kept_rows.append(rows[kept])
         kept_states.append(y[kept])
         live &= ~accepted | (kept & (t < t_end))
-    return kept_rows, kept_states, out, errors
+    return kept_rows, kept_states, escapes, errors
 
 
 def _locate_crossing(dense, rule: FeedbackRule, gamma: int, t_lo: float, x_lo: Sequence[float],

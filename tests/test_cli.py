@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchcert.cli import _SCHEMA, SchemaError, _read, load_scenario_file, main
-from switchcert.scenarios import GeneratedSource
+from switchcert.scenarios import CheckSettings, GeneratedSource
 from switchcert.signals import ModeSet, SwitchingSignal, save_signal
+from switchcert.systems import IntegratorOptions
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -221,6 +223,23 @@ def test_validate_exit_codes(tmp_path, capsys):
     empty.write_text("")
     assert main(["validate", str(empty), "1.0", "1"]) == 2
     assert main(["validate", str(tmp_path / "missing.txt"), "1.0", "1"]) == 2
+
+
+# signal files that load_signal rejects, and the message after "<file>"
+_BAD_SIGNAL_FILES = [
+    pytest.param(b"modes=2 horizon=15\n0 1\nabc 2\n", ":3: bad segment line 'abc 2'",
+                 id="segment_not_numbers"),
+    pytest.param(b"modes=2 horizon=15\n0 1\n5 2\n3 1\n",
+                 ": switch times must be strictly increasing", id="segments_rejected"),
+]
+
+
+@pytest.mark.parametrize("data, message", _BAD_SIGNAL_FILES)
+def test_validate_bad_signal_file_exit_2(tmp_path, capsys, data, message):
+    path = tmp_path / "sig.txt"
+    path.write_bytes(data)
+    assert main(["validate", str(path), "1.0", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}{message}\n"
 
 
 # -- run / simulate / omega ----------------------------------------------------------
@@ -479,6 +498,26 @@ horizon = 5.0
     assert not out.exists() or not any(out.iterdir())
 
 
+_FLOAT_TOLERANCES = [f.name for settings in (IntegratorOptions, CheckSettings)
+                     for f in fields(settings) if "float" in f.type]
+
+
+@pytest.mark.parametrize("system", ["example1", "example2"])
+def test_run_every_float_tolerance_at_inf(tmp_path, capsys, system):
+    """Each float [tolerances] key at inf either runs or is bad input at its line."""
+    assert len(_FLOAT_TOLERANCES) == 13
+    for key in _FLOAT_TOLERANCES:
+        out = tmp_path / f"{key}_out"
+        code = main(["run", _small_ini(tmp_path, system, f"{key} = inf"),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (key, err)
+        if code == 2:
+            assert err.startswith(f"scenario error: {tmp_path}/scn.ini:9: {key} must be ")
+            assert err.endswith(", got inf\n") and len(err.splitlines()) == 1
+            assert not out.exists()
+
+
 def _signal_ini(tmp_path, signal_data=None):
     """Scenario of horizon 15 whose ``paths`` (line 11) names sig.txt, a signal file
     holding ``signal_data``; None leaves the file absent."""
@@ -511,6 +550,20 @@ source = generate
 tau_d = {tau_d}
 n0 = {n0}
 count = {count}
+""")
+
+
+def _small_ini(tmp_path, system: str, tolerance: str):
+    """One start over horizon 5, with the ``[tolerances]`` line ``tolerance`` on line 9."""
+    return write(tmp_path, f"""
+[scenario]
+system = {system}
+horizon = 5
+
+[initial_conditions]
+points = 1 0
+[tolerances]
+{tolerance}
 """)
 
 
@@ -629,6 +682,14 @@ _LOCATED_BAD_INPUTS = [
                  id="signal_mode_foreign"),
     pytest.param(lambda tmp: [_signal_ini(tmp, b"modes=2 horizon=15\n0 1\n\xe9 2\n")],
                  "scn.ini:11: paths: {tmp}/sig.txt:3: not UTF-8 text", id="signal_file_not_utf8"),
+    *[pytest.param(lambda tmp, data=p.values[0]: [_signal_ini(tmp, data)],
+                   "scn.ini:11: paths: {tmp}/sig.txt" + p.values[1], id=f"signal_file_{p.id}")
+      for p in _BAD_SIGNAL_FILES],
+    # a probe window or rtol of inf would reach the integrator
+    pytest.param(lambda tmp: [_small_ini(tmp, "example2", "probe_delta = inf")],
+                 "scn.ini:9: probe_delta must be finite, got inf", id="probe_delta_inf"),
+    pytest.param(lambda tmp: [_small_ini(tmp, "example2", "rtol = inf")],
+                 "scn.ini:9: rtol must be finite, got inf", id="rtol_inf"),
     # an artifact directory that cannot be made is bad input, caught before simulating
     pytest.param(lambda tmp: ["two_centers", "--horizon", "2", "--out", str(_taken(tmp))],
                  "--out: output must be a directory; '{tmp}/taken' is not one",

@@ -146,6 +146,26 @@ def test_class_k_degenerate_direction_fails(ex1_scenario):
     assert any("positive" in r for r in rep.reasons)
 
 
+def _unit_disk(x):
+    return np.vecdot(x, x) - 1.0
+
+
+def test_class_k_fails_when_a_shell_has_no_admissible_sample():
+    # the one mode's region is the unit disk: the shells past r = 1 hold no admissible point
+    m = ModeSet(1)
+    sys_ = SwitchedSystem(2, {1: rotation}, m, Covering({1: _unit_disk}))
+    region = SampleRegion(0.1, 3.0)
+    rep = check_class_k_bounds(squared_norm_candidate(), sys_, region)
+    assert not rep.passed
+    assert rep.reasons == ("some radius shell has no covering-admissible sample",)
+    outside = rep.radii > 1.0
+    assert 0 < outside.sum() < outside.size
+    assert np.all(np.isnan(rep.lower[outside])) and np.all(np.isnan(rep.upper[outside]))
+    assert np.all(rep.lower[~outside] > 0.0)
+    strict = check_strict_decrease(squared_norm_candidate(), sys_, region)
+    assert np.all(strict.worst[outside] == -math.inf)
+
+
 def test_class_k_regularizations_monotone(ex1_scenario):
     rep = check_class_k_bounds(ex1_scenario.V, ex1_scenario.system, REGION)
     assert np.all(np.diff(rep.lower_regularized) >= 0.0)
@@ -323,10 +343,12 @@ def _assert_probe_matches_reference(system, W, gamma, delta, region, threshold=N
                                     opts=_ACCEPTED_STEPS):
     want, want_runs = _reference_probe(system, W, gamma, delta, region, threshold, opts)
     got = distinguishability_probe(system, W, gamma, delta, region, threshold, opts)
-    got_runs = advance_starts(system, gamma, region.all_points(system.dimension), delta, opts)
-    got_runs = [None if isinstance(r, FiniteEscapeError) else r for r in got_runs]
-    assert [r is None for r in got_runs] == [r is None for r in want_runs]
-    got_runs = [r for r in got_runs if r is not None]
+    index, states, escapes = advance_starts(system, gamma, region.all_points(system.dimension),
+                                            delta, opts)
+    assert sorted(escapes) == [k for k, r in enumerate(want_runs) if r is None]
+    assert all(isinstance(e, FiniteEscapeError) for e in escapes.values())
+    assert np.array_equal(index, np.sort(index))  # grouped by start
+    got_runs = [states[index == k] for k in range(len(want_runs)) if k not in escapes]
     want_runs = [r for r in want_runs if r is not None]
     assert all(np.array_equal(a, b) for a, b in zip(got_runs, want_runs))
     peaks = [[max(W(gamma, x) for x in r) for r in runs] for runs in (got_runs, want_runs)]

@@ -1,4 +1,5 @@
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from switchcert.scenarios import (
     scenario_names,
 )
 from dataclasses import replace
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_builtin_names():
@@ -53,6 +56,19 @@ def test_scenario_validation(ex1_scenario):
 def test_builtin_overrides():
     scn = builtin_scenario("example1", horizon=10.0)
     assert scn.horizon == 10.0
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_reference_file_loads_as_the_builtin(name):
+    """scenarios/<name>.ini restates builtin_scenario(name), so the two cannot drift apart."""
+    from switchcert.cli import load_scenario_file
+
+    got, _ = load_scenario_file(str(REPO / "scenarios" / f"{name}.ini"))
+    want = builtin_scenario(name)
+    assert got.horizon == want.horizon
+    assert np.array_equal(got.initial_states.view(np.uint64), want.initial_states.view(np.uint64))
+    for part in ("name", "source", "integrator", "checks", "region", "system", "V", "W"):
+        assert getattr(got, part) == getattr(want, part), part
 
 
 def test_example2_identities_at_origin(ex2_scenario):

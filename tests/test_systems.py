@@ -298,9 +298,10 @@ def test_advance_starts_drops_only_the_rows_whose_stages_fail():
         advance_starts(sys_, 1, starts, 3.0, opts)
     assert str(raised.value) == str(errors[1])
     rows, states = np.concatenate(kept_rows), np.concatenate(kept_states)
-    alone = advance_starts(sys_, 1, starts[[0, 2, 4]], 3.0, opts)
-    for k, want in zip([0, 2, 4], alone):
-        assert systems._same_bits(states[rows == k], want)
+    index, alone, escapes = advance_starts(sys_, 1, starts[[0, 2, 4]], 3.0, opts)
+    assert not escapes
+    for j, k in enumerate([0, 2, 4]):
+        assert systems._same_bits(states[rows == k], alone[index == j])
 
 
 def test_advance_starts_checks_the_field_once_per_stack_shape():
@@ -324,9 +325,11 @@ def test_advance_starts_checks_the_field_once_per_stack_shape():
 
         system = SwitchedSystem(2, {**ex2.system.fields, gamma: counted}, ex2.system.modes,
                                 ex2.system.covering)
-        got = advance_starts(system, gamma, starts, 3.0, opts)
-        want = advance_starts(ex2.system, gamma, starts, 3.0, opts)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        index, states, escapes = advance_starts(system, gamma, starts, 3.0, opts)
+        want_index, want_states, want_escapes = advance_starts(ex2.system, gamma, starts, 3.0,
+                                                               opts)
+        assert np.array_equal(index, want_index) and systems._same_bits(states, want_states)
+        assert not escapes and not want_escapes
         assert len(stack_shapes) >= 2  # rows finish at different steps
         assert len(one_state) <= 2 * len(stack_shapes)
 
@@ -1415,10 +1418,11 @@ def test_unstable_linear_mode_escapes_at_its_log_time(max_dx):
     assert t_escape <= err.value.escape_time <= t_escape + systems._LINEAR_CAP
     assert np.linalg.norm(err.value.state) > 1e3
     if max_dx == math.inf:
-        runs = advance_starts(sys_, 1, np.array([[1.2, -1.6], [0.0, 0.0]]), 40.0, opts)
-        assert isinstance(runs[0], FiniteEscapeError)
-        assert runs[0].escape_time == err.value.escape_time
-        assert np.all(runs[1] == 0.0)
+        index, states, escapes = advance_starts(sys_, 1, np.array([[1.2, -1.6], [0.0, 0.0]]),
+                                                40.0, opts)
+        assert list(escapes) == [0] and isinstance(escapes[0], FiniteEscapeError)
+        assert escapes[0].escape_time == err.value.escape_time
+        assert np.all(index == 1) and index.size > 1 and np.all(states == 0.0)
 
 
 # -- compliance -----------------------------------------------------------------------
